@@ -85,10 +85,13 @@ def _collect_b_leaves(entry: BEntry, out: list[int]) -> None:
 def b_entry_text(op: EffectiveOperad, entry: BEntry) -> str:
     if isinstance(entry, int):
         return f"l{entry}"
-    label = w_text(entry.label).replace("\\", "\\\\").replace('"', '\\"')
-    parts = [f'(v :h={format_fraction(entry.height)} "{label}"']
-    parts.extend(b_entry_text(op, child) for child in entry.children)
-    return " ".join(parts) + ")"
+    return _b_vertex_text(w_text(entry.label), entry.height,
+                          [b_entry_text(op, child) for child in entry.children])
+
+
+def _b_vertex_text(label_text: str, height: Fraction, child_texts: list[str]) -> str:
+    label = label_text.replace("\\", "\\\\").replace('"', '\\"')
+    return " ".join([f'(v :h={format_fraction(height)} "{label}"', *child_texts]) + ")"
 
 
 def b_text(b: BPoint) -> str:
@@ -140,17 +143,28 @@ def _reduce_b(op: EffectiveOperad, node: BNode) -> BEntry:
     return BNode(label, node.height, tuple(entries))
 
 
-def _canonical_b(op: EffectiveOperad, node: BNode) -> BNode:
-    """Least twist of a vertex: children sorted by their text, ties broken
-    by the twisted label's text. Only tie-respecting permutations need the
-    label restriction, which keeps the search cheap for distinct children."""
-    entries = tuple(
-        child if isinstance(child, int) else _canonical_b(op, child)
-        for child in node.children)
+def _canonical_b(op: EffectiveOperad, node: BNode) -> tuple[BNode, str]:
+    """Least twist of every vertex, with the b_entry_text of the result.
+
+    Children are sorted by their text, ties broken by the twisted label's
+    text. Only tie-respecting permutations need the label restriction,
+    which keeps the search cheap for distinct children. Each vertex's text
+    is built once, from its children's, as the recursion returns.
+    """
+    entries: list[BEntry] = []
+    texts: list[str] = []
+    for child in node.children:
+        if isinstance(child, int):
+            entries.append(child)
+            texts.append(f"l{child}")
+        else:
+            entry, text = _canonical_b(op, child)
+            entries.append(entry)
+            texts.append(text)
     k = len(entries)
     if k == 1:
-        return BNode(node.label, node.height, entries)
-    texts = [b_entry_text(op, e) for e in entries]
+        return (BNode(node.label, node.height, tuple(entries)),
+                _b_vertex_text(w_text(node.label), node.height, texts))
     order = sorted(range(k), key=lambda index: texts[index])
     groups: list[list[int]] = []
     for index in order:
@@ -167,9 +181,9 @@ def _canonical_b(op: EffectiveOperad, node: BNode) -> BNode:
         text = w_text(label)
         if best_text is None or text < best_text:
             best_label, best_values, best_text = label, values, text
-    assert best_label is not None and best_values is not None
-    return BNode(best_label, node.height,
-                 tuple(entries[v - 1] for v in best_values))
+    assert best_label is not None and best_values is not None and best_text is not None
+    return (BNode(best_label, node.height, tuple(entries[v - 1] for v in best_values)),
+            _b_vertex_text(best_text, node.height, [texts[v - 1] for v in best_values]))
 
 
 def bpoint(op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
@@ -186,7 +200,7 @@ def bpoint(op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
     reduced = _reduce_b(op, root)
     if isinstance(reduced, int):
         return BPoint(op, 1)
-    return BPoint(op, _canonical_b(op, reduced))
+    return BPoint(op, _canonical_b(op, reduced)[0])
 
 
 def b_unit(op: EffectiveOperad) -> BPoint:
@@ -395,7 +409,7 @@ def b_normalize_random_order(rng, op: EffectiveOperad, root: Union[int, BNode]) 
         root = _b_apply_step(root, steps[rng.randrange(len(steps))])
     if isinstance(root, int):
         return BPoint(op, 1)
-    return BPoint(op, _canonical_b(op, root))
+    return BPoint(op, _canonical_b(op, root)[0])
 
 
 # ---------------------------------------------------------------------------

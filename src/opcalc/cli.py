@@ -318,6 +318,8 @@ def cmd_alpha(ws: Workspace, args) -> int:
 
 def run_suite(ws: Workspace, args):
     name, samples, seed = args.suite, args.samples, args.seed
+    if samples < 0:
+        raise DomainError(f"--samples must be at least 0, got {samples}")
     if name == "operad-axioms":
         return suite_operad_axioms(ws.operad(args.operad), samples, seed)
     if name == "w-operad-axioms":

@@ -35,6 +35,8 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise DomainError(f"expected a p/q string, got {text!r}")
     text = text.strip()
     if "/" not in text:
         raise DomainError(f"expected p/q, got {text!r}")
@@ -45,8 +47,35 @@ def parse_fraction(text: str) -> Fraction:
         raise DomainError(f"bad fraction {text!r}") from exc
 
 
+def _sorting_twist(tokens: list[str]) -> InjectiveMap | None:
+    """The permutation listing inputs in the string order of their tokens.
+
+    Input j's token is the text its entry contributes to a formatted
+    element. When the tokens are distinct and none is a proper prefix of
+    another, the text of a twist is least exactly when its tokens appear
+    sorted, so this permutation is the strictly least twist. Only the
+    distinctness is checked here; returns None when two tokens agree.
+    """
+    order = sorted(range(len(tokens)), key=tokens.__getitem__)
+    if any(tokens[a] == tokens[b] for a, b in zip(order, order[1:])):
+        return None
+    return InjectiveMap(len(tokens), len(tokens), tuple(j + 1 for j in order))
+
+
 class EffectiveOperad(ABC):
-    """A reduced operad whose elements can be computed with exactly."""
+    """A reduced operad whose elements can be computed with exactly.
+
+    Besides the abstract structure, an instance may offer
+    `canonical_twist(x)`, the shortcut normal forms take for its vertices.
+    It returns the permutation sigma of 1..arity_of(x) whose twist
+    restrict(sigma, x) has the least `format_element` text, and it may do
+    so only when that sigma is strictly least: every other permutation
+    must give a different, larger text. The order is the one on texts
+    (Python's string order), not on the underlying numbers, so 1/10
+    comes before 1/2. Returning None means "no such promise": callers then
+    search all arity_of(x)! twists, as they do for every operad that keeps
+    the default.
+    """
 
     name: str
 
@@ -80,6 +109,10 @@ class EffectiveOperad(ABC):
 
     def is_unit(self, x) -> bool:
         return self.arity_of(x) == 1 and self.eq(x, self.unit())
+
+    def canonical_twist(self, x) -> InjectiveMap | None:
+        """The unique permutation with the least twisted text, or None."""
+        return None
 
     # -- io -------------------------------------------------------------------
 
@@ -133,6 +166,10 @@ class EffectiveOperad(ABC):
 Interval = tuple[Fraction, Fraction]
 
 
+def _interval_tokens(x) -> list[str]:
+    return [f"[{format_fraction(a)},{format_fraction(b)}]" for a, b in x]
+
+
 class LittleIntervals(EffectiveOperad):
     """Configurations of labelled subintervals of [0,1] with disjoint
     interiors; touching endpoints are allowed. Element: tuple of (a, b)
@@ -178,7 +215,11 @@ class LittleIntervals(EffectiveOperad):
         return x
 
     def format_element(self, x) -> str:
-        return "<" + " ".join(f"[{format_fraction(a)},{format_fraction(b)}]" for a, b in x) + ">"
+        return "<" + " ".join(_interval_tokens(x)) + ">"
+
+    def canonical_twist(self, x) -> InjectiveMap | None:
+        # a token ends in its only "]", so none is a prefix of another
+        return _sorting_twist(_interval_tokens(x))
 
     def parse_element(self, text: str):
         body = text.strip()
@@ -225,6 +266,11 @@ def _vsub(c: tuple[Fraction, ...], d: tuple[Fraction, ...]) -> tuple[Fraction, .
 
 def _norm2(c: tuple[Fraction, ...]) -> Fraction:
     return sum((t * t for t in c), Fraction(0))
+
+
+def _ball_tokens(x) -> list[str]:
+    return [f"ball(({','.join(format_fraction(t) for t in c)});{format_fraction(r)})"
+            for c, r in x]
 
 
 class LittleDiscs(EffectiveOperad):
@@ -277,11 +323,12 @@ class LittleDiscs(EffectiveOperad):
         return x
 
     def format_element(self, x) -> str:
-        parts = []
-        for c, r in x:
-            center = ",".join(format_fraction(t) for t in c)
-            parts.append(f"ball(({center});{format_fraction(r)})")
-        return "<" + " ".join(parts) + ">"
+        return "<" + " ".join(_ball_tokens(x)) + ">"
+
+    def canonical_twist(self, x) -> InjectiveMap | None:
+        # "ball((c);r)" holds exactly two ")", one of them at its end, so no
+        # token is a proper prefix of another
+        return _sorting_twist(_ball_tokens(x))
 
     def parse_element(self, text: str):
         body = text.strip()
@@ -364,6 +411,20 @@ class Associative(EffectiveOperad):
 
     def format_element(self, x) -> str:
         return "word(" + " ".join(str(t) for t in x) + ")"
+
+    def canonical_twist(self, x) -> InjectiveMap | None:
+        # The action relabels letters and leaves positions alone, and it is
+        # free and transitive, so the least text is the one word whose
+        # letters read 1..k in string order ("1 10 11 ... 2 3 ..."). A
+        # letter that is a prefix of another ("1" of "10") is followed by
+        # " " or ")", both below every digit, so string order of the
+        # letters is the order of the texts. sigma sends that word's
+        # letter at position p to x's letter at p.
+        least = sorted(range(1, len(x) + 1), key=str)
+        values = [0] * len(x)
+        for letter, target in zip(least, x):
+            values[letter - 1] = target
+        return InjectiveMap(len(x), len(x), tuple(values))
 
     def parse_element(self, text: str):
         body = text.strip()
@@ -491,6 +552,12 @@ class FramedOperad(EffectiveOperad):
     def format_element(self, x) -> str:
         frames = " ".join(str(g) for g in x.frames)
         return f"({self.base.format_element(x.point)} ; {frames})"
+
+    def canonical_twist(self, x) -> InjectiveMap | None:
+        # The base text comes first, and a shipped base's text ends in a
+        # character found nowhere else in it, so no twist's base text is a
+        # proper prefix of another's: twists are ordered by their base texts.
+        return self.base.canonical_twist(x.point)
 
     def parse_element(self, text: str):
         body = text.strip()
@@ -681,6 +748,8 @@ class FormalOperad(EffectiveOperad):
                     c = text[j]
                     if in_quote:
                         if c == "\\":
+                            if j + 1 == len(text):
+                                raise DomainError(f"dangling escape at the end of {text!r}")
                             buf.append(text[j + 1])
                             j += 2
                             continue
@@ -724,7 +793,10 @@ class FormalOperad(EffectiveOperad):
                 raise DomainError("missing )")
             return FNode(name, payload, tuple(children)), rest[1:]
         if tok.startswith("L"):
-            return FLeaf(int(tok[1:])), rest
+            try:
+                return FLeaf(int(tok[1:])), rest
+            except ValueError as exc:
+                raise DomainError(f"bad leaf token {tok!r}") from exc
         raise DomainError(f"bad token {tok!r}")
 
     def sample(self, rng, n: int):

@@ -142,21 +142,55 @@ def w_to_jsonable(a: WPoint) -> dict:
     return {"kind": "w", "operad": op.name, "root": enc(a.root)}
 
 
-def w_from_jsonable(op: EffectiveOperad, data: dict) -> WPoint:
-    if not isinstance(data, dict) or data.get("kind") != "w":
-        raise DomainError("expected a w point record")
+def _entry(blob) -> dict:
+    if not isinstance(blob, dict):
+        raise DomainError(f"expected a JSON object for a tree entry, got {blob!r}")
+    return blob
+
+
+def _fields(blob: dict, *names: str) -> list:
+    """The named fields of a JSON record, or DomainError naming those missing."""
+    missing = [name for name in names if name not in blob]
+    if missing:
+        raise DomainError(f"record {blob!r} lacks {', '.join(missing)}")
+    return [blob[name] for name in names]
+
+
+def _leaf(blob: dict) -> int:
+    number = blob["leaf"]
+    if isinstance(number, bool) or not isinstance(number, int):
+        raise DomainError(f"leaf must be an integer, got {number!r}")
+    return number
+
+
+def _children(blob: dict) -> list:
+    (children,) = _fields(blob, "children")
+    if not isinstance(children, list):
+        raise DomainError(f"children must be a list, got {children!r}")
+    return children
+
+
+def _record_root(data, kind: str, what: str, op: EffectiveOperad):
+    if not isinstance(data, dict) or data.get("kind") != kind:
+        raise DomainError(f"expected a {what} record")
     if data.get("operad") != op.name:
         raise DomainError(f"point is over {data.get('operad')!r}, not {op.name!r}")
+    (root,) = _fields(data, "root")
+    return root
 
+
+def w_from_jsonable(op: EffectiveOperad, data: dict) -> WPoint:
     def dec(blob):
+        blob = _entry(blob)
         if "leaf" in blob:
-            return blob["leaf"]
+            return _leaf(blob)
         if "length" in blob:
-            return WEdge(parse_fraction(blob["length"]), dec(blob["node"]))
-        return WNode(op.from_jsonable(blob["label"]),
-                     tuple(dec(c) for c in blob["children"]))
+            length, node = _fields(blob, "length", "node")
+            return WEdge(parse_fraction(length), dec(node))
+        (label,) = _fields(blob, "label")
+        return WNode(op.from_jsonable(label), tuple(dec(c) for c in _children(blob)))
 
-    return wpoint(op, dec(data["root"]))
+    return wpoint(op, dec(_record_root(data, "w", "w point", op)))
 
 
 # ------------------------------------------------------------------ DOT
@@ -255,19 +289,15 @@ def b_to_jsonable(b: BPoint) -> dict:
 
 
 def b_from_jsonable(op: EffectiveOperad, data: dict) -> BPoint:
-    if not isinstance(data, dict) or data.get("kind") != "b":
-        raise DomainError("expected a height-tree point record")
-    if data.get("operad") != op.name:
-        raise DomainError(f"point is over {data.get('operad')!r}, not {op.name!r}")
-
     def dec(blob):
+        blob = _entry(blob)
         if "leaf" in blob:
-            return blob["leaf"]
-        return BNode(w_from_jsonable(op, blob["label"]),
-                     parse_fraction(blob["height"]),
-                     tuple(dec(c) for c in blob["children"]))
+            return _leaf(blob)
+        label, height = _fields(blob, "label", "height")
+        return BNode(w_from_jsonable(op, label), parse_fraction(height),
+                     tuple(dec(c) for c in _children(blob)))
 
-    return bpoint(op, dec(data["root"]))
+    return bpoint(op, dec(_record_root(data, "b", "height-tree point", op)))
 
 
 def b_dot(b: BPoint) -> str:

@@ -229,7 +229,7 @@ class InjectiveMap:
             raise DomainError(f"expected {self.m} values, got {self.values!r}")
         seen: set[int] = set()
         for v in self.values:
-            if not isinstance(v, int) or not 1 <= v <= self.n or v in seen:
+            if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= self.n or v in seen:
                 raise DomainError(f"values {self.values!r} are not an injection into 1..{self.n}")
             seen.add(v)
 

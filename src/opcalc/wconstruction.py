@@ -15,9 +15,18 @@ Normal form, computed by `wpoint`:
     adjacent edges merge into one whose length is the maximum of the two,
     and an adjacent external edge (root side or a bare leaf) absorbs the
     inner length entirely;
-  * each vertex is rotated to the lexicographically least presentation
-    among its symmetric-group twists, so equality of points is structural
-    equality of normal forms.
+  * each vertex is rotated to its least presentation among its
+    symmetric-group twists: the twist whose label text is least, ties
+    broken by the texts of the children in their new order. Equality of
+    points is therefore structural equality of normal forms.
+
+Finding the least twist does not need all k! of them when the operad's
+`canonical_twist` names the one with the strictly least label text: for
+the interval, disc, associative and framed operads one sort of the
+inputs' tokens does, and no tie is left for the children to break. Other
+operads (the resolution itself, the recording operad) keep the search,
+`_least_twist`; `_canonical_node_search` applies it at every vertex and is
+the oracle the shortcut is tested against.
 """
 
 from __future__ import annotations
@@ -111,8 +120,9 @@ def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode]) -> Union[WEn
         length = Fraction(entry.length)
         if not 0 <= length <= 1:
             raise DomainError(f"edge length {entry.length} outside [0,1]")
-        node = _validate_raw(op, entry.node)
-        return WEdge(length, node)
+        if not isinstance(entry.node, WNode):
+            raise DomainError(f"an inner edge must end in a vertex, got {entry.node!r}")
+        return WEdge(length, _validate_raw(op, entry.node))
     if isinstance(entry, WNode):
         op.validate(entry.label)
         if op.arity_of(entry.label) != len(entry.children):
@@ -120,6 +130,13 @@ def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode]) -> Union[WEn
                 f"label arity {op.arity_of(entry.label)} against {len(entry.children)} children")
         return WNode(entry.label, tuple(_validate_raw(op, c) for c in entry.children))
     raise DomainError(f"bad tree entry {entry!r}")
+
+
+def _validate_root(op: EffectiveOperad, root) -> Union[int, WNode]:
+    root = _validate_raw(op, root)
+    if isinstance(root, WEdge):
+        raise DomainError("a point's root must be a vertex or a leaf, not an edge")
+    return root
 
 
 def _reduce_vertex(op: EffectiveOperad, node: WNode) -> Union[int, WNode]:
@@ -176,28 +193,52 @@ def reduced_leaf_number(node: WNode) -> int:
 
 
 def _canonical_node(op: EffectiveOperad, node: WNode) -> WNode:
+    """Least presentation of every vertex, through the operad's sorting
+    shortcut where it has one and by search where it does not."""
     entries = tuple(
         child if isinstance(child, int) else WEdge(child.length, _canonical_node(op, child.node))
         for child in node.children)
-    k = len(entries)
-    if k == 1:
+    if len(entries) == 1:
         return WNode(node.label, entries)
+    sigma = op.canonical_twist(node.label)
+    if sigma is None:
+        return _least_twist(op, node.label, entries)
+    # the label text alone is strictly least, so the children's texts never
+    # break a tie
+    return WNode(op.restrict(sigma, node.label), tuple(entries[v - 1] for v in sigma.values))
+
+
+def _canonical_node_search(op: EffectiveOperad, node: WNode) -> WNode:
+    """The same normal form by trying all k! twists at every vertex; the
+    oracle the sorting shortcut is tested against."""
+    entries = tuple(
+        child if isinstance(child, int)
+        else WEdge(child.length, _canonical_node_search(op, child.node))
+        for child in node.children)
+    if len(entries) == 1:
+        return WNode(node.label, entries)
+    return _least_twist(op, node.label, entries)
+
+
+def _least_twist(op: EffectiveOperad, label: Hashable, entries: tuple[WEntry, ...]) -> WNode:
+    """The twist with the least (label text, children's texts) key."""
+    k = len(entries)
     texts = [entry_text(op, e) for e in entries]
     best: Optional[WNode] = None
     best_key = None
     for values in itertools.permutations(range(1, k + 1)):
         sigma = InjectiveMap(k, k, values)
-        label = op.restrict(sigma, node.label)
-        key = (op.format_element(label), tuple(texts[values[j] - 1] for j in range(k)))
+        twisted = op.restrict(sigma, label)
+        key = (op.format_element(twisted), tuple(texts[values[j] - 1] for j in range(k)))
         if best_key is None or key < best_key:
-            best = WNode(label, tuple(entries[values[j] - 1] for j in range(k)))
+            best = WNode(twisted, tuple(entries[values[j] - 1] for j in range(k)))
             best_key = key
     assert best is not None
     return best
 
 
 def _normalize_root(op: EffectiveOperad, root: Union[int, WNode]) -> Union[int, WNode]:
-    root = _validate_raw(op, root)
+    root = _validate_root(op, root)
     if isinstance(root, int):
         if root != 1:
             raise DomainError("a bare leaf point must be numbered 1")
@@ -307,7 +348,7 @@ def normalize_random_order(rng, op: EffectiveOperad, root: Union[int, WNode]) ->
     Same contract as the deterministic pass inside wpoint; agreement across
     many draws is what the confluence suite checks.
     """
-    root = _validate_raw(op, root)
+    root = _validate_root(op, root)
     if isinstance(root, int):
         return 1
     while True:

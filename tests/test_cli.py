@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,14 @@ class SlotOneIntervals(LittleIntervals):
         return super().compose(x, 1, y)
 
 
+def test_check_negative_samples_is_a_usage_error(capsys):
+    code = main(["check", "w-confluence", "--samples", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "samples" in captured.err and "Traceback" not in captured.err
+
+
 def test_check_failure_exits_one_with_a_witness(capsys):
     ws = Workspace()
     ws.operads["broken"] = SlotOneIntervals()
@@ -211,3 +223,74 @@ def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(["lift", B_CUP])
     assert err.value.code == 2
+
+
+W_LEAF = {"kind": "w", "operad": "intervals", "root": {"leaf": 1}}
+MALFORMED_W_ROOTS = {
+    "missing-children": {"label": "<[0/1,1/1]>"},
+    "children-not-a-list": {"label": HALVES, "children": 5},
+    "node-not-an-object": [1, 2],
+    "child-not-an-object": {"label": HALVES, "children": [1, {"leaf": 2}]},
+    "leaf-is-a-string": {"label": HALVES, "children": [{"leaf": "1"}, {"leaf": 2}]},
+    "leaf-is-a-bool": {"label": HALVES, "children": [{"leaf": True}, {"leaf": 2}]},
+    "missing-label": {"children": [{"leaf": 1}]},
+    "edge-without-node": {"label": HALVES, "children": [{"leaf": 1}, {"length": "1/2"}]},
+    "length-not-a-string": {"label": HALVES, "children": [
+        {"leaf": 1}, {"length": 1, "node": {"label": "<[0/1,1/1]>", "children": [{"leaf": 2}]}}]},
+    "edge-onto-a-leaf": {"label": HALVES, "children": [
+        {"leaf": 1}, {"length": "1/2", "node": {"leaf": 2}}]},
+    "edge-at-the-root": {"length": "1/2", "node": {"label": "<[0/1,1/1]>",
+                                                  "children": [{"leaf": 1}]}},
+}
+MALFORMED_B_ROOTS = {
+    "missing-children": {"height": "1/2", "label": W_LEAF},
+    "children-not-a-list": {"height": "1/2", "label": W_LEAF, "children": 5},
+    "missing-height": {"label": W_LEAF, "children": [{"leaf": 1}]},
+    "height-not-a-string": {"height": 1, "label": W_LEAF, "children": [{"leaf": 1}]},
+    "missing-label": {"height": "1/2", "children": [{"leaf": 1}]},
+    "label-not-a-record": {"height": "1/2", "label": "l1", "children": [{"leaf": 1}]},
+    "node-not-an-object": "l1",
+    "leaf-is-a-float": {"height": "1/2", "label": W_LEAF, "children": [{"leaf": 1.0}]},
+}
+
+
+def _normalize_json(capsys, kind, root):
+    record = {"kind": kind, "operad": "intervals", "root": root}
+    code = main(["normalize", "--kind", kind, json.dumps(record)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_W_ROOTS))
+def test_malformed_w_json_is_a_parse_error(capsys, case):
+    code, captured = _normalize_json(capsys, "w", MALFORMED_W_ROOTS[case])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_B_ROOTS))
+def test_malformed_b_json_is_a_parse_error(capsys, case):
+    code, captured = _normalize_json(capsys, "b", MALFORMED_B_ROOTS[case])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_json_record_without_root_is_a_parse_error(capsys):
+    code = main(["normalize", "--kind", "w", '{"kind":"w","operad":"intervals"}'])
+    assert code == 2
+    assert "root" in capsys.readouterr().err
+
+
+def test_malformed_json_records_exit_two_without_a_traceback():
+    # the same records in a fresh process, as a shell user would send them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for root in ({"label": "<[0/1,1/1]>"}, {"label": HALVES, "children": 5}):
+        record = json.dumps({"kind": "w", "operad": "intervals", "root": root})
+        proc = subprocess.run(
+            [sys.executable, "-m", "opcalc.cli", "normalize", "--kind", "w", record],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr

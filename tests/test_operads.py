@@ -183,6 +183,12 @@ def test_formal_basics():
     assert op.parse_element(op.format_element(pq)) == pq
 
 
+@pytest.mark.parametrize("text", ['(f#"a\\', '(f#"a\\"', "(f Lx)", "(f L1"])
+def test_formal_parse_errors_are_domain_errors(text):
+    with pytest.raises(DomainError):
+        FormalOperad().parse_element(text)
+
+
 def test_formal_restrict():
     op = FormalOperad()
     pq = op.compose(op.atom("p", 2), 2, op.atom("q", 2))

@@ -230,6 +230,13 @@ def test_injection_validation():
         InjectiveMap(2, 3, (1,))
 
 
+def test_injection_rejects_booleans():
+    with pytest.raises(DomainError):
+        InjectiveMap(1, 1, (True,))
+    with pytest.raises(DomainError):
+        InjectiveMap(2, 2, (2, True))
+
+
 def test_enumerations_are_frozen():
     assert [u.values for u in InjectiveMap.all_maps(1, 2)] == [(1,), (2,)]
     assert [u.values for u in InjectiveMap.all_maps(2, 3)] == [
