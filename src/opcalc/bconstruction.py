@@ -6,7 +6,7 @@ heights weakly increasing away from the root on raw input. Children sit in
 the slots of the vertex label: a label of arity k has leaf numbers 1..k and
 leaf j of the label corresponds to child position j.
 
-Normal form, computed by `bpoint`:
+Normal form, computed by `_normal_b`:
 
   * two adjacent vertices of equal height are contracted, composing their
     labels in the resolution (which inserts the usual inner edge of length
@@ -16,6 +16,16 @@ Normal form, computed by `bpoint`:
 
 Consequently heights strictly increase along edges, at most one vertex has
 height 0 (the root), and every vertex of height 1 has only leaves below it.
+
+A `BPoint` is normal by construction, and the structure maps rely on it.
+Raw trees are validated once, where they enter: `bpoint`, which also
+renormalizes every label through `wpoint`, `b_normalize_random_order`,
+`b_corolla` and `b_map_heights` (the caller picks the heights), and the
+text and JSON readers in `serialize`. The structure maps (`b_left_act`,
+`b_right_act`, `b_lambda`, the pieces of `slice_point`) only rebuild
+normal forms from normal forms, so they go straight to `_normal_b` and
+check no label or height again; they do check that their arguments are
+points. `BBimodule.validate` is the check for a point of unknown origin.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Optional, Union
 
 from .operads import EffectiveOperad, format_fraction
-from .trees import DomainError, InjectiveMap
+from .trees import MAX_DEPTH, DomainError, InjectiveMap, require
 from .wconstruction import (
     WOperad,
     WPoint,
@@ -51,7 +61,12 @@ BEntry = Union[int, BNode]
 
 @dataclass(frozen=True)
 class BPoint:
-    """A normal-form point. Build these with bpoint / b_unit / b_corolla."""
+    """A normal-form point. Build these with bpoint / b_unit / b_corolla.
+
+    Normal by construction, labels included: every function here that
+    returns one has reduced and canonicalized it, and takes it for normal
+    in turn. A point assembled by hand is checked with
+    `BBimodule(op).validate`."""
 
     operad: EffectiveOperad
     root: Union[int, BNode]
@@ -102,7 +117,11 @@ def b_text(b: BPoint) -> str:
 # normalization
 # ---------------------------------------------------------------------------
 
-def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction) -> BEntry:
+def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
+                    depth: int = 0) -> BEntry:
+    """Check shapes and heights and renormalize every label; `depth` counts
+    the label vertices above entry, so that no composite of the labels along
+    a path, as `mu_prime` builds it, is deeper than MAX_DEPTH."""
     if isinstance(entry, bool) or (isinstance(entry, int) and entry < 1):
         raise DomainError(f"bad leaf number {entry!r}")
     if isinstance(entry, int):
@@ -120,8 +139,11 @@ def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction) -> BEnt
     if label.arity != len(entry.children):
         raise DomainError(
             f"label arity {label.arity} against {len(entry.children)} children")
+    depth += max(1, label.depth)
+    if depth > MAX_DEPTH:
+        raise DomainError(f"labels nested deeper than {MAX_DEPTH} vertices")
     return BNode(label, height,
-                 tuple(_validate_b_raw(op, c, height) for c in entry.children))
+                 tuple(_validate_b_raw(op, c, height, depth) for c in entry.children))
 
 
 def _reduce_b(op: EffectiveOperad, node: BNode) -> BEntry:
@@ -186,8 +208,20 @@ def _canonical_b(op: EffectiveOperad, node: BNode) -> tuple[BNode, str]:
             _b_vertex_text(best_text, node.height, [texts[v - 1] for v in best_values]))
 
 
+def _normal_b(op: EffectiveOperad, root: BNode) -> BPoint:
+    """Reduce and canonicalize a tree that is valid already: its labels are
+    normal points of the right arity, its heights Fractions in [0,1] that
+    weakly increase away from the root, its leaves numbered 1..n.
+    Validation is the callers' part: `bpoint` checks raw trees, and the
+    structure maps only rebuild normal forms."""
+    reduced = _reduce_b(op, root)
+    if isinstance(reduced, int):
+        return BPoint(op, 1)
+    return BPoint(op, _canonical_b(op, reduced)[0])
+
+
 def bpoint(op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
-    """Validate, reduce and canonicalize; the only sanctioned constructor."""
+    """Validate a raw tree, labels included, then reduce and canonicalize it."""
     root = _validate_b_raw(op, root, Fraction(0))
     if isinstance(root, int):
         if root != 1:
@@ -197,10 +231,7 @@ def bpoint(op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
     _collect_b_leaves(root, word)
     if sorted(word) != list(range(1, len(word) + 1)):
         raise DomainError(f"leaf numbers {word} are not a bijection onto 1..{len(word)}")
-    reduced = _reduce_b(op, root)
-    if isinstance(reduced, int):
-        return BPoint(op, 1)
-    return BPoint(op, _canonical_b(op, reduced)[0])
+    return _normal_b(op, root)
 
 
 def b_unit(op: EffectiveOperad) -> BPoint:
@@ -208,6 +239,7 @@ def b_unit(op: EffectiveOperad) -> BPoint:
 
 
 def b_corolla(op: EffectiveOperad, label: WPoint, height) -> BPoint:
+    require(label, WPoint, "the label")
     return bpoint(op, BNode(label, Fraction(height), tuple(range(1, label.arity + 1))))
 
 
@@ -226,12 +258,14 @@ def b_left_act(p: WPoint, bs: tuple[BPoint, ...]) -> BPoint:
     """Put a resolution point at a fresh root of height 0, feeding each of
     its slots one of the given points; leaves are numbered through in
     order."""
+    require(p, WPoint, "the acting point")
     op = p.operad
     if len(bs) != p.arity:
         raise DomainError(f"need {p.arity} points, got {len(bs)}")
     children: list[BEntry] = []
     offset = 0
     for b in bs:
+        require(b, BPoint, "each point acted on")
         if b.operad != op:
             raise DomainError("points live over different operads")
         if b.is_trivial:
@@ -240,11 +274,14 @@ def b_left_act(p: WPoint, bs: tuple[BPoint, ...]) -> BPoint:
             shift = offset
             children.append(_shift_b_leaves(b.root, lambda k, s=shift: k + s))
         offset += b.arity
-    return bpoint(op, BNode(p, Fraction(0), tuple(children)))
+    return _normal_b(op, BNode(p, Fraction(0), tuple(children)))
 
 
 def b_right_act(b: BPoint, i: int, p: WPoint) -> BPoint:
     """Graft a resolution point as a new vertex of height 1 at leaf i."""
+    require(b, BPoint, "the point acted on")
+    require(i, int, "the slot")
+    require(p, WPoint, "the acting point")
     op = b.operad
     if p.operad != op:
         raise DomainError("points live over different operads")
@@ -253,9 +290,9 @@ def b_right_act(b: BPoint, i: int, p: WPoint) -> BPoint:
         raise DomainError(f"slot {i} out of range 1..{n}")
     if p.is_trivial:
         return b
-    if b.is_trivial:
-        return b_corolla(op, p, Fraction(1))
     new_vertex = BNode(p, Fraction(1), tuple(range(i, i + m)))
+    if b.is_trivial:
+        return _normal_b(op, new_vertex)
 
     def place(entry: BEntry) -> BEntry:
         if isinstance(entry, int):
@@ -264,11 +301,13 @@ def b_right_act(b: BPoint, i: int, p: WPoint) -> BPoint:
             return entry if entry < i else entry + m - 1
         return BNode(entry.label, entry.height, tuple(place(c) for c in entry.children))
 
-    return bpoint(op, place(b.root))
+    return _normal_b(op, place(b.root))
 
 
 def b_lambda(u: InjectiveMap, b: BPoint) -> BPoint:
     """Restriction along an injection; mirrors the resolution's own rule."""
+    require(u, InjectiveMap, "the restriction")
+    require(b, BPoint, "the point")
     if u.n != b.arity:
         raise DomainError(f"injection into [{u.n}] against arity {b.arity}")
     if u.m == 0:
@@ -299,7 +338,7 @@ def b_lambda(u: InjectiveMap, b: BPoint) -> BPoint:
 
     new_root = walk(b.root)
     assert new_root is not None
-    return bpoint(op, new_root)
+    return _normal_b(op, new_root)
 
 
 def mu_prime(b: BPoint) -> WPoint:
@@ -479,7 +518,7 @@ def slice_point(b: BPoint, cuts: tuple[Cut, ...], trivial_chains: bool = True) -
 
         piece_root = BNode(node.label, node.height,
                            tuple(local(c) for c in node.children))
-        return SlicePiece(bpoint(op, piece_root), layer, tuple(exits))
+        return SlicePiece(_normal_b(op, piece_root), layer, tuple(exits))
 
     if b.is_trivial:
         return SlicePiece(b_unit(op), 0, (chain(1, 1, layers),))

@@ -149,7 +149,10 @@ def read_point(op, kind: str, text: str):
     if text == "-":
         text = sys.stdin.read().strip()
     if text.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise DomainError("JSON input nested too deeply") from None
         return b_from_jsonable(op, data) if kind == "b" else w_from_jsonable(op, data)
     return parse_b_text(op, text) if kind == "b" else parse_w_text(op, text)
 

@@ -866,20 +866,6 @@ class PowerSequence:
         return tuple(xs[u(j) - 1] for j in range(1, u.m + 1))
 
 
-class ProductSequence:
-    """Levels Y(n) x X^n for an operad Y, restricted componentwise."""
-
-    def __init__(self, base: EffectiveOperad, space: PointedSet) -> None:
-        self.base = base
-        self.space = space
-        self.name = f"product({base.name},{space.name})"
-
-    def restrict(self, u: InjectiveMap, pair):
-        y, xs = pair
-        return (self.base.restrict(u, y),
-                tuple(xs[u(j) - 1] for j in range(1, u.m + 1)))
-
-
 def proper_face_maps(n: int) -> list[InjectiveMap]:
     """All order-preserving injections [m] -> [n] with m < n."""
     out = []

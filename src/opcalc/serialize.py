@@ -7,8 +7,9 @@ The text grammar mirrors what entry_text produces:
     child  := "l" INT | "(e" FRACTION node ")"
 
 Labels are the base operad's own element format, quoted with backslash
-escapes. Parsing always goes through the normalizing constructors, so a
-parsed point compares equal to the point that produced the text.
+escapes. Parsing always goes through the validating constructors, so a
+parsed point compares equal to the point that produced the text. Every
+reader stops at MAX_DEPTH nested vertices with a DomainError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Union
 
 from .bconstruction import BNode, BPoint, bpoint
 from .operads import EffectiveOperad, format_fraction, parse_fraction
-from .trees import DomainError
+from .trees import DomainError, check_depth
 from .wconstruction import WEdge, WNode, WPoint, w_text, wpoint
 
 Token = tuple[str, str]
@@ -77,7 +78,8 @@ class _Reader:
         return self.pos == len(self.tokens)
 
 
-def _read_w_node(op: EffectiveOperad, r: _Reader) -> WNode:
+def _read_w_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> WNode:
+    check_depth(depth)
     r.take("lp")
     head = r.take("atom")
     if head[1] != "v":
@@ -85,12 +87,12 @@ def _read_w_node(op: EffectiveOperad, r: _Reader) -> WNode:
     label = op.parse_element(r.take("quote")[1])
     children: list = []
     while r.peek()[0] != "rp":
-        children.append(_read_w_entry(op, r))
+        children.append(_read_w_entry(op, r, depth + 1))
     r.take("rp")
     return WNode(label, tuple(children))
 
 
-def _read_w_entry(op: EffectiveOperad, r: _Reader):
+def _read_w_entry(op: EffectiveOperad, r: _Reader, depth: int):
     tok = r.peek()
     if tok[0] == "atom" and tok[1].startswith("l"):
         r.take()
@@ -104,11 +106,11 @@ def _read_w_entry(op: EffectiveOperad, r: _Reader):
         head = r.take("atom")
         if head[1] == "e":
             length = parse_fraction(r.take("atom")[1])
-            node = _read_w_node(op, r)
+            node = _read_w_node(op, r, depth)
             r.take("rp")
             return WEdge(length, node)
         r.pos = mark
-        return _read_w_node(op, r)
+        return _read_w_node(op, r, depth)
     raise DomainError(f"unexpected token {tok!r}")
 
 
@@ -180,17 +182,19 @@ def _record_root(data, kind: str, what: str, op: EffectiveOperad):
 
 
 def w_from_jsonable(op: EffectiveOperad, data: dict) -> WPoint:
-    def dec(blob):
+    def dec(blob, depth: int):
         blob = _entry(blob)
         if "leaf" in blob:
             return _leaf(blob)
         if "length" in blob:
             length, node = _fields(blob, "length", "node")
-            return WEdge(parse_fraction(length), dec(node))
+            return WEdge(parse_fraction(length), dec(node, depth))
+        check_depth(depth)
         (label,) = _fields(blob, "label")
-        return WNode(op.from_jsonable(label), tuple(dec(c) for c in _children(blob)))
+        return WNode(op.from_jsonable(label),
+                     tuple(dec(c, depth + 1) for c in _children(blob)))
 
-    return wpoint(op, dec(_record_root(data, "w", "w point", op)))
+    return wpoint(op, dec(_record_root(data, "w", "w point", op), 0))
 
 
 # ------------------------------------------------------------------ DOT
@@ -238,7 +242,8 @@ def w_dot(a: WPoint) -> str:
 #
 # The quoted payload is the resolution point's own text form.
 
-def _read_b_node(op: EffectiveOperad, r: _Reader) -> BNode:
+def _read_b_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> BNode:
+    check_depth(depth)
     r.take("lp")
     head = r.take("atom")
     if head[1] != "v":
@@ -258,7 +263,7 @@ def _read_b_node(op: EffectiveOperad, r: _Reader) -> BNode:
             except ValueError as exc:
                 raise DomainError(f"bad leaf token {tok[1]!r}") from exc
         else:
-            children.append(_read_b_node(op, r))
+            children.append(_read_b_node(op, r, depth + 1))
     r.take("rp")
     return BNode(label, height, tuple(children))
 
@@ -289,15 +294,16 @@ def b_to_jsonable(b: BPoint) -> dict:
 
 
 def b_from_jsonable(op: EffectiveOperad, data: dict) -> BPoint:
-    def dec(blob):
+    def dec(blob, depth: int):
         blob = _entry(blob)
         if "leaf" in blob:
             return _leaf(blob)
+        check_depth(depth)
         label, height = _fields(blob, "label", "height")
         return BNode(w_from_jsonable(op, label), parse_fraction(height),
-                     tuple(dec(c) for c in _children(blob)))
+                     tuple(dec(c, depth + 1) for c in _children(blob)))
 
-    return bpoint(op, dec(_record_root(data, "b", "height-tree point", op)))
+    return bpoint(op, dec(_record_root(data, "b", "height-tree point", op), 0))
 
 
 def b_dot(b: BPoint) -> str:

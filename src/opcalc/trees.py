@@ -24,6 +24,25 @@ class DomainError(ValueError):
     """An argument lies outside the domain of the requested operation."""
 
 
+# The deepest tree the validating entry points (the point constructors and
+# the text and JSON readers) accept, counted in vertices on one path from
+# the root. Deeper input raises DomainError long before Python's recursion
+# limit; points built by the structure maps are not checked.
+MAX_DEPTH = 100
+
+
+def check_depth(depth: int) -> None:
+    """DomainError when a vertex sits below `depth` others and that is too deep."""
+    if depth >= MAX_DEPTH:
+        raise DomainError(f"tree deeper than {MAX_DEPTH} vertices")
+
+
+def require(value, kind: type, what: str) -> None:
+    """DomainError unless value is an instance of kind."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(f"{what} must be a {kind.__name__}, got a {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Leaf:
     number: int

@@ -7,7 +7,7 @@ of a vertex are stored as either a bare leaf number or an inner edge; leaf
 numbers therefore live directly at the slots they decorate and composition
 of labels during edge contraction never renumbers anything.
 
-Normal form, computed by `wpoint`:
+Normal form, computed by `_normal_w`:
 
   * an inner edge of length 0 is contracted, composing the two vertex
     labels at the slot given by the child's position;
@@ -27,6 +27,15 @@ inputs' tokens does, and no tie is left for the children to break. Other
 operads (the resolution itself, the recording operad) keep the search,
 `_least_twist`; `_canonical_node_search` applies it at every vertex and is
 the oracle the shortcut is tested against.
+
+A `WPoint` is normal by construction, and the structure maps rely on it.
+Raw trees are validated once, where they enter: `wpoint` (a raw tree),
+`w_corolla` (a label), `normalize_random_order`, and the text and JSON
+readers in `serialize`. The structure maps (`w_compose`, `w_lambda`, the
+components of `w_prime_decompose`) only rebuild normal forms from normal
+forms, so they go straight to `_normal_w` and check no label again; they do
+check that their arguments are points. `WOperad.validate` is the check for
+a point of unknown origin, such as one built with `WPoint(...)` by hand.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Optional, Union
 
 from .operads import EffectiveOperad, format_fraction
-from .trees import DomainError, InjectiveMap, Leaf, Tree, Vertex
+from .trees import DomainError, InjectiveMap, Leaf, Tree, Vertex, check_depth, require
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,11 @@ WEntry = Union[int, WEdge]   # a bare leaf number, or an inner edge
 
 @dataclass(frozen=True)
 class WPoint:
-    """A normal-form point. Build these with wpoint / w_unit / w_corolla."""
+    """A normal-form point. Build these with wpoint / w_unit / w_corolla.
+
+    Normal by construction: every function here that returns one has
+    reduced and canonicalized it, and takes it for normal in turn. A point
+    assembled by hand is checked with `WOperad(op).validate`."""
 
     operad: EffectiveOperad
     root: Union[int, WNode]
@@ -76,6 +89,11 @@ class WPoint:
         _collect_leaves(self.root, out)
         return tuple(out)
 
+    @property
+    def depth(self) -> int:
+        """Vertices on the longest path from the root to a leaf."""
+        return _depth(self.root)
+
     def __repr__(self) -> str:
         return f"WPoint({self.operad.name}: {entry_text(self.operad, self.root)})"
 
@@ -88,6 +106,14 @@ def _collect_leaves(entry: Union[WEntry, WNode], out: list[int]) -> None:
     else:
         for child in entry.children:
             _collect_leaves(child, out)
+
+
+def _depth(entry: Union[WEntry, WNode]) -> int:
+    if isinstance(entry, int):
+        return 0
+    if isinstance(entry, WEdge):
+        return _depth(entry.node)
+    return 1 + max(_depth(child) for child in entry.children)
 
 
 def entry_text(op: EffectiveOperad, entry: Union[WEntry, WNode]) -> str:
@@ -110,8 +136,10 @@ def w_text(a: WPoint) -> str:
 # normalization
 # ---------------------------------------------------------------------------
 
-def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode]) -> Union[WEntry, WNode]:
-    """Check shapes, coerce lengths to Fraction, validate labels."""
+def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode],
+                  depth: int = 0) -> Union[WEntry, WNode]:
+    """Check shapes, coerce lengths to Fraction, validate labels; `depth`
+    counts the vertices above entry."""
     if isinstance(entry, bool) or (isinstance(entry, int) and entry < 1):
         raise DomainError(f"bad leaf number {entry!r}")
     if isinstance(entry, int):
@@ -122,13 +150,14 @@ def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode]) -> Union[WEn
             raise DomainError(f"edge length {entry.length} outside [0,1]")
         if not isinstance(entry.node, WNode):
             raise DomainError(f"an inner edge must end in a vertex, got {entry.node!r}")
-        return WEdge(length, _validate_raw(op, entry.node))
+        return WEdge(length, _validate_raw(op, entry.node, depth))
     if isinstance(entry, WNode):
+        check_depth(depth)
         op.validate(entry.label)
         if op.arity_of(entry.label) != len(entry.children):
             raise DomainError(
                 f"label arity {op.arity_of(entry.label)} against {len(entry.children)} children")
-        return WNode(entry.label, tuple(_validate_raw(op, c) for c in entry.children))
+        return WNode(entry.label, tuple(_validate_raw(op, c, depth + 1) for c in entry.children))
     raise DomainError(f"bad tree entry {entry!r}")
 
 
@@ -165,7 +194,8 @@ def _reduce_vertex(op: EffectiveOperad, node: WNode) -> Union[int, WNode]:
             length = max(length, only.length)
             reduced = only.node
         if length is None:
-            entries.append(reduced_leaf_number(reduced))
+            # the unit chain ends directly on a leaf
+            entries.append(reduced.children[0])
         else:
             entries.append(WEdge(length, reduced))
 
@@ -183,13 +213,6 @@ def _reduce_vertex(op: EffectiveOperad, node: WNode) -> Union[int, WNode]:
     if len(entries) == 1 and op.is_unit(label) and isinstance(entries[0], int):
         return entries[0]
     return WNode(label, tuple(entries))
-
-
-def reduced_leaf_number(node: WNode) -> int:
-    # only reachable when a unit chain ends directly on a leaf
-    child = node.children[0]
-    assert isinstance(child, int)
-    return child
 
 
 def _canonical_node(op: EffectiveOperad, node: WNode) -> WNode:
@@ -237,31 +260,35 @@ def _least_twist(op: EffectiveOperad, label: Hashable, entries: tuple[WEntry, ..
     return best
 
 
-def _normalize_root(op: EffectiveOperad, root: Union[int, WNode]) -> Union[int, WNode]:
-    root = _validate_root(op, root)
-    if isinstance(root, int):
-        if root != 1:
-            raise DomainError("a bare leaf point must be numbered 1")
-        return 1
-    word: list[int] = []
-    _collect_leaves(root, word)
-    if sorted(word) != list(range(1, len(word) + 1)):
-        raise DomainError(f"leaf numbers {word} are not a bijection onto 1..{len(word)}")
+def _normal_w(op: EffectiveOperad, root: WNode) -> WPoint:
+    """Reduce and canonicalize a tree that is valid already: its labels are
+    elements of the right arity, its lengths Fractions in [0,1], its leaves
+    numbered 1..n. Validation is the callers' part: `wpoint` checks raw
+    trees, and the structure maps only rebuild normal forms."""
     reduced = _reduce_vertex(op, root)
     if isinstance(reduced, int):
-        return 1
+        return WPoint(op, 1)
     # root side is external: a unit chain at the root absorbs its edge
     while len(reduced.children) == 1 and op.is_unit(reduced.label):
         only = reduced.children[0]
         if isinstance(only, int):
-            return 1
+            return WPoint(op, 1)
         reduced = only.node
-    return _canonical_node(op, reduced)
+    return WPoint(op, _canonical_node(op, reduced))
 
 
 def wpoint(op: EffectiveOperad, root: Union[int, WNode]) -> WPoint:
-    """Validate, reduce and canonicalize; the only sanctioned constructor."""
-    return WPoint(op, _normalize_root(op, root))
+    """Validate a raw tree, then reduce and canonicalize it."""
+    root = _validate_root(op, root)
+    if isinstance(root, int):
+        if root != 1:
+            raise DomainError("a bare leaf point must be numbered 1")
+        return WPoint(op, 1)
+    word: list[int] = []
+    _collect_leaves(root, word)
+    if sorted(word) != list(range(1, len(word) + 1)):
+        raise DomainError(f"leaf numbers {word} are not a bijection onto 1..{len(word)}")
+    return _normal_w(op, root)
 
 
 def w_unit(op: EffectiveOperad) -> WPoint:
@@ -270,7 +297,7 @@ def w_unit(op: EffectiveOperad) -> WPoint:
 
 def w_corolla(op: EffectiveOperad, label) -> WPoint:
     op.validate(label)
-    return wpoint(op, WNode(label, tuple(range(1, op.arity_of(label) + 1))))
+    return _normal_w(op, WNode(label, tuple(range(1, op.arity_of(label) + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +402,9 @@ def _shift_leaves(entry: Union[WEntry, WNode], move: Callable[[int], int]):
 
 def w_compose(a: WPoint, i: int, b: WPoint) -> WPoint:
     """Graft b onto leaf i of a along a fresh inner edge of length 1."""
+    require(a, WPoint, "the outer point")
+    require(i, int, "the slot")
+    require(b, WPoint, "the inner point")
     if a.operad != b.operad:
         raise DomainError("points live over different operads")
     n, m = a.arity, b.arity
@@ -395,7 +425,7 @@ def w_compose(a: WPoint, i: int, b: WPoint) -> WPoint:
             return WEdge(entry.length, place(entry.node))
         return WNode(entry.label, tuple(place(c) for c in entry.children))
 
-    return wpoint(a.operad, place(a.root))
+    return _normal_w(a.operad, place(a.root))
 
 
 def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
@@ -405,6 +435,8 @@ def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
     all children vanishes with its slot, and surviving labels are
     restricted along their kept slots.
     """
+    require(u, InjectiveMap, "the restriction")
+    require(a, WPoint, "the point")
     if u.n != a.arity:
         raise DomainError(f"injection into [{u.n}] against arity {a.arity}")
     if u.m == 0:
@@ -435,7 +467,7 @@ def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
 
     new_root = walk(a.root)
     assert new_root is not None
-    return wpoint(op, new_root)
+    return _normal_w(op, new_root)
 
 
 def mu(a: WPoint):
@@ -509,7 +541,7 @@ def w_prime_decompose(a: WPoint) -> WDecomposition:
                                              tuple(local(c) for c in entry.node.children)))
 
         piece_root = WNode(node.label, tuple(local(c) for c in node.children))
-        components[index] = wpoint(op, piece_root)
+        components[index] = _normal_w(op, piece_root)
         return Vertex(tuple(exits))
 
     skeleton_root = carve(a.root)

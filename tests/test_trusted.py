@@ -1,0 +1,314 @@
+"""The structure maps rebuild normal forms without validating them again.
+
+`wpoint` and `bpoint` validate raw trees once, at the boundary; the
+structure maps take their arguments for normal and normalize their results
+through the private, unchecked path. These tests keep that path honest:
+every result must pass the validating oracle (`WOperad.validate`,
+`BBimodule.validate`, which renormalize through `wpoint`/`bpoint`), and the
+boundary must still refuse what it refused before.
+"""
+
+import io
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from opcalc.bconstruction import (
+    BBimodule,
+    BNode,
+    BPoint,
+    SlicePiece,
+    b_corolla,
+    b_lambda,
+    b_left_act,
+    b_right_act,
+    b_unit,
+    bpoint,
+    slice_point,
+)
+from opcalc.cli import main
+from opcalc.operads import Associative, LittleDiscs, LittleIntervals, framed_intervals
+from opcalc.sampling import random_bpoint, random_injection, random_wpoint
+from opcalc.serialize import parse_b_text, parse_w_text, w_from_jsonable
+from opcalc.trees import MAX_DEPTH, DomainError, InjectiveMap
+from opcalc.wconstruction import (
+    WEdge,
+    WNode,
+    WOperad,
+    WPoint,
+    reassemble,
+    w_compose,
+    w_lambda,
+    w_prime_decompose,
+    w_unit,
+    wpoint,
+)
+
+D1 = LittleIntervals()
+D2 = LittleDiscs(2)
+OPERADS = {
+    "d1": D1,
+    "d2": D2,
+    "assoc": Associative(),
+    "d1_z2": framed_intervals(),
+}
+HALF = ((F(0), F(1, 2)),)
+
+
+def _corpus(op, seed: int, count: int, max_arity: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, random_wpoint(rng, op, rng.randint(1, max_arity))
+
+
+# ------------------------------------------------------ differential: W maps
+
+@pytest.mark.parametrize("name", sorted(OPERADS))
+def test_w_structure_maps_return_valid_points(name):
+    op = OPERADS[name]
+    wop = WOperad(op)
+    for rng, a in _corpus(op, 31, 25, 4):
+        b = random_wpoint(rng, op, rng.randint(1, 3))
+        i = rng.randint(1, a.arity)
+        wop.validate(w_compose(a, i, b))
+        u = random_injection(rng, rng.randint(1, a.arity), a.arity)
+        wop.validate(w_lambda(u, a))
+        dec = w_prime_decompose(a)
+        for piece in dec.components:
+            wop.validate(piece)
+        back = reassemble(op, dec)
+        wop.validate(back)
+        assert back == a
+
+
+def test_w_maps_over_the_resolution_itself_return_valid_points():
+    # vertices over WOperad have no sorting shortcut: leaf renumbering
+    # changes the children's texts, so results must be canonicalized again
+    op = WOperad(D1)
+    wop = WOperad(op)
+    for rng, a in _corpus(op, 32, 8, 3):
+        b = random_wpoint(rng, op, rng.randint(1, 2))
+        wop.validate(w_compose(a, rng.randint(1, a.arity), b))
+        u = random_injection(rng, rng.randint(1, a.arity), a.arity)
+        wop.validate(w_lambda(u, a))
+        for piece in w_prime_decompose(a).components:
+            wop.validate(piece)
+
+
+# ------------------------------------------------------ differential: B maps
+
+def _slice_points(piece):
+    yield piece.point
+    for exit_entry in piece.exits:
+        if isinstance(exit_entry, SlicePiece):
+            yield from _slice_points(exit_entry)
+
+
+@pytest.mark.parametrize("name", sorted(OPERADS))
+def test_b_structure_maps_return_valid_points(name):
+    op = OPERADS[name]
+    bop = BBimodule(op)
+    rng = random.Random(41)
+    for _ in range(20):
+        b = random_bpoint(rng, op, rng.randint(1, 4))
+        p = random_wpoint(rng, op, rng.randint(1, 3))
+        others = tuple(random_bpoint(rng, op, rng.randint(1, 2)) for _ in range(p.arity))
+        bop.validate(b_left_act(p, others))
+        bop.validate(b_right_act(b, rng.randint(1, b.arity), p))
+        u = random_injection(rng, rng.randint(1, b.arity), b.arity)
+        bop.validate(b_lambda(u, b))
+        cuts = tuple(sorted((rng.choice((F(0), F(1, 3), F(1, 2), F(1))), rng.random() < 0.5)
+                            for _ in range(rng.randint(1, 3))))
+        for trivial_chains in (True, False):
+            for point in _slice_points(slice_point(b, cuts, trivial_chains)):
+                bop.validate(point)
+
+
+# --------------------------------------------------- the boundary still checks
+
+def test_wpoint_rejects_overlapping_discs():
+    overlapping = (((F(0), F(0)), F(1, 2)), ((F(1, 4), F(0)), F(1, 2)))
+    with pytest.raises(DomainError, match="overlap"):
+        wpoint(D2, WNode(overlapping, (1, 2)))
+
+
+def _b_cup(label) -> BNode:
+    return BNode(label, F(1, 2), (1, 2))
+
+
+def test_bpoint_rejects_a_label_that_is_not_a_point():
+    with pytest.raises(DomainError, match="resolution point"):
+        bpoint(D1, _b_cup(WNode(((F(0), F(1, 2)), (F(1, 2), F(1))), (1, 2))))
+
+
+def test_bpoint_rejects_a_label_over_another_operad():
+    with pytest.raises(DomainError, match="resolution point"):
+        bpoint(D1, _b_cup(_cup_d2()))
+
+
+def test_bpoint_rejects_a_label_of_the_wrong_arity():
+    label = wpoint(D1, WNode(HALF, (1,)))
+    with pytest.raises(DomainError, match="arity"):
+        bpoint(D1, _b_cup(label))
+
+
+def test_b_validate_rejects_a_unary_label_that_is_not_normal():
+    # a unit vertex over one edge: the label wpoint would splice
+    label = WPoint(D1, WNode(D1.unit(), (WEdge(F(1, 2), WNode(HALF, (1,))),)))
+    with pytest.raises(DomainError, match="not in normal form"):
+        BBimodule(D1).validate(BPoint(D1, BNode(label, F(1, 2), (1,))))
+
+
+def test_w_validate_rejects_a_point_built_by_hand():
+    raw = WPoint(D1, WNode(D1.unit(), (WEdge(F(1, 2), WNode(HALF, (1,))),)))
+    with pytest.raises(DomainError, match="not in normal form"):
+        WOperad(D1).validate(raw)
+
+
+# ------------------------------------------------------- typed arguments
+
+def _cup() -> WPoint:
+    return wpoint(D1, WNode(((F(0), F(1, 2)), (F(1, 2), F(1))), (1, 2)))
+
+
+def _cup_d2() -> WPoint:
+    return wpoint(D2, WNode((((F(-1, 2), F(0)), F(1, 2)), ((F(1, 2), F(0)), F(1, 2))), (1, 2)))
+
+
+def test_w_compose_rejects_non_points():
+    with pytest.raises(DomainError, match="point"):
+        w_compose("x", 1, "y")
+    with pytest.raises(DomainError, match="point"):
+        w_compose(_cup(), 1, "y")
+    with pytest.raises(DomainError, match="slot"):
+        w_compose(_cup(), "1", _cup())
+
+
+def test_w_compose_rejects_an_operad_mismatch():
+    with pytest.raises(DomainError, match="different operads"):
+        w_compose(_cup(), 1, w_unit(D2))
+
+
+def test_w_lambda_rejects_non_points_and_non_injections():
+    with pytest.raises(DomainError, match="restriction"):
+        w_lambda(None, _cup())
+    with pytest.raises(DomainError, match="point"):
+        w_lambda(InjectiveMap(1, 2, (1,)), "x")
+
+
+def test_b_left_act_rejects_non_points():
+    with pytest.raises(DomainError, match="acting point"):
+        b_left_act("x", ())
+    with pytest.raises(DomainError, match="acted on"):
+        b_left_act(_cup(), ("x", b_unit(D1)))
+
+
+def test_b_left_act_rejects_an_operad_mismatch():
+    with pytest.raises(DomainError, match="different operads"):
+        b_left_act(_cup(), (b_unit(D1), b_unit(D2)))
+
+
+def test_b_right_act_rejects_non_points():
+    b = b_corolla(D1, _cup(), F(1, 2))
+    with pytest.raises(DomainError, match="acting point"):
+        b_right_act(b, 1, "x")
+    with pytest.raises(DomainError, match="acted on"):
+        b_right_act("x", 1, _cup())
+    with pytest.raises(DomainError, match="slot"):
+        b_right_act(b, None, _cup())
+
+
+def test_b_right_act_rejects_an_operad_mismatch():
+    b = b_corolla(D1, _cup(), F(1, 2))
+    with pytest.raises(DomainError, match="different operads"):
+        b_right_act(b, 1, _cup_d2())
+
+
+def test_b_lambda_rejects_non_points_and_non_injections():
+    b = b_corolla(D1, _cup(), F(1, 2))
+    with pytest.raises(DomainError, match="restriction"):
+        b_lambda("u", b)
+    with pytest.raises(DomainError, match="point"):
+        b_lambda(InjectiveMap(1, 2, (1,)), _cup())
+
+
+def test_b_corolla_rejects_a_label_that_is_not_a_point():
+    with pytest.raises(DomainError, match="label"):
+        b_corolla(D1, "x", F(1, 2))
+
+
+# --------------------------------------------------------- bounded depth
+
+def _chain(label, depth: int) -> WNode:
+    """`depth` unary vertices labelled `label` over leaf 1, joined by edges of length 1/2."""
+    node = WNode(label, (1,))
+    for _ in range(depth - 1):
+        node = WNode(label, (WEdge(F(1, 2), node),))
+    return node
+
+
+def _unit_chain_text(depth: int) -> str:
+    unit = '(v "<[0/1,1/1]>" '
+    return (unit + "(e 1/2 ") * (depth - 1) + unit + "l1)" + "))" * (depth - 1)
+
+
+def _unit_chain_json(depth: int) -> str:
+    root = '{"label":"<[0/1,1/1]>","children":[{"leaf":1}]}'
+    for _ in range(depth - 1):
+        root = '{"label":"<[0/1,1/1]>","children":[{"length":"1/2","node":' + root + "}]}"
+    return '{"kind":"w","operad":"intervals","root":' + root + "}"
+
+
+def test_wpoint_accepts_the_depth_limit_and_refuses_a_deeper_tree():
+    assert wpoint(D1, _chain(D1.unit(), MAX_DEPTH)) == w_unit(D1)
+    with pytest.raises(DomainError, match="deeper"):
+        wpoint(D1, _chain(D1.unit(), MAX_DEPTH + 1))
+    with pytest.raises(DomainError, match="deeper"):
+        wpoint(D1, _chain(D1.unit(), 3000))
+
+
+def test_parse_w_text_refuses_a_deep_unit_chain():
+    assert parse_w_text(D1, _unit_chain_text(MAX_DEPTH)) == w_unit(D1)
+    with pytest.raises(DomainError, match="deeper"):
+        parse_w_text(D1, _unit_chain_text(3000))
+
+
+def test_json_and_b_readers_refuse_deep_trees():
+    assert w_from_jsonable(D1, json.loads(_unit_chain_json(MAX_DEPTH))) == w_unit(D1)
+    with pytest.raises(DomainError, match="deeper"):
+        w_from_jsonable(D1, json.loads(_unit_chain_json(MAX_DEPTH + 1)))
+    text = "l1"
+    for _ in range(MAX_DEPTH + 1):
+        text = f'(v :h=1/2 "l1" {text})'
+    with pytest.raises(DomainError, match="deeper"):
+        parse_b_text(D1, text)
+
+
+def test_bpoint_bounds_the_labels_nested_along_a_path():
+    # ten vertices whose labels are ten deep: mu_prime would build a
+    # hundred-deep composite, so one more vertex is refused
+    label = wpoint(D1, _chain(HALF, 10))
+    assert label.depth == 10
+
+    def chain(length: int):
+        node = BNode(label, F(1), (1,))
+        for _ in range(length - 1):
+            node = BNode(label, F(0), (node,))
+        return node
+
+    assert bpoint(D1, chain(MAX_DEPTH // 10)).arity == 1
+    with pytest.raises(DomainError, match="deeper"):
+        bpoint(D1, chain(MAX_DEPTH // 10 + 1))
+
+
+def test_cli_exits_two_on_a_deep_unit_chain(capsys, monkeypatch):
+    # text past the limit; JSON past the limit, and past what the json
+    # module itself can nest
+    for text in (_unit_chain_text(3000), _unit_chain_json(MAX_DEPTH + 1),
+                 _unit_chain_json(3000)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["normalize", "--kind", "w", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
