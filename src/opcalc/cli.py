@@ -54,7 +54,6 @@ from .operads import (
     LittleDiscs,
     LittleIntervals,
     PointedSet,
-    format_fraction,
     framed_intervals,
     parse_fraction,
 )

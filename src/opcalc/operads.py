@@ -20,6 +20,7 @@ Conventions shared by every instance:
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,9 +29,9 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 from .trees import DomainError, InjectiveMap
 
 
-def format_fraction(q: Fraction) -> str:
-    """Always with an explicit denominator, e.g. 0/1, 3/1, -1/2."""
-    q = Fraction(q)
+def format_fraction(q: Fraction | int) -> str:
+    """A Fraction or an int as p/q, always with an explicit denominator,
+    e.g. 0/1, 3/1, -1/2; both types carry numerator and denominator."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -60,6 +61,31 @@ def _sorting_twist(tokens: list[str]) -> InjectiveMap | None:
     if any(tokens[a] == tokens[b] for a, b in zip(order, order[1:])):
         return None
     return InjectiveMap(len(tokens), len(tokens), tuple(j + 1 for j in order))
+
+
+def _well_formed_prefix(x: tuple, shape_error: Callable) -> tuple[tuple, str | None]:
+    """The entries of x before the first whose shape_error(entry) is not
+    None, and that error text (None when every entry is well formed).
+
+    A validator checks each entry's shape, then its position, entry by
+    entry; checking positions over this prefix before raising the shape
+    error keeps that order while every position check runs on integers.
+    """
+    for k, entry in enumerate(x):
+        error = shape_error(entry)
+        if error is not None:
+            return x[:k], error
+    return x, None
+
+
+def _on_common_denominator(values: list[Fraction]) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators, and every value times D, exactly.
+
+    A quadratic inequality in the values and 1 holds exactly when the same
+    inequality in the scaled values and D does: both sides gain D^2.
+    """
+    d = math.lcm(*(q.denominator for q in values))
+    return d, [q.numerator * (d // q.denominator) for q in values]
 
 
 class EffectiveOperad(ABC):
@@ -170,13 +196,27 @@ def _interval_tokens(x) -> list[str]:
     return [f"[{format_fraction(a)},{format_fraction(b)}]" for a, b in x]
 
 
+def _interval_shape_error(pair) -> str | None:
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        return f"bad interval {pair!r}"
+    a, b = pair
+    if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+        return f"interval endpoints must be Fractions, got {pair!r}"
+    return None
+
+
 class LittleIntervals(EffectiveOperad):
     """Configurations of labelled subintervals of [0,1] with disjoint
     interiors; touching endpoints are allowed. Element: tuple of (a, b)
-    pairs, entry j being the interval labelled j+1."""
+    pairs, entry j being the interval labelled j+1.
+
+    `validate` compares exact integers: every endpoint is scaled to the
+    lcm D of the element's denominators, and then 0 <= A < B <= D and the
+    sweep over intervals sorted by left end use int comparisons only."""
 
     def __init__(self) -> None:
         self.name = "intervals"
+        self._unit = ((Fraction(0), Fraction(1)),)
 
     def arity_of(self, x) -> int:
         return len(x)
@@ -184,21 +224,21 @@ class LittleIntervals(EffectiveOperad):
     def validate(self, x) -> None:
         if not isinstance(x, tuple) or not x:
             raise DomainError(f"expected a nonempty tuple of intervals, got {x!r}")
-        for pair in x:
-            if not (isinstance(pair, tuple) and len(pair) == 2):
-                raise DomainError(f"bad interval {pair!r}")
-            a, b = pair
-            if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-                raise DomainError(f"interval endpoints must be Fractions, got {pair!r}")
-            if not (0 <= a < b <= 1):
+        pairs, shape_error = _well_formed_prefix(x, _interval_shape_error)
+        d, flat = _on_common_denominator([t for pair in pairs for t in pair])
+        scaled = list(zip(flat[::2], flat[1::2]))
+        for pair, (a, b) in zip(pairs, scaled):
+            if not (0 <= a < b <= d):
                 raise DomainError(f"interval {pair!r} not inside [0,1]")
-        by_left = sorted(x)
-        for (a0, b0), (a1, b1) in zip(by_left, by_left[1:]):
+        if shape_error is not None:
+            raise DomainError(shape_error)
+        by_left = sorted(zip(scaled, pairs))
+        for ((_, b0), pair0), ((a1, _), pair1) in zip(by_left, by_left[1:]):
             if b0 > a1:
-                raise DomainError(f"intervals {(a0, b0)} and {(a1, b1)} overlap")
+                raise DomainError(f"intervals {pair0} and {pair1} overlap")
 
     def unit(self):
-        return ((Fraction(0), Fraction(1)),)
+        return self._unit
 
     def compose(self, x, i: int, y):
         self._check_slot(x, i)
@@ -260,14 +300,6 @@ class LittleIntervals(EffectiveOperad):
 Ball = tuple[tuple[Fraction, ...], Fraction]
 
 
-def _vsub(c: tuple[Fraction, ...], d: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(a - b for a, b in zip(c, d))
-
-
-def _norm2(c: tuple[Fraction, ...]) -> Fraction:
-    return sum((t * t for t in c), Fraction(0))
-
-
 def _ball_tokens(x) -> list[str]:
     return [f"ball(({','.join(format_fraction(t) for t in c)});{format_fraction(r)})"
             for c, r in x]
@@ -275,38 +307,52 @@ def _ball_tokens(x) -> list[str]:
 
 class LittleDiscs(EffectiveOperad):
     """Labelled round balls inside the unit ball of R^m, with disjoint
-    interiors (touching allowed). Element: tuple of (center, radius)."""
+    interiors (touching allowed). Element: tuple of (center, radius).
+
+    `validate` compares exact integers: every centre coordinate and radius
+    is scaled to the lcm D of the element's denominators, and then
+    |C|^2 <= (D - R)^2 and |C0 - C1|^2 >= (R0 + R1)^2 use int comparisons
+    only."""
 
     def __init__(self, dim: int) -> None:
         if dim < 1:
             raise DomainError("dimension must be at least 1")
         self.dim = dim
         self.name = f"discs{dim}"
+        self._unit = ((tuple(Fraction(0) for _ in range(dim)), Fraction(1)),)
 
     def arity_of(self, x) -> int:
         return len(x)
 
+    def _shape_error(self, ball) -> str | None:
+        if (isinstance(ball, tuple) and len(ball) == 2
+                and isinstance(ball[0], tuple) and len(ball[0]) == self.dim
+                and all(isinstance(t, Fraction) for t in ball[0])
+                and isinstance(ball[1], Fraction)):
+            return None
+        return f"bad ball {ball!r}"
+
     def validate(self, x) -> None:
         if not isinstance(x, tuple) or not x:
             raise DomainError(f"expected a nonempty tuple of balls, got {x!r}")
-        for ball in x:
-            if not (isinstance(ball, tuple) and len(ball) == 2):
-                raise DomainError(f"bad ball {ball!r}")
-            c, r = ball
-            if not (isinstance(c, tuple) and len(c) == self.dim
-                    and all(isinstance(t, Fraction) for t in c)
-                    and isinstance(r, Fraction)):
-                raise DomainError(f"bad ball {ball!r}")
+        balls, shape_error = _well_formed_prefix(x, self._shape_error)
+        d, flat = _on_common_denominator([t for c, r in balls for t in (*c, r)])
+        scaled = [(flat[k:k + self.dim], flat[k + self.dim])
+                  for k in range(0, len(flat), self.dim + 1)]
+        for ball, (c, r) in zip(balls, scaled):
             if r <= 0:
-                raise DomainError(f"radius must be positive, got {r}")
-            if _norm2(c) > (1 - r) * (1 - r):
+                raise DomainError(f"radius must be positive, got {ball[1]}")
+            if sum(t * t for t in c) > (d - r) * (d - r):
                 raise DomainError(f"ball {ball!r} leaves the unit ball")
-        for (c0, r0), (c1, r1) in itertools.combinations(x, 2):
-            if _norm2(_vsub(c0, c1)) < (r0 + r1) * (r0 + r1):
-                raise DomainError(f"balls {(c0, r0)} and {(c1, r1)} overlap")
+        if shape_error is not None:
+            raise DomainError(shape_error)
+        for (ball0, (c0, r0)), (ball1, (c1, r1)) in itertools.combinations(
+                zip(balls, scaled), 2):
+            if sum((s - t) * (s - t) for s, t in zip(c0, c1)) < (r0 + r1) * (r0 + r1):
+                raise DomainError(f"balls {ball0} and {ball1} overlap")
 
     def unit(self):
-        return ((tuple(Fraction(0) for _ in range(self.dim)), Fraction(1)),)
+        return self._unit
 
     def compose(self, x, i: int, y):
         self._check_slot(x, i)
@@ -382,7 +428,9 @@ class Associative(EffectiveOperad):
         return len(x)
 
     def validate(self, x) -> None:
-        if not isinstance(x, tuple) or sorted(x) != list(range(1, len(x) + 1)) or not x:
+        if not (isinstance(x, tuple) and x
+                and all(isinstance(t, int) and not isinstance(t, bool) for t in x)
+                and sorted(x) == list(range(1, len(x) + 1))):
             raise DomainError(f"expected a word listing 1..n, got {x!r}")
 
     def unit(self):
@@ -430,7 +478,10 @@ class Associative(EffectiveOperad):
         body = text.strip()
         if not (body.startswith("word(") and body.endswith(")")):
             raise DomainError(f"expected word(...), got {text!r}")
-        x = tuple(int(t) for t in body[len("word("):-1].split())
+        try:
+            x = tuple(int(t) for t in body[len("word("):-1].split())
+        except ValueError as exc:
+            raise DomainError(f"bad letter in {text!r}") from exc
         self.validate(x)
         return x
 
@@ -514,6 +565,7 @@ class FramedOperad(EffectiveOperad):
         self.group = group
         self.act = act
         self.name = f"framed({base.name},{group.name})"
+        self._unit = FramedElement(base.unit(), (group.identity,))
 
     def arity_of(self, x) -> int:
         return self.base.arity_of(x.point)
@@ -522,6 +574,8 @@ class FramedOperad(EffectiveOperad):
         if not isinstance(x, FramedElement):
             raise DomainError(f"expected a FramedElement, got {x!r}")
         self.base.validate(x.point)
+        if not isinstance(x.frames, tuple):
+            raise DomainError(f"frames must be a tuple, got {x.frames!r}")
         if len(x.frames) != self.base.arity_of(x.point):
             raise DomainError("one frame per input is required")
         for g in x.frames:
@@ -529,7 +583,7 @@ class FramedOperad(EffectiveOperad):
                 raise DomainError(f"frame {g!r} is not in {self.group.name}")
 
     def unit(self):
-        return FramedElement(self.base.unit(), (self.group.identity,))
+        return self._unit
 
     def compose(self, x, i: int, y):
         self._check_slot(x, i)
