@@ -293,15 +293,17 @@ def b_right_act(b: BPoint, i: int, p: WPoint) -> BPoint:
     new_vertex = BNode(p, Fraction(1), tuple(range(i, i + m)))
     if b.is_trivial:
         return _normal_b(op, new_vertex)
+    return _normal_b(op, _graft_b(b.root, i, m, new_vertex))
 
-    def place(entry: BEntry) -> BEntry:
-        if isinstance(entry, int):
-            if entry == i:
-                return new_vertex
-            return entry if entry < i else entry + m - 1
-        return BNode(entry.label, entry.height, tuple(place(c) for c in entry.children))
 
-    return _normal_b(op, place(b.root))
+def _graft_b(entry: BEntry, i: int, m: int, new_vertex: BNode) -> BEntry:
+    """Put new_vertex at leaf i; later leaves move up by m - 1."""
+    if isinstance(entry, int):
+        if entry == i:
+            return new_vertex
+        return entry if entry < i else entry + m - 1
+    return BNode(entry.label, entry.height,
+                 tuple(_graft_b(c, i, m, new_vertex) for c in entry.children))
 
 
 def b_lambda(u: InjectiveMap, b: BPoint) -> BPoint:
@@ -316,29 +318,30 @@ def b_lambda(u: InjectiveMap, b: BPoint) -> BPoint:
         return b
     op = b.operad
     renumber = {u(j): j for j in range(1, u.m + 1)}
-
-    def walk(node: BNode) -> Optional[BNode]:
-        entries: list[BEntry] = []
-        slots: list[int] = []
-        for position, child in enumerate(node.children, start=1):
-            if isinstance(child, int):
-                j = renumber.get(child)
-                if j is not None:
-                    entries.append(j)
-                    slots.append(position)
-            else:
-                sub = walk(child)
-                if sub is not None:
-                    entries.append(sub)
-                    slots.append(position)
-        if not entries:
-            return None
-        kept = InjectiveMap(len(slots), len(node.children), tuple(slots))
-        return BNode(w_lambda(kept, node.label), node.height, tuple(entries))
-
-    new_root = walk(b.root)
+    new_root = _restrict_b_node(b.root, renumber)
     assert new_root is not None
     return _normal_b(op, new_root)
+
+
+def _restrict_b_node(node: BNode, renumber: dict[int, int]) -> Optional[BNode]:
+    """The subtree keeping the leaves `renumber` maps, or None if none is kept."""
+    entries: list[BEntry] = []
+    slots: list[int] = []
+    for position, child in enumerate(node.children, start=1):
+        if isinstance(child, int):
+            j = renumber.get(child)
+            if j is not None:
+                entries.append(j)
+                slots.append(position)
+        else:
+            sub = _restrict_b_node(child, renumber)
+            if sub is not None:
+                entries.append(sub)
+                slots.append(position)
+    if not entries:
+        return None
+    kept = InjectiveMap(len(slots), len(node.children), tuple(slots))
+    return BNode(w_lambda(kept, node.label), node.height, tuple(entries))
 
 
 def mu_prime(b: BPoint) -> WPoint:
@@ -346,41 +349,43 @@ def mu_prime(b: BPoint) -> WPoint:
     op = b.operad
     if b.is_trivial:
         return w_unit(op)
-
-    def fold(node: BNode) -> tuple[WPoint, tuple[int, ...]]:
-        value = node.label
-        parts: list[tuple[int, ...]] = []
-        for position in range(len(node.children), 0, -1):
-            child = node.children[position - 1]
-            if isinstance(child, BNode):
-                sub_value, sub_word = fold(child)
-                value = w_compose(value, position, sub_value)
-                parts.append(sub_word)
-            else:
-                parts.append((child,))
-        word: list[int] = []
-        for part in reversed(parts):
-            word.extend(part)
-        return value, tuple(word)
-
-    value, word = fold(b.root)
+    value, word = _fold_b(b.root)
     position_of = {number: p for p, number in enumerate(word, start=1)}
     sigma = InjectiveMap(len(word), len(word),
                          tuple(position_of[j] for j in range(1, len(word) + 1)))
     return w_lambda(sigma, value)
 
 
+def _fold_b(node: BNode) -> tuple[WPoint, tuple[int, ...]]:
+    """The composite of a subtree's labels, with its leaves in slot order."""
+    value = node.label
+    parts: list[tuple[int, ...]] = []
+    for position in range(len(node.children), 0, -1):
+        child = node.children[position - 1]
+        if isinstance(child, BNode):
+            sub_value, sub_word = _fold_b(child)
+            value = w_compose(value, position, sub_value)
+            parts.append(sub_word)
+        else:
+            parts.append((child,))
+    word: list[int] = []
+    for part in reversed(parts):
+        word.extend(part)
+    return value, tuple(word)
+
+
 def b_map_heights(b: BPoint, fn: Callable[[Fraction], Fraction]) -> BPoint:
     """Apply a monotone height transformation and renormalize."""
     if b.is_trivial:
         return b
+    return bpoint(b.operad, _map_heights(b.root, fn))
 
-    def walk(entry: BEntry) -> BEntry:
-        if isinstance(entry, int):
-            return entry
-        return BNode(entry.label, fn(entry.height), tuple(walk(c) for c in entry.children))
 
-    return bpoint(b.operad, walk(b.root))
+def _map_heights(entry: BEntry, fn: Callable[[Fraction], Fraction]) -> BEntry:
+    if isinstance(entry, int):
+        return entry
+    return BNode(entry.label, fn(entry.height),
+                 tuple(_map_heights(c, fn) for c in entry.children))
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +414,18 @@ def _b_with_node(root: BNode, path: tuple[int, ...], new: BEntry) -> BEntry:
 
 def _b_applicable_steps(root: BNode) -> list[tuple]:
     steps: list[tuple] = []
-
-    def walk(node: BNode, path: tuple[int, ...]) -> None:
-        if len(node.children) == 1 and node.label.is_trivial:
-            steps.append(("splice", path))
-        for index, child in enumerate(node.children):
-            if isinstance(child, BNode):
-                if child.height == node.height:
-                    steps.append(("contract", path, index))
-                walk(child, path + (index,))
-
-    walk(root, ())
+    _collect_b_steps(root, (), steps)
     return steps
+
+
+def _collect_b_steps(node: BNode, path: tuple[int, ...], steps: list[tuple]) -> None:
+    if len(node.children) == 1 and node.label.is_trivial:
+        steps.append(("splice", path))
+    for index, child in enumerate(node.children):
+        if isinstance(child, BNode):
+            if child.height == node.height:
+                steps.append(("contract", path, index))
+            _collect_b_steps(child, path + (index,), steps)
 
 
 def _b_apply_step(root: BNode, step: tuple) -> BEntry:
@@ -491,41 +496,47 @@ def slice_point(b: BPoint, cuts: tuple[Cut, ...], trivial_chains: bool = True) -
     for (a, _), (c, _) in zip(cuts, cuts[1:]):
         if a > c:
             raise DomainError("cuts must be listed in increasing order")
-
-    def chain(entry, from_layer: int, to_layer: int):
-        """Wrap entry in trivial pieces filling layers from_layer..to_layer-1,
-        from the top down."""
-        if not trivial_chains:
-            return entry
-        for layer in range(to_layer - 1, from_layer - 1, -1):
-            entry = SlicePiece(b_unit(op), layer, (entry,))
-        return entry
-
-    def build(node: BNode) -> SlicePiece:
-        layer = layer_of(node.height, cuts)
-        exits: list = []
-
-        def local(entry: BEntry) -> BEntry:
-            if isinstance(entry, int):
-                exits.append(chain(entry, layer + 1, layers))
-                return len(exits)
-            child_layer = layer_of(entry.height, cuts)
-            if child_layer == layer:
-                return BNode(entry.label, entry.height,
-                             tuple(local(c) for c in entry.children))
-            exits.append(chain(build(entry), layer + 1, child_layer))
-            return len(exits)
-
-        piece_root = BNode(node.label, node.height,
-                           tuple(local(c) for c in node.children))
-        return SlicePiece(_normal_b(op, piece_root), layer, tuple(exits))
-
     if b.is_trivial:
-        return SlicePiece(b_unit(op), 0, (chain(1, 1, layers),))
-    top = build(b.root)
+        return SlicePiece(b_unit(op), 0, (_chain(op, 1, 1, layers, trivial_chains),))
+    top = _slice(op, b.root, cuts, trivial_chains)
     if top.layer == 0:
         return top
-    return SlicePiece(b_unit(op), 0, (chain(top, 1, top.layer),))
+    return SlicePiece(b_unit(op), 0, (_chain(op, top, 1, top.layer, trivial_chains),))
+
+
+def _chain(op: EffectiveOperad, entry, from_layer: int, to_layer: int, trivial_chains: bool):
+    """Wrap entry in trivial pieces filling layers from_layer..to_layer-1,
+    from the top down; only with trivial_chains."""
+    if not trivial_chains:
+        return entry
+    for layer in range(to_layer - 1, from_layer - 1, -1):
+        entry = SlicePiece(b_unit(op), layer, (entry,))
+    return entry
+
+
+def _slice(op: EffectiveOperad, node: BNode, cuts: tuple[Cut, ...],
+           trivial_chains: bool) -> SlicePiece:
+    """The piece holding node, with the pieces above it as its exits."""
+    layer = layer_of(node.height, cuts)
+    exits: list = []
+    piece_root = BNode(node.label, node.height, tuple(
+        _slice_entry(op, c, layer, cuts, trivial_chains, exits) for c in node.children))
+    return SlicePiece(_normal_b(op, piece_root), layer, tuple(exits))
+
+
+def _slice_entry(op: EffectiveOperad, entry: BEntry, layer: int, cuts: tuple[Cut, ...],
+                 trivial_chains: bool, exits: list) -> BEntry:
+    """Keep entry in the piece of this layer, or make it exit len(exits)."""
+    if isinstance(entry, int):
+        exits.append(_chain(op, entry, layer + 1, len(cuts) + 1, trivial_chains))
+        return len(exits)
+    child_layer = layer_of(entry.height, cuts)
+    if child_layer == layer:
+        return BNode(entry.label, entry.height, tuple(
+            _slice_entry(op, c, layer, cuts, trivial_chains, exits) for c in entry.children))
+    exits.append(_chain(op, _slice(op, entry, cuts, trivial_chains), layer + 1, child_layer,
+                        trivial_chains))
+    return len(exits)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,15 @@ seeded, so identical invocations print identical bytes.
 
 Exit codes: 0 on success, 1 when a check suite reports a failure, 2 on
 usage or parse errors.
+
+A process loads only the modules its command runs. This module imports
+the core: `operads`, `trees`, `wconstruction`, `bconstruction` and
+`serialize`, which is all that `normalize`, `compose`, `mu`, `decompose`
+and `dot` use. The evaluator commands import the rest inside their
+handlers: `eval-xi`, `eval-psi` and `lift` load `mapping`, `alpha` loads
+`mapping` and `swisscheese`, and `check` loads `mapping` and `suites`
+(and through them `sampling`). `Workspace` builds its tag family and the
+product bimodule over it on first use, not when it is created.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .bconstruction import (
     BBimodule,
@@ -24,30 +35,6 @@ from .bconstruction import (
     b_text,
     eval_truncated_bimodule_map,
     mu_prime,
-)
-from .mapping import (
-    BimoduleMap,
-    HofiberPoint,
-    QXElem,
-    QXProductBimodule,
-    QxBimodule,
-    XPath,
-    check_bimodule_map,
-    check_operad_map,
-    check_path,
-    concat_paths,
-    constant_path,
-    delta_family,
-    eta_map,
-    eta_mu_map,
-    lift_path,
-    mu_map,
-    psi_double_prime,
-    psi_prime_as_map,
-    psi_prime_eval,
-    reverse_path,
-    xi_as_map,
-    xi_eval,
 )
 from .operads import (
     Associative,
@@ -67,14 +54,6 @@ from .serialize import (
     w_from_jsonable,
     w_to_jsonable,
 )
-from .suites import (
-    suite_b_confluence,
-    suite_bimodule_axioms,
-    suite_matching,
-    suite_operad_axioms,
-    suite_w_confluence,
-)
-from .swisscheese import alpha_eval, parse_sc
 from .trees import DomainError, tree_text
 from .wconstruction import (
     WOperad,
@@ -83,6 +62,9 @@ from .wconstruction import (
     w_prime_decompose,
     w_text,
 )
+
+if TYPE_CHECKING:
+    from .mapping import BimoduleMap, HofiberPoint, PointedMapFamily, QXElem, QXProductBimodule
 
 PATH_NAMES = ("const", "loop-a", "loop-b")
 SUITE_NAMES = (
@@ -94,7 +76,10 @@ SUITE_NAMES = (
 
 
 class Workspace:
-    """The named instances commands resolve against."""
+    """The named instances commands resolve against.
+
+    The tag family and the product bimodule over it are built on first use,
+    so that commands on W and B points never load the evaluator layer."""
 
     def __init__(self) -> None:
         self.d1 = LittleIntervals()
@@ -106,10 +91,18 @@ class Workspace:
             "d1_z2": framed_intervals(),
         }
         self.space = PointedSet("X", ("*", "a", "b"), "*")
-        self.family = delta_family(
+
+    @cached_property
+    def family(self) -> PointedMapFamily:
+        from .mapping import delta_family
+        return delta_family(
             self.d1, self.d2, self.space,
             {"*": Fraction(0), "a": Fraction(1, 2), "b": Fraction(-1, 3)})
-        self.qxprod = QXProductBimodule(self.family)
+
+    @cached_property
+    def qxprod(self) -> QXProductBimodule:
+        from .mapping import QXProductBimodule
+        return QXProductBimodule(self.family)
 
     def operad(self, name: str):
         try:
@@ -125,6 +118,7 @@ class Workspace:
         return x
 
     def path(self, name: str):
+        from .mapping import concat_paths, constant_path, reverse_path
         if name == "const":
             return constant_path(self.family.base_map)
         if name.startswith("loop-"):
@@ -133,10 +127,12 @@ class Workspace:
         raise DomainError(f"unknown path {name!r}; have {', '.join(PATH_NAMES)}")
 
     def hofiber(self, x: str) -> HofiberPoint:
+        from .mapping import HofiberPoint
         return HofiberPoint(self.tag(x), self.family.path_to(self.tag(x)))
 
     def section_map(self, x: str) -> BimoduleMap:
         """The tagged bimodule map the lift and alpha commands start from."""
+        from .mapping import psi_double_prime, psi_prime_as_map
         f = psi_prime_as_map(self.hofiber(x), BBimodule(self.d1), self.family)
         return psi_double_prime(f, self.qxprod, samples=20, seed=0)
 
@@ -262,6 +258,7 @@ def cmd_decompose(ws: Workspace, args) -> int:
 
 
 def cmd_eval_xi(ws: Workspace, args) -> int:
+    from .mapping import xi_eval
     loop = ws.path(args.path)
     point = read_point(ws.d1, "b", args.point)
     value = xi_eval(loop, point)
@@ -270,6 +267,7 @@ def cmd_eval_xi(ws: Workspace, args) -> int:
 
 
 def cmd_eval_psi(ws: Workspace, args) -> int:
+    from .mapping import QxBimodule, psi_prime_eval
     h = ws.hofiber(args.x)
     point = read_point(ws.d1, "b", args.point)
     if args.truncate is not None:
@@ -285,6 +283,7 @@ def cmd_eval_psi(ws: Workspace, args) -> int:
 
 
 def cmd_lift(ws: Workspace, args) -> int:
+    from .mapping import XPath, lift_path
     x = ws.tag(args.x)
     f0 = ws.section_map(x)
     if args.to is None:
@@ -299,6 +298,8 @@ def cmd_lift(ws: Workspace, args) -> int:
 
 
 def cmd_alpha(ws: Workspace, args) -> int:
+    from .mapping import xi_eval
+    from .swisscheese import alpha_eval, parse_sc
     c = parse_sc(args.config)
     if c.color != "o":
         raise DomainError("alpha acts through open configurations; "
@@ -319,6 +320,25 @@ def cmd_alpha(ws: Workspace, args) -> int:
 
 
 def run_suite(ws: Workspace, args):
+    from .mapping import (
+        BimoduleMap,
+        QxBimodule,
+        check_bimodule_map,
+        check_operad_map,
+        check_path,
+        eta_map,
+        eta_mu_map,
+        mu_map,
+        psi_prime_as_map,
+        xi_as_map,
+    )
+    from .suites import (
+        suite_b_confluence,
+        suite_bimodule_axioms,
+        suite_matching,
+        suite_operad_axioms,
+        suite_w_confluence,
+    )
     name, samples, seed = args.suite, args.samples, args.seed
     if samples < 0:
         raise DomainError(f"--samples must be at least 0, got {samples}")

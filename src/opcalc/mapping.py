@@ -482,14 +482,6 @@ class QXProductBimodule(Bimodule):
                       tuple(rng.choice(self.space.elements) for _ in range(n)))
 
 
-def qx_right_act(elem: QXElem, i: int, p: WPoint, qx: QXProductBimodule) -> QXElem:
-    return qx.right_act(elem, i, p)
-
-
-def qx_left_act(p: WPoint, elems: tuple, qx: QXProductBimodule) -> QXElem:
-    return qx.left_act(p, tuple(elems))
-
-
 # ---------------------------------------------------------------------------
 # law checking with reports
 # ---------------------------------------------------------------------------
@@ -643,30 +635,31 @@ def fold_point_through(b: BPoint, target: EffectiveOperad, vertex_value: Callabl
     point's own leaf numbers."""
     if b.is_trivial:
         return target.unit()
-
-    def fold(node):
-        value = vertex_value(node.label, node.height)
-        if target.arity_of(value) != len(node.children):
-            raise DomainError("vertex value has the wrong arity")
-        parts = []
-        for position in range(len(node.children), 0, -1):
-            child = node.children[position - 1]
-            if isinstance(child, int):
-                parts.append((child,))
-            else:
-                sub_value, sub_word = fold(child)
-                value = target.compose(value, position, sub_value)
-                parts.append(sub_word)
-        word: list[int] = []
-        for part in reversed(parts):
-            word.extend(part)
-        return value, tuple(word)
-
-    value, word = fold(b.root)
+    value, word = _fold_through(b.root, target, vertex_value)
     position_of = {number: p for p, number in enumerate(word, start=1)}
     sigma = InjectiveMap(len(word), len(word),
                          tuple(position_of[j] for j in range(1, len(word) + 1)))
     return target.restrict(sigma, value)
+
+
+def _fold_through(node, target: EffectiveOperad, vertex_value: Callable):
+    """The composite of a subtree's vertex values, with its leaves in slot order."""
+    value = vertex_value(node.label, node.height)
+    if target.arity_of(value) != len(node.children):
+        raise DomainError("vertex value has the wrong arity")
+    parts = []
+    for position in range(len(node.children), 0, -1):
+        child = node.children[position - 1]
+        if isinstance(child, int):
+            parts.append((child,))
+        else:
+            sub_value, sub_word = _fold_through(child, target, vertex_value)
+            value = target.compose(value, position, sub_value)
+            parts.append(sub_word)
+    word: list[int] = []
+    for part in reversed(parts):
+        word.extend(part)
+    return value, tuple(word)
 
 
 def xi_eval(g: PathOfMaps, b: BPoint):

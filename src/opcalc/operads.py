@@ -35,7 +35,24 @@ def format_fraction(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def parse_int(text: str, signed: bool = True) -> int:
+    """An integer in ASCII digits: `-?[0-9]+` when signed, else `[0-9]+`.
+
+    Unlike `int()`, no sign `+`, no `_`, no inner spaces and no non-ASCII
+    digits, so that the texts of an element are few; every number in
+    element, point and configuration texts goes through here."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise DomainError(f"bad integer {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:   # more digits than int() converts
+        raise DomainError(f"bad integer {text!r}") from exc
+
+
 def parse_fraction(text: str) -> Fraction:
+    """p/q with p matching `-?[0-9]+` and q matching `[0-9]+`, q nonzero;
+    p/q need not be reduced. Whitespace around the whole text is ignored."""
     if not isinstance(text, str):
         raise DomainError(f"expected a p/q string, got {text!r}")
     text = text.strip()
@@ -43,8 +60,8 @@ def parse_fraction(text: str) -> Fraction:
         raise DomainError(f"expected p/q, got {text!r}")
     num, _, den = text.partition("/")
     try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(parse_int(num), parse_int(den, signed=False))
+    except (DomainError, ZeroDivisionError) as exc:
         raise DomainError(f"bad fraction {text!r}") from exc
 
 
@@ -479,8 +496,8 @@ class Associative(EffectiveOperad):
         if not (body.startswith("word(") and body.endswith(")")):
             raise DomainError(f"expected word(...), got {text!r}")
         try:
-            x = tuple(int(t) for t in body[len("word("):-1].split())
-        except ValueError as exc:
+            x = tuple(parse_int(t) for t in body[len("word("):-1].split())
+        except DomainError as exc:
             raise DomainError(f"bad letter in {text!r}") from exc
         self.validate(x)
         return x
@@ -672,6 +689,44 @@ def _fexpr_map_leaves(e: FExpr, f: Callable[[int], FExpr]) -> FExpr:
     return FNode(e.name, e.payload, tuple(_fexpr_map_leaves(c, f) for c in e.children))
 
 
+def _check_fexpr_nodes(e: FExpr) -> None:
+    if isinstance(e, FNode):
+        if not e.children:
+            raise DomainError("expression nodes need children")
+        for c in e.children:
+            _check_fexpr_nodes(c)
+
+
+def _fexpr_restrict(e: FExpr, renumber: dict[int, int]) -> FExpr | None:
+    """The expression keeping the leaves `renumber` maps, or None if none is kept."""
+    if isinstance(e, FLeaf):
+        j = renumber.get(e.number)
+        return None if j is None else FLeaf(j)
+    survivors = []
+    slots = []
+    for idx, c in enumerate(e.children):
+        kept = _fexpr_restrict(c, renumber)
+        if kept is not None:
+            survivors.append(kept)
+            slots.append(idx + 1)
+    if not survivors:
+        return None
+    if len(slots) == len(e.children):
+        return FNode(e.name, e.payload, tuple(survivors))
+    return FNode(e.name, ("restricted", tuple(slots), e.payload), tuple(survivors))
+
+
+def _fexpr_text(e: FExpr) -> str:
+    if isinstance(e, FLeaf):
+        return f"L{e.number}"
+    head = e.name
+    if e.payload is not None:
+        text = e.payload if isinstance(e.payload, str) else repr(e.payload)
+        quoted = text.replace("\\", "\\\\").replace('"', '\\"')
+        head = f'{e.name}#"{quoted}"'
+    return "(" + " ".join([head] + [_fexpr_text(c) for c in e.children]) + ")"
+
+
 class FormalOperad(EffectiveOperad):
     """The free operad on named atoms, used as a recording target.
 
@@ -704,15 +759,7 @@ class FormalOperad(EffectiveOperad):
         _fexpr_leaves(x, out)
         if sorted(out) != list(range(1, len(out) + 1)):
             raise DomainError(f"leaf numbers {out} are not a bijection onto 1..{len(out)}")
-
-        def walk(e: FExpr) -> None:
-            if isinstance(e, FNode):
-                if not e.children:
-                    raise DomainError("expression nodes need children")
-                for c in e.children:
-                    walk(c)
-
-        walk(x)
+        _check_fexpr_nodes(x)
 
     def unit(self):
         return FLeaf(1)
@@ -737,25 +784,7 @@ class FormalOperad(EffectiveOperad):
         if u.m == 0:
             raise DomainError("cannot delete every leaf")
         renumber = {u(j): j for j in range(1, u.m + 1)}
-
-        def walk(e: FExpr) -> FExpr | None:
-            if isinstance(e, FLeaf):
-                j = renumber.get(e.number)
-                return None if j is None else FLeaf(j)
-            survivors = []
-            slots = []
-            for idx, c in enumerate(e.children):
-                kept = walk(c)
-                if kept is not None:
-                    survivors.append(kept)
-                    slots.append(idx + 1)
-            if not survivors:
-                return None
-            if len(slots) == len(e.children):
-                return FNode(e.name, e.payload, tuple(survivors))
-            return FNode(e.name, ("restricted", tuple(slots), e.payload), tuple(survivors))
-
-        out = walk(x)
+        out = _fexpr_restrict(x, renumber)
         assert out is not None
         return out
 
@@ -763,17 +792,7 @@ class FormalOperad(EffectiveOperad):
         return x
 
     def format_element(self, x) -> str:
-        def fmt(e: FExpr) -> str:
-            if isinstance(e, FLeaf):
-                return f"L{e.number}"
-            head = e.name
-            if e.payload is not None:
-                text = e.payload if isinstance(e.payload, str) else repr(e.payload)
-                quoted = text.replace("\\", "\\\\").replace('"', '\\"')
-                head = f'{e.name}#"{quoted}"'
-            return "(" + " ".join([head] + [fmt(c) for c in e.children]) + ")"
-
-        return fmt(x)
+        return _fexpr_text(x)
 
     def parse_element(self, text: str):
         tokens = self._tokenize(text)
@@ -848,8 +867,8 @@ class FormalOperad(EffectiveOperad):
             return FNode(name, payload, tuple(children)), rest[1:]
         if tok.startswith("L"):
             try:
-                return FLeaf(int(tok[1:])), rest
-            except ValueError as exc:
+                return FLeaf(parse_int(tok[1:], signed=False)), rest
+            except DomainError as exc:
                 raise DomainError(f"bad leaf token {tok!r}") from exc
         raise DomainError(f"bad token {tok!r}")
 
@@ -865,26 +884,29 @@ def eval_formal(expr: FExpr, target: EffectiveOperad, atom_eval: Callable) -> Ha
     earlier positions stable) and relabelled once at the end so that leaf
     numbers become input labels.
     """
-    def positional(e: FExpr) -> tuple[Hashable, tuple[int, ...]]:
-        if isinstance(e, FLeaf):
-            return target.unit(), (e.number,)
-        k = len(e.children)
-        value = atom_eval(e.name, e.payload, k)
-        if target.arity_of(value) != k:
-            raise DomainError(f"atom {e.name!r} evaluated to the wrong arity")
-        parts = [positional(c) for c in e.children]
-        for s in range(k, 0, -1):
-            value = target.compose(value, s, parts[s - 1][0])
-        word: list[int] = []
-        for _, child_word in parts:
-            word.extend(child_word)
-        return value, tuple(word)
-
-    value, word = positional(expr)
+    value, word = _positional(expr, target, atom_eval)
     n = len(word)
     position_of = {number: p for p, number in enumerate(word, start=1)}
     sigma = InjectiveMap(n, n, tuple(position_of[j] for j in range(1, n + 1)))
     return target.restrict(sigma, value)
+
+
+def _positional(e: FExpr, target: EffectiveOperad,
+                atom_eval: Callable) -> tuple[Hashable, tuple[int, ...]]:
+    """The composite of an expression in the target, with its leaves in slot order."""
+    if isinstance(e, FLeaf):
+        return target.unit(), (e.number,)
+    k = len(e.children)
+    value = atom_eval(e.name, e.payload, k)
+    if target.arity_of(value) != k:
+        raise DomainError(f"atom {e.name!r} evaluated to the wrong arity")
+    parts = [_positional(c, target, atom_eval) for c in e.children]
+    for s in range(k, 0, -1):
+        value = target.compose(value, s, parts[s - 1][0])
+    word: list[int] = []
+    for _, child_word in parts:
+        word.extend(child_word)
+    return value, tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -975,49 +997,52 @@ def enumerate_matching_families(seq, n: int) -> list[MatchingFamily]:
     so the search assigns those first, pruning on pairwise overlaps, and
     then checks that the forced lower values are consistent.
     """
-    top = list(InjectiveMap.all_order_preserving(n - 1, n))
-    lower = [u for u in proper_face_maps(n) if u.m < n - 1]
-    families: list[MatchingFamily] = []
-
-    def overlaps_ok(chosen: dict) -> bool:
-        picked = [u for u in top if u.values in chosen]
-        for a, b in itertools.combinations(picked, 2):
-            common = sorted(set(a.values) & set(b.values))
-            u = InjectiveMap(len(common), n, tuple(common))
-            va = _factor_through(u, a)
-            vb = _factor_through(u, b)
-            if seq.restrict(va, chosen[a.values]) != seq.restrict(vb, chosen[b.values]):
-                return False
-        return True
-
-    def extend(idx: int, chosen: dict) -> None:
-        if idx == len(top):
-            assignments = dict(chosen)
-            for u in lower:
-                forced = None
-                for w in top:
-                    v = _factor_through(u, w)
-                    if v is None:
-                        continue
-                    value = seq.restrict(v, chosen[w.values])
-                    if forced is None:
-                        forced = value
-                    elif forced != value:
-                        return
-                assert forced is not None
-                assignments[u.values] = forced
-            families.append(MatchingFamily(n, assignments))
-            return
-        u = top[idx]
-        for candidate in seq.elements(u.m):
-            chosen[u.values] = candidate
-            if overlaps_ok(chosen):
-                extend(idx + 1, chosen)
-            del chosen[u.values]
-
     if n == 1:
         # only the empty face exists; its level has exactly one element
         only = list(seq.elements(0))
         return [MatchingFamily(1, {(): only[0]})]
-    extend(0, {})
+    top = list(InjectiveMap.all_order_preserving(n - 1, n))
+    lower = [u for u in proper_face_maps(n) if u.m < n - 1]
+    families: list[MatchingFamily] = []
+    _extend_families(seq, n, top, lower, 0, {}, families)
     return families
+
+
+def _overlaps_ok(seq, n: int, top: list[InjectiveMap], chosen: dict) -> bool:
+    picked = [u for u in top if u.values in chosen]
+    for a, b in itertools.combinations(picked, 2):
+        common = sorted(set(a.values) & set(b.values))
+        u = InjectiveMap(len(common), n, tuple(common))
+        va = _factor_through(u, a)
+        vb = _factor_through(u, b)
+        if seq.restrict(va, chosen[a.values]) != seq.restrict(vb, chosen[b.values]):
+            return False
+    return True
+
+
+def _extend_families(seq, n: int, top: list[InjectiveMap], lower: list[InjectiveMap],
+                     idx: int, chosen: dict, families: list[MatchingFamily]) -> None:
+    """Assign top faces idx.. in turn, appending every consistent family."""
+    if idx == len(top):
+        assignments = dict(chosen)
+        for u in lower:
+            forced = None
+            for w in top:
+                v = _factor_through(u, w)
+                if v is None:
+                    continue
+                value = seq.restrict(v, chosen[w.values])
+                if forced is None:
+                    forced = value
+                elif forced != value:
+                    return
+            assert forced is not None
+            assignments[u.values] = forced
+        families.append(MatchingFamily(n, assignments))
+        return
+    u = top[idx]
+    for candidate in seq.elements(u.m):
+        chosen[u.values] = candidate
+        if _overlaps_ok(seq, n, top, chosen):
+            _extend_families(seq, n, top, lower, idx + 1, chosen, families)
+        del chosen[u.values]

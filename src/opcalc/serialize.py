@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Union
 
 from .bconstruction import BNode, BPoint, bpoint
-from .operads import EffectiveOperad, format_fraction, parse_fraction
+from .operads import EffectiveOperad, format_fraction, parse_fraction, parse_int
 from .trees import DomainError, check_depth
 from .wconstruction import WEdge, WNode, WPoint, w_text, wpoint
 
@@ -78,6 +78,14 @@ class _Reader:
         return self.pos == len(self.tokens)
 
 
+def _leaf_token(text: str) -> int:
+    """The number of a leaf token l<k>, k matching [0-9]+."""
+    try:
+        return parse_int(text[1:], signed=False)
+    except DomainError as exc:
+        raise DomainError(f"bad leaf token {text!r}") from exc
+
+
 def _read_w_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> WNode:
     check_depth(depth)
     r.take("lp")
@@ -96,10 +104,7 @@ def _read_w_entry(op: EffectiveOperad, r: _Reader, depth: int):
     tok = r.peek()
     if tok[0] == "atom" and tok[1].startswith("l"):
         r.take()
-        try:
-            return int(tok[1][1:])
-        except ValueError as exc:
-            raise DomainError(f"bad leaf token {tok[1]!r}") from exc
+        return _leaf_token(tok[1])
     if tok[0] == "lp":
         mark = r.pos
         r.take("lp")
@@ -131,17 +136,16 @@ def parse_w_text(op: EffectiveOperad, text: str) -> WPoint:
 # ----------------------------------------------------------------- JSON
 
 def w_to_jsonable(a: WPoint) -> dict:
-    op = a.operad
+    return {"kind": "w", "operad": a.operad.name, "root": _w_enc(a.operad, a.root)}
 
-    def enc(entry):
-        if isinstance(entry, int):
-            return {"leaf": entry}
-        if isinstance(entry, WEdge):
-            return {"length": format_fraction(entry.length), "node": enc(entry.node)}
-        return {"label": op.to_jsonable(entry.label),
-                "children": [enc(c) for c in entry.children]}
 
-    return {"kind": "w", "operad": op.name, "root": enc(a.root)}
+def _w_enc(op: EffectiveOperad, entry) -> dict:
+    if isinstance(entry, int):
+        return {"leaf": entry}
+    if isinstance(entry, WEdge):
+        return {"length": format_fraction(entry.length), "node": _w_enc(op, entry.node)}
+    return {"label": op.to_jsonable(entry.label),
+            "children": [_w_enc(op, c) for c in entry.children]}
 
 
 def _entry(blob) -> dict:
@@ -182,56 +186,56 @@ def _record_root(data, kind: str, what: str, op: EffectiveOperad):
 
 
 def w_from_jsonable(op: EffectiveOperad, data: dict) -> WPoint:
-    def dec(blob, depth: int):
-        blob = _entry(blob)
-        if "leaf" in blob:
-            return _leaf(blob)
-        if "length" in blob:
-            length, node = _fields(blob, "length", "node")
-            return WEdge(parse_fraction(length), dec(node, depth))
-        check_depth(depth)
-        (label,) = _fields(blob, "label")
-        return WNode(op.from_jsonable(label),
-                     tuple(dec(c, depth + 1) for c in _children(blob)))
+    return wpoint(op, _w_dec(op, _record_root(data, "w", "w point", op), 0))
 
-    return wpoint(op, dec(_record_root(data, "w", "w point", op), 0))
+
+def _w_dec(op: EffectiveOperad, blob, depth: int):
+    blob = _entry(blob)
+    if "leaf" in blob:
+        return _leaf(blob)
+    if "length" in blob:
+        length, node = _fields(blob, "length", "node")
+        return WEdge(parse_fraction(length), _w_dec(op, node, depth))
+    check_depth(depth)
+    (label,) = _fields(blob, "label")
+    return WNode(op.from_jsonable(label),
+                 tuple(_w_dec(op, c, depth + 1) for c in _children(blob)))
 
 
 # ------------------------------------------------------------------ DOT
 
 def w_dot(a: WPoint) -> str:
     """A graphviz rendering; vertices show their labels, edges their lengths."""
-    op = a.operad
     lines = ["digraph point {", '  rankdir=BT;', '  node [fontsize=10];']
-    counter = [0]
-
-    def fresh(prefix: str) -> str:
-        counter[0] += 1
-        return f"{prefix}{counter[0]}"
-
-    def emit(entry, parent) -> None:
-        if isinstance(entry, int):
-            name = fresh("leaf")
-            lines.append(f'  {name} [shape=box label="{entry}"];')
-            lines.append(f'  {name} -> {parent};')
-            return
-        node = entry.node if isinstance(entry, WEdge) else entry
-        edge_len = entry.length if isinstance(entry, WEdge) else None
-        name = fresh("v")
-        label = op.format_element(node.label).replace('"', '\\"')
-        lines.append(f'  {name} [shape=ellipse label="{label}"];')
-        if parent is not None:
-            text = "" if edge_len is None else f' [label="{format_fraction(edge_len)}"]'
-            lines.append(f'  {name} -> {parent}{text};')
-        for child in node.children:
-            emit(child, name)
-
     if isinstance(a.root, int):
         lines.append('  leaf1 [shape=box label="1"];')
     else:
-        emit(a.root, None)
+        _w_dot_entry(a.operad, a.root, None, lines, [0])
     lines.append("}")
     return "\n".join(lines)
+
+
+def _dot_name(prefix: str, counter: list[int]) -> str:
+    counter[0] += 1
+    return f"{prefix}{counter[0]}"
+
+
+def _w_dot_entry(op: EffectiveOperad, entry, parent, lines: list[str], counter: list[int]) -> None:
+    if isinstance(entry, int):
+        name = _dot_name("leaf", counter)
+        lines.append(f'  {name} [shape=box label="{entry}"];')
+        lines.append(f'  {name} -> {parent};')
+        return
+    node = entry.node if isinstance(entry, WEdge) else entry
+    edge_len = entry.length if isinstance(entry, WEdge) else None
+    name = _dot_name("v", counter)
+    label = op.format_element(node.label).replace('"', '\\"')
+    lines.append(f'  {name} [shape=ellipse label="{label}"];')
+    if parent is not None:
+        text = "" if edge_len is None else f' [label="{format_fraction(edge_len)}"]'
+        lines.append(f'  {name} -> {parent}{text};')
+    for child in node.children:
+        _w_dot_entry(op, child, name, lines, counter)
 
 
 # ---------------------------------------------------- height trees (text)
@@ -258,10 +262,7 @@ def _read_b_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> BNode:
         tok = r.peek()
         if tok[0] == "atom" and tok[1].startswith("l"):
             r.take()
-            try:
-                children.append(int(tok[1][1:]))
-            except ValueError as exc:
-                raise DomainError(f"bad leaf token {tok[1]!r}") from exc
+            children.append(_leaf_token(tok[1]))
         else:
             children.append(_read_b_node(op, r, depth + 1))
     r.take("rp")
@@ -283,55 +284,51 @@ def parse_b_text(op: EffectiveOperad, text: str) -> BPoint:
 
 
 def b_to_jsonable(b: BPoint) -> dict:
-    def enc(entry):
-        if isinstance(entry, int):
-            return {"leaf": entry}
-        return {"height": format_fraction(entry.height),
-                "label": w_to_jsonable(entry.label),
-                "children": [enc(c) for c in entry.children]}
+    return {"kind": "b", "operad": b.operad.name, "root": _b_enc(b.root)}
 
-    return {"kind": "b", "operad": b.operad.name, "root": enc(b.root)}
+
+def _b_enc(entry) -> dict:
+    if isinstance(entry, int):
+        return {"leaf": entry}
+    return {"height": format_fraction(entry.height),
+            "label": w_to_jsonable(entry.label),
+            "children": [_b_enc(c) for c in entry.children]}
 
 
 def b_from_jsonable(op: EffectiveOperad, data: dict) -> BPoint:
-    def dec(blob, depth: int):
-        blob = _entry(blob)
-        if "leaf" in blob:
-            return _leaf(blob)
-        check_depth(depth)
-        label, height = _fields(blob, "label", "height")
-        return BNode(w_from_jsonable(op, label), parse_fraction(height),
-                     tuple(dec(c, depth + 1) for c in _children(blob)))
+    return bpoint(op, _b_dec(op, _record_root(data, "b", "height-tree point", op), 0))
 
-    return bpoint(op, dec(_record_root(data, "b", "height-tree point", op), 0))
+
+def _b_dec(op: EffectiveOperad, blob, depth: int):
+    blob = _entry(blob)
+    if "leaf" in blob:
+        return _leaf(blob)
+    check_depth(depth)
+    label, height = _fields(blob, "label", "height")
+    return BNode(w_from_jsonable(op, label), parse_fraction(height),
+                 tuple(_b_dec(op, c, depth + 1) for c in _children(blob)))
 
 
 def b_dot(b: BPoint) -> str:
     """A graphviz rendering; vertices show height over label text."""
-    op = b.operad
     lines = ["digraph point {", '  rankdir=BT;', '  node [fontsize=10];']
-    counter = [0]
-
-    def fresh(prefix: str) -> str:
-        counter[0] += 1
-        return f"{prefix}{counter[0]}"
-
-    def emit(entry, parent) -> None:
-        if isinstance(entry, int):
-            name = fresh("leaf")
-            lines.append(f'  {name} [shape=box label="{entry}"];')
-            if parent is not None:
-                lines.append(f'  {name} -> {parent};')
-            return
-        name = fresh("v")
-        label = w_text(entry.label).replace("\\", "\\\\").replace('"', '\\"')
-        height = format_fraction(entry.height)
-        lines.append(f'  {name} [shape=ellipse label="h={height}\\n{label}"];')
-        if parent is not None:
-            lines.append(f'  {name} -> {parent};')
-        for child in entry.children:
-            emit(child, name)
-
-    emit(b.root, None)
+    _b_dot_entry(b.root, None, lines, [0])
     lines.append("}")
     return "\n".join(lines)
+
+
+def _b_dot_entry(entry, parent, lines: list[str], counter: list[int]) -> None:
+    if isinstance(entry, int):
+        name = _dot_name("leaf", counter)
+        lines.append(f'  {name} [shape=box label="{entry}"];')
+        if parent is not None:
+            lines.append(f'  {name} -> {parent};')
+        return
+    name = _dot_name("v", counter)
+    label = w_text(entry.label).replace("\\", "\\\\").replace('"', '\\"')
+    height = format_fraction(entry.height)
+    lines.append(f'  {name} [shape=ellipse label="h={height}\\n{label}"];')
+    if parent is not None:
+        lines.append(f'  {name} -> {parent};')
+    for child in entry.children:
+        _b_dot_entry(child, name, lines, counter)

@@ -154,14 +154,7 @@ def extract_subpoints(y: BPoint, c: SC1Element) -> SubpointTable:
     regs = regions_of(c)
     piece = slice_point(y, _cuts(c), trivial_chains=True)
     buckets: list[list[BPoint]] = [[] for _ in regs]
-
-    def visit(p) -> None:
-        buckets[p.layer].append(p.point)
-        for entry in p.exits:
-            if not isinstance(entry, int):
-                visit(entry)
-
-    visit(piece)
+    _bucket_pieces(piece, buckets)
     gap_seqs: list[tuple[Subpoint, ...]] = []
     disc_seqs: list[tuple[Subpoint, ...]] = []
     for (kind, index, _, _), bodies in zip(regs, buckets):
@@ -172,6 +165,14 @@ def extract_subpoints(y: BPoint, c: SC1Element) -> SubpointTable:
         else:
             disc_seqs.append(seq)
     return SubpointTable(tuple(disc_seqs), tuple(gap_seqs))
+
+
+def _bucket_pieces(piece, buckets: list[list[BPoint]]) -> None:
+    """Append each piece's point to its layer's bucket, in preorder."""
+    buckets[piece.layer].append(piece.point)
+    for entry in piece.exits:
+        if not isinstance(entry, int):
+            _bucket_pieces(entry, buckets)
 
 
 def rescale(interval: tuple[Fraction, Fraction], s) -> BPoint:
@@ -202,37 +203,8 @@ def _assemble(c: SC1Element, fs: Sequence[Callable], y: BPoint,
         raise DomainError(f"need {len(c.intervals)} maps, got {len(fs)}")
     target = inclusion.target
     regs = regions_of(c)
-    top = len(regs) - 1
     piece_tree = slice_point(y, _cuts(c), trivial_chains=True)
-
-    def value_of(piece):
-        """Returns (plain target element, tag tuple or None, leaf word)."""
-        kind, index, lo, hi = regs[piece.layer]
-        if kind == "gap":
-            base, tags = inclusion(mu_prime(piece.point)), None
-        else:
-            out = fs[index - 1](rescale((lo, hi), piece.point))
-            if tagged and piece.layer == top:
-                base, tags = out.q, out.tags
-            else:
-                base, tags = out, None
-        if piece.layer == top:
-            return base, tags, tuple(piece.exits)
-        value = base
-        parts = []
-        for position in range(len(piece.exits), 0, -1):
-            sub_value, sub_tags, sub_word = value_of(piece.exits[position - 1])
-            value = target.compose(value, position, sub_value)
-            parts.append((sub_tags, sub_word))
-        tags: list = []
-        word: list = []
-        for sub_tags, sub_word in reversed(parts):
-            if tagged:
-                tags.extend(sub_tags)
-            word.extend(sub_word)
-        return value, tuple(tags) if tagged else None, tuple(word)
-
-    value, tags, word = value_of(piece_tree)
+    value, tags, word = _piece_value(piece_tree, regs, fs, inclusion, tagged)
     position_of = {number: p for p, number in enumerate(word, start=1)}
     sigma = InjectiveMap(len(word), len(word),
                          tuple(position_of[j] for j in range(1, len(word) + 1)))
@@ -240,6 +212,38 @@ def _assemble(c: SC1Element, fs: Sequence[Callable], y: BPoint,
     if not tagged:
         return value
     return QXElem(value, tuple(tags[sigma(j) - 1] for j in range(1, sigma.m + 1)))
+
+
+def _piece_value(piece, regs, fs: Sequence[Callable], inclusion: OperadMap, tagged: bool):
+    """The value of a slice piece and the pieces above it: (plain target
+    element, tag tuple or None, leaf word)."""
+    target = inclusion.target
+    top = len(regs) - 1
+    kind, index, lo, hi = regs[piece.layer]
+    if kind == "gap":
+        base, tags = inclusion(mu_prime(piece.point)), None
+    else:
+        out = fs[index - 1](rescale((lo, hi), piece.point))
+        if tagged and piece.layer == top:
+            base, tags = out.q, out.tags
+        else:
+            base, tags = out, None
+    if piece.layer == top:
+        return base, tags, tuple(piece.exits)
+    value = base
+    parts = []
+    for position in range(len(piece.exits), 0, -1):
+        sub_value, sub_tags, sub_word = _piece_value(
+            piece.exits[position - 1], regs, fs, inclusion, tagged)
+        value = target.compose(value, position, sub_value)
+        parts.append((sub_tags, sub_word))
+    tags: list = []
+    word: list = []
+    for sub_tags, sub_word in reversed(parts):
+        if tagged:
+            tags.extend(sub_tags)
+        word.extend(sub_word)
+    return value, tuple(tags) if tagged else None, tuple(word)
 
 
 def alpha_eval(c: SC1Element, fs: Sequence[Callable], y: BPoint,

@@ -116,14 +116,7 @@ class Tree:
     def vertex_ids(self) -> tuple[VertexId, ...]:
         """All vertex addresses in depth-first preorder."""
         found: list[VertexId] = []
-
-        def walk(node: Node, path: VertexId) -> None:
-            if isinstance(node, Vertex):
-                found.append(path)
-                for idx, child in enumerate(node.children):
-                    walk(child, path + (idx,))
-
-        walk(self.root, ())
+        _collect_vertex_ids(self.root, (), found)
         return tuple(found)
 
     def node_at(self, path: VertexId) -> Node:
@@ -133,6 +126,13 @@ class Tree:
                 raise DomainError(f"no node at path {path}")
             node = node.children[idx]
         return node
+
+
+def _collect_vertex_ids(node: Node, path: VertexId, found: list[VertexId]) -> None:
+    if isinstance(node, Vertex):
+        found.append(path)
+        for idx, child in enumerate(node.children):
+            _collect_vertex_ids(child, path + (idx,), found)
 
 
 def trivial_tree() -> Tree:
@@ -375,10 +375,10 @@ def drop_block(w: InjectiveMap, i: int, m: int) -> InjectiveMap:
 
 def tree_text(t: Tree) -> str:
     """Compact one-line rendering: leaves as numbers, vertices as (...)."""
+    return _node_text(t.root)
 
-    def fmt(node: Node) -> str:
-        if isinstance(node, Leaf):
-            return str(node.number)
-        return "(" + " ".join(fmt(c) for c in node.children) + ")"
 
-    return fmt(t.root)
+def _node_text(node: Node) -> str:
+    if isinstance(node, Leaf):
+        return str(node.number)
+    return "(" + " ".join(_node_text(c) for c in node.children) + ")"

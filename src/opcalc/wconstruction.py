@@ -325,18 +325,19 @@ def _with_node(node: WNode, path: tuple[int, ...], new: WNode) -> WNode:
 
 def _applicable_steps(op: EffectiveOperad, root: WNode) -> list[tuple]:
     steps: list[tuple] = []
-
-    def walk(node: WNode, path: tuple[int, ...]) -> None:
-        if len(node.children) == 1 and op.is_unit(node.label):
-            steps.append(("splice", path))
-        for position, child in enumerate(node.children):
-            if isinstance(child, WEdge):
-                if child.length == 0:
-                    steps.append(("contract", path, position))
-                walk(child.node, path + (position,))
-
-    walk(root, ())
+    _collect_steps(op, root, (), steps)
     return steps
+
+
+def _collect_steps(op: EffectiveOperad, node: WNode, path: tuple[int, ...],
+                   steps: list[tuple]) -> None:
+    if len(node.children) == 1 and op.is_unit(node.label):
+        steps.append(("splice", path))
+    for position, child in enumerate(node.children):
+        if isinstance(child, WEdge):
+            if child.length == 0:
+                steps.append(("contract", path, position))
+            _collect_steps(op, child.node, path + (position,), steps)
 
 
 def _apply_step(op: EffectiveOperad, root: WNode, step: tuple) -> Union[int, WNode]:
@@ -415,17 +416,18 @@ def w_compose(a: WPoint, i: int, b: WPoint) -> WPoint:
     if b.is_trivial:
         return a
     guest = _shift_leaves(b.root, lambda k: i + k - 1)
+    return _normal_w(a.operad, _graft(a.root, i, m, guest))
 
-    def place(entry: Union[WEntry, WNode]):
-        if isinstance(entry, int):
-            if entry == i:
-                return WEdge(Fraction(1), guest)
-            return entry if entry < i else entry + m - 1
-        if isinstance(entry, WEdge):
-            return WEdge(entry.length, place(entry.node))
-        return WNode(entry.label, tuple(place(c) for c in entry.children))
 
-    return _normal_w(a.operad, place(a.root))
+def _graft(entry: Union[WEntry, WNode], i: int, m: int, guest: WNode):
+    """Put guest on an edge of length 1 at leaf i; later leaves move up by m - 1."""
+    if isinstance(entry, int):
+        if entry == i:
+            return WEdge(Fraction(1), guest)
+        return entry if entry < i else entry + m - 1
+    if isinstance(entry, WEdge):
+        return WEdge(entry.length, _graft(entry.node, i, m, guest))
+    return WNode(entry.label, tuple(_graft(c, i, m, guest) for c in entry.children))
 
 
 def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
@@ -445,29 +447,31 @@ def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
         return a
     op = a.operad
     renumber = {u(j): j for j in range(1, u.m + 1)}
-
-    def walk(node: WNode) -> Optional[WNode]:
-        entries: list[WEntry] = []
-        slots: list[int] = []
-        for position, child in enumerate(node.children, start=1):
-            if isinstance(child, int):
-                j = renumber.get(child)
-                if j is not None:
-                    entries.append(j)
-                    slots.append(position)
-            else:
-                sub = walk(child.node)
-                if sub is not None:
-                    entries.append(WEdge(child.length, sub))
-                    slots.append(position)
-        if not entries:
-            return None
-        kept = InjectiveMap(len(slots), len(node.children), tuple(slots))
-        return WNode(op.restrict(kept, node.label), tuple(entries))
-
-    new_root = walk(a.root)
+    new_root = _restrict_node(op, a.root, renumber)
     assert new_root is not None
     return _normal_w(op, new_root)
+
+
+def _restrict_node(op: EffectiveOperad, node: WNode,
+                   renumber: dict[int, int]) -> Optional[WNode]:
+    """The subtree keeping the leaves `renumber` maps, or None if none is kept."""
+    entries: list[WEntry] = []
+    slots: list[int] = []
+    for position, child in enumerate(node.children, start=1):
+        if isinstance(child, int):
+            j = renumber.get(child)
+            if j is not None:
+                entries.append(j)
+                slots.append(position)
+        else:
+            sub = _restrict_node(op, child.node, renumber)
+            if sub is not None:
+                entries.append(WEdge(child.length, sub))
+                slots.append(position)
+    if not entries:
+        return None
+    kept = InjectiveMap(len(slots), len(node.children), tuple(slots))
+    return WNode(op.restrict(kept, node.label), tuple(entries))
 
 
 def mu(a: WPoint):
@@ -475,27 +479,28 @@ def mu(a: WPoint):
     op = a.operad
     if a.is_trivial:
         return op.unit()
-
-    def fold(node: WNode) -> tuple[Hashable, tuple[int, ...]]:
-        value = node.label
-        parts: list[tuple[int, ...]] = []
-        for position in range(len(node.children), 0, -1):
-            child = node.children[position - 1]
-            if isinstance(child, WEdge):
-                sub_value, sub_word = fold(child.node)
-                value = op.compose(value, position, sub_value)
-                parts.append(sub_word)
-            else:
-                parts.append((child,))
-        word: list[int] = []
-        for part in reversed(parts):
-            word.extend(part)
-        return value, tuple(word)
-
-    value, word = fold(a.root)
+    value, word = _fold(op, a.root)
     position_of = {number: p for p, number in enumerate(word, start=1)}
     sigma = InjectiveMap(len(word), len(word), tuple(position_of[j] for j in range(1, len(word) + 1)))
     return op.restrict(sigma, value)
+
+
+def _fold(op: EffectiveOperad, node: WNode) -> tuple[Hashable, tuple[int, ...]]:
+    """The composite of a subtree's labels, with its leaves in slot order."""
+    value = node.label
+    parts: list[tuple[int, ...]] = []
+    for position in range(len(node.children), 0, -1):
+        child = node.children[position - 1]
+        if isinstance(child, WEdge):
+            sub_value, sub_word = _fold(op, child.node)
+            value = op.compose(value, position, sub_value)
+            parts.append(sub_word)
+        else:
+            parts.append((child,))
+    word: list[int] = []
+    for part in reversed(parts):
+        word.extend(part)
+    return value, tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -523,60 +528,66 @@ def w_prime_decompose(a: WPoint) -> WDecomposition:
     if a.is_trivial:
         return WDecomposition((), Tree(Leaf(1)), 0)
     components: list[WPoint] = []
-
-    def carve(node: WNode):
-        """Return (skeleton node, reserving components[index] for this piece)."""
-        index = len(components)
-        components.append(None)  # type: ignore[arg-type]
-        exits: list = []
-
-        def local(entry: WEntry) -> WEntry:
-            if isinstance(entry, int):
-                exits.append(Leaf(entry))
-                return len(exits)
-            if entry.length == 1:
-                exits.append(carve(entry.node))
-                return len(exits)
-            return WEdge(entry.length, WNode(entry.node.label,
-                                             tuple(local(c) for c in entry.node.children)))
-
-        piece_root = WNode(node.label, tuple(local(c) for c in node.children))
-        components[index] = _normal_w(op, piece_root)
-        return Vertex(tuple(exits))
-
-    skeleton_root = carve(a.root)
-    skeleton = Tree(skeleton_root)
+    skeleton = Tree(_carve(op, a.root, components))
     level = max(piece.arity for piece in components)
     return WDecomposition(tuple(components), skeleton, level)
+
+
+def _carve(op: EffectiveOperad, node: WNode, components: list) -> Vertex:
+    """The skeleton vertex of the piece at node, whose component is
+    components[index], reserved before the pieces above it are appended."""
+    index = len(components)
+    components.append(None)
+    exits: list = []
+    piece_root = WNode(node.label,
+                       tuple(_carve_entry(op, c, exits, components) for c in node.children))
+    components[index] = _normal_w(op, piece_root)
+    return Vertex(tuple(exits))
+
+
+def _carve_entry(op: EffectiveOperad, entry: WEntry, exits: list, components: list) -> WEntry:
+    """Keep entry in the current piece, or cut it off as exit len(exits)."""
+    if isinstance(entry, int):
+        exits.append(Leaf(entry))
+        return len(exits)
+    if entry.length == 1:
+        exits.append(_carve(op, entry.node, components))
+        return len(exits)
+    return WEdge(entry.length, WNode(
+        entry.node.label,
+        tuple(_carve_entry(op, c, exits, components) for c in entry.node.children)))
 
 
 def reassemble(op: EffectiveOperad, dec: WDecomposition) -> WPoint:
     if not dec.components:
         return w_unit(op)
     index_of = {path: k for k, path in enumerate(dec.skeleton.vertex_ids())}
-
-    def assemble(path) -> tuple[WPoint, tuple[int, ...]]:
-        vertex = dec.skeleton.node_at(path)
-        assert isinstance(vertex, Vertex)
-        value = dec.components[index_of[path]]
-        parts: list[tuple[int, ...]] = []
-        for position in range(len(vertex.children), 0, -1):
-            child = vertex.children[position - 1]
-            if isinstance(child, Leaf):
-                parts.append((child.number,))
-            else:
-                sub_value, sub_word = assemble(path + (position - 1,))
-                value = w_compose(value, position, sub_value)
-                parts.append(sub_word)
-        word: list[int] = []
-        for part in reversed(parts):
-            word.extend(part)
-        return value, tuple(word)
-
-    value, word = assemble(())
+    value, word = _assemble(dec, index_of, ())
     position_of = {number: p for p, number in enumerate(word, start=1)}
     sigma = InjectiveMap(len(word), len(word), tuple(position_of[j] for j in range(1, len(word) + 1)))
     return w_lambda(sigma, value)
+
+
+def _assemble(dec: WDecomposition, index_of: dict,
+              path: tuple[int, ...]) -> tuple[WPoint, tuple[int, ...]]:
+    """The composite of the components at and above a skeleton vertex, with
+    its leaves in slot order."""
+    vertex = dec.skeleton.node_at(path)
+    assert isinstance(vertex, Vertex)
+    value = dec.components[index_of[path]]
+    parts: list[tuple[int, ...]] = []
+    for position in range(len(vertex.children), 0, -1):
+        child = vertex.children[position - 1]
+        if isinstance(child, Leaf):
+            parts.append((child.number,))
+        else:
+            sub_value, sub_word = _assemble(dec, index_of, path + (position - 1,))
+            value = w_compose(value, position, sub_value)
+            parts.append(sub_word)
+    word: list[int] = []
+    for part in reversed(parts):
+        word.extend(part)
+    return value, tuple(word)
 
 
 def eval_truncated_operad_map(

@@ -219,6 +219,19 @@ def test_malformed_point_is_a_parse_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--kind", "w", '(v "<[0/1,+1/2] [1/2,1/1]>" l1 l2)'],
+    ["normalize", "--kind", "w", '(v "<[0/1,1/2] [1/2,1/1]>" l1 l_2)'],
+    ["normalize", "--operad", "assoc", "--kind", "w", '(v "word(2 ١)" l1 l2)'],
+    ["compose", "--kind", "base", "-i", "1", "<[0/1,1/-2]>", HALVES],
+    ["lift", "--t", "1_0/20", "l1"],
+])
+def test_other_number_spellings_exit_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(["lift", B_CUP])

@@ -1,0 +1,87 @@
+"""The CLI loads only the modules its command runs.
+
+`opcalc.cli` imports the core (operads, trees, W, B, serialize); the
+evaluator handlers import `mapping`, `swisscheese` and `suites` inside
+their bodies, and `Workspace` builds its tag family on first use. A fresh
+interpreter shows what a W/B command leaves out of `sys.modules`. The
+in-process tests run every suite and every evaluator command, so that a
+handler missing one of its local imports fails here with a NameError.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from opcalc.cli import SUITE_NAMES, Workspace, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+EVALUATOR_MODULES = ("opcalc.mapping", "opcalc.suites", "opcalc.swisscheese", "opcalc.sampling")
+B_CUP = '(v :h=1/2 "(v \\"<[0/1,1/2] [1/2,1/1]>\\" l1 l2)" l1 l2)'
+
+
+def loaded_after(code: str) -> set:
+    """The opcalc modules a fresh interpreter holds after running code."""
+    script = code + ("\nimport json, sys\n"
+                     "print(json.dumps([m for m in sys.modules if m.startswith('opcalc')]))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_workspace_does_not_load_the_evaluators():
+    loaded = loaded_after("import opcalc.cli\nopcalc.cli.Workspace()")
+    assert "opcalc.cli" in loaded
+    assert loaded.isdisjoint(EVALUATOR_MODULES)
+
+
+def test_normalize_does_not_load_the_evaluators():
+    loaded = loaded_after(
+        "from opcalc.cli import main\n"
+        "assert main(['normalize', '--operad', 'd1', 'l1']) == 0")
+    assert "opcalc.serialize" in loaded
+    assert loaded.isdisjoint(EVALUATOR_MODULES)
+
+
+def test_workspace_builds_its_family_once():
+    ws = Workspace()
+    assert ws.family is ws.family
+    assert ws.qxprod.family is ws.family
+
+
+def test_lift_loads_mapping():
+    loaded = loaded_after(
+        "from opcalc.cli import main\n"
+        "assert main(['lift', '--t', '1/2', 'l1']) == 0")
+    assert "opcalc.mapping" in loaded
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_runs(capsys, suite):
+    code = main(["check", suite, "--samples", "1"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.startswith("ok ")
+
+
+EVALUATOR_COMMANDS = {
+    "eval-xi-const": ["eval-xi", "--path", "const", B_CUP],
+    "eval-xi-loop": ["eval-xi", "--path", "loop-b", "--format", "json", B_CUP],
+    "eval-psi": ["eval-psi", "--x", "b", B_CUP],
+    "eval-psi-truncated": ["eval-psi", "--truncate", "2", B_CUP],
+    "lift": ["lift", "--t", "1/3", B_CUP],
+    "lift-switching": ["lift", "--x", "a", "--to", "b", "--t", "1/1", "--format", "json", B_CUP],
+    "alpha": ["alpha", "--config", "o<[1/8,3/8] [5/8,1/1]>", "--loops", "loop-b", B_CUP],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATOR_COMMANDS))
+def test_every_evaluator_command_runs(capsys, case):
+    code = main(EVALUATOR_COMMANDS[case])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.strip()

@@ -41,8 +41,6 @@ from opcalc.mapping import (
     psi_double_prime,
     psi_prime_as_map,
     psi_prime_eval,
-    qx_left_act,
-    qx_right_act,
     reverse_path,
     rotation_map,
     sample_hofiber,
@@ -247,7 +245,7 @@ def test_check_path_flags_a_non_operadic_slice():
 
 def test_qx_right_action_twists_and_repeats_the_tag():
     elem = QXElem(D2.unit(), ("a",))
-    out = qx_right_act(elem, 1, LA2, QXP)
+    out = QXP.right_act(elem, 1, LA2)
     assert out.tags == ("a", "a")
     assert D2.eq(out.q, FAM["a"](LA2))
     # exact twisted centers for u = 1/2
@@ -257,7 +255,7 @@ def test_qx_right_action_twists_and_repeats_the_tag():
 def test_qx_left_action_concatenates_tags():
     e1 = QXElem(D2.unit(), ("a",))
     e2 = QXElem(ETA(HALVES), ("*", "b"))
-    out = qx_left_act(LA2, (e1, e2), QXP)
+    out = QXP.left_act(LA2, (e1, e2))
     assert out.tags == ("a", "*", "b")
     assert out.q == (((F(-1, 2), F(0)), F(1, 2)),
                      ((F(1, 4), F(0)), F(1, 4)),
