@@ -12,38 +12,43 @@ Normal form, computed by `_normal_b`:
     labels in the resolution (which inserts the usual inner edge of length
     one between them);
   * a unary vertex labelled by the trivial resolution point is spliced out;
-  * every vertex is rotated to its least symmetric-group twist.
+  * every vertex is rotated so that its children's texts are sorted, and
+    its label is relabelled along that permutation. The children own
+    disjoint sets of leaves, so their texts never tie and the label's text
+    never breaks a tie.
 
 Consequently heights strictly increase along edges, at most one vertex has
 height 0 (the root), and every vertex of height 1 has only leaves below it.
 
 A `BPoint` is normal by construction, and the structure maps rely on it.
-Raw trees are validated once, where they enter: `bpoint`, which also
-renormalizes every label through `wpoint`, `b_normalize_random_order`,
-`b_corolla` and `b_map_heights` (the caller picks the heights), and the
-text and JSON readers in `serialize`. The structure maps (`b_left_act`,
-`b_right_act`, `b_lambda`, the pieces of `slice_point`) only rebuild
-normal forms from normal forms, so they go straight to `_normal_b` and
-check no label or height again; they do check that their arguments are
-points. `BBimodule.validate` is the check for a point of unknown origin.
+Raw trees are validated once, where they enter: `bpoint`,
+`b_normalize_random_order`, `b_corolla` and `b_map_heights` (the caller
+picks the heights), and the text and JSON readers in `serialize`. They
+normalize every label through `wpoint` again, except a label that
+`_normal_w` marked (see `wconstruction`): such a label is normal, and a
+label built with `WPoint(...)` never carries the mark. The structure maps
+(`b_left_act`, `b_right_act`, `b_lambda`, the pieces of `slice_point`)
+only rebuild normal forms from normal forms, so they go straight to
+`_normal_b` and check no label or height again; they do check that their
+arguments are points. A point keeps the text `_canonical_b` built for it.
+`BBimodule.validate` is the check for a point of unknown origin.
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Hashable, Optional, Union
 
 from .operads import EffectiveOperad, format_fraction
-from .trees import MAX_DEPTH, DomainError, InjectiveMap, require
+from .trees import MAX_DEPTH, DomainError, InjectiveMap, fold_slots, require, shown
 from .wconstruction import (
     WOperad,
     WPoint,
     w_compose,
     w_lambda,
-    w_text,
     w_unit,
     wpoint,
 )
@@ -71,6 +76,10 @@ class BPoint:
     operad: EffectiveOperad
     root: Union[int, BNode]
 
+    @cached_property
+    def text(self) -> str:
+        return b_entry_text(self.operad, self.root)
+
     @property
     def is_trivial(self) -> bool:
         return isinstance(self.root, int)
@@ -86,7 +95,7 @@ class BPoint:
         return tuple(out)
 
     def __repr__(self) -> str:
-        return f"BPoint({self.operad.name}: {b_entry_text(self.operad, self.root)})"
+        return f"BPoint({self.operad.name}: {self.text})"
 
 
 def _collect_b_leaves(entry: BEntry, out: list[int]) -> None:
@@ -100,7 +109,7 @@ def _collect_b_leaves(entry: BEntry, out: list[int]) -> None:
 def b_entry_text(op: EffectiveOperad, entry: BEntry) -> str:
     if isinstance(entry, int):
         return f"l{entry}"
-    return _b_vertex_text(w_text(entry.label), entry.height,
+    return _b_vertex_text(entry.label.text, entry.height,
                           [b_entry_text(op, child) for child in entry.children])
 
 
@@ -110,7 +119,7 @@ def _b_vertex_text(label_text: str, height: Fraction, child_texts: list[str]) ->
 
 
 def b_text(b: BPoint) -> str:
-    return b_entry_text(b.operad, b.root)
+    return b.text
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +128,15 @@ def b_text(b: BPoint) -> str:
 
 def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
                     depth: int = 0) -> BEntry:
-    """Check shapes and heights and renormalize every label; `depth` counts
-    the label vertices above entry, so that no composite of the labels along
-    a path, as `mu_prime` builds it, is deeper than MAX_DEPTH."""
+    """Check shapes and heights and renormalize every unmarked label; `depth`
+    counts the label vertices above entry, so that no composite of the labels
+    along a path, as `mu_prime` builds it, is deeper than MAX_DEPTH."""
     if isinstance(entry, bool) or (isinstance(entry, int) and entry < 1):
-        raise DomainError(f"bad leaf number {entry!r}")
+        raise DomainError(f"bad leaf number {shown(entry)}")
     if isinstance(entry, int):
         return entry
     if not isinstance(entry, BNode):
-        raise DomainError(f"bad tree entry {entry!r}")
+        raise DomainError(f"bad tree entry {shown(entry)}")
     height = Fraction(entry.height)
     if not 0 <= height <= 1:
         raise DomainError(f"height {entry.height} outside [0,1]")
@@ -135,7 +144,7 @@ def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
         raise DomainError(f"height {height} below the parent height {floor}")
     if not isinstance(entry.label, WPoint) or entry.label.operad != op:
         raise DomainError(f"label must be a resolution point over {op.name}")
-    label = wpoint(op, entry.label.root)
+    label = entry.label if entry.label._hooked else wpoint(op, entry.label.root)
     if label.arity != len(entry.children):
         raise DomainError(
             f"label arity {label.arity} against {len(entry.children)} children")
@@ -168,9 +177,8 @@ def _reduce_b(op: EffectiveOperad, node: BNode) -> BEntry:
 def _canonical_b(op: EffectiveOperad, node: BNode) -> tuple[BNode, str]:
     """Least twist of every vertex, with the b_entry_text of the result.
 
-    Children are sorted by their text, ties broken by the twisted label's
-    text. Only tie-respecting permutations need the label restriction,
-    which keeps the search cheap for distinct children. Each vertex's text
+    Children are sorted by their texts, which never tie, and the label is
+    relabelled along that order when it moves anything. Each vertex's text
     is built once, from its children's, as the recursion returns.
     """
     entries: list[BEntry] = []
@@ -184,28 +192,14 @@ def _canonical_b(op: EffectiveOperad, node: BNode) -> tuple[BNode, str]:
             entries.append(entry)
             texts.append(text)
     k = len(entries)
-    if k == 1:
-        return (BNode(node.label, node.height, tuple(entries)),
-                _b_vertex_text(w_text(node.label), node.height, texts))
-    order = sorted(range(k), key=lambda index: texts[index])
-    groups: list[list[int]] = []
-    for index in order:
-        if groups and texts[groups[-1][0]] == texts[index]:
-            groups[-1].append(index)
-        else:
-            groups.append([index])
-    best_label: Optional[WPoint] = None
-    best_values = None
-    best_text = None
-    for arrangement in itertools.product(*(itertools.permutations(g) for g in groups)):
-        values = tuple(index + 1 for group in arrangement for index in group)
-        label = w_lambda(InjectiveMap(k, k, values), node.label)
-        text = w_text(label)
-        if best_text is None or text < best_text:
-            best_label, best_values, best_text = label, values, text
-    assert best_label is not None and best_values is not None and best_text is not None
-    return (BNode(best_label, node.height, tuple(entries[v - 1] for v in best_values)),
-            _b_vertex_text(best_text, node.height, [texts[v - 1] for v in best_values]))
+    order = sorted(range(k), key=texts.__getitem__)
+    label = node.label
+    if order != list(range(k)):
+        label = w_lambda(InjectiveMap(k, k, tuple(index + 1 for index in order)), label)
+        entries = [entries[index] for index in order]
+        texts = [texts[index] for index in order]
+    return (BNode(label, node.height, tuple(entries)),
+            _b_vertex_text(label.text, node.height, texts))
 
 
 def _normal_b(op: EffectiveOperad, root: BNode) -> BPoint:
@@ -214,10 +208,17 @@ def _normal_b(op: EffectiveOperad, root: BNode) -> BPoint:
     weakly increase away from the root, its leaves numbered 1..n.
     Validation is the callers' part: `bpoint` checks raw trees, and the
     structure maps only rebuild normal forms."""
-    reduced = _reduce_b(op, root)
+    return _canonical_point(op, _reduce_b(op, root))
+
+
+def _canonical_point(op: EffectiveOperad, reduced: BEntry) -> BPoint:
+    """The point on a reduced tree, canonicalized, with its text kept."""
     if isinstance(reduced, int):
         return BPoint(op, 1)
-    return BPoint(op, _canonical_b(op, reduced)[0])
+    root, text = _canonical_b(op, reduced)
+    point = BPoint(op, root)
+    point.__dict__["text"] = text   # where cached_property keeps it
+    return point
 
 
 def bpoint(op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
@@ -230,7 +231,7 @@ def bpoint(op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
     word: list[int] = []
     _collect_b_leaves(root, word)
     if sorted(word) != list(range(1, len(word) + 1)):
-        raise DomainError(f"leaf numbers {word} are not a bijection onto 1..{len(word)}")
+        raise DomainError(f"leaf numbers {shown(word)} are not a bijection onto 1..{len(word)}")
     return _normal_b(op, root)
 
 
@@ -350,28 +351,13 @@ def mu_prime(b: BPoint) -> WPoint:
     if b.is_trivial:
         return w_unit(op)
     value, word = _fold_b(b.root)
-    position_of = {number: p for p, number in enumerate(word, start=1)}
-    sigma = InjectiveMap(len(word), len(word),
-                         tuple(position_of[j] for j in range(1, len(word) + 1)))
+    sigma = InjectiveMap(len(word), len(word), word).inverse()
     return w_lambda(sigma, value)
 
 
 def _fold_b(node: BNode) -> tuple[WPoint, tuple[int, ...]]:
     """The composite of a subtree's labels, with its leaves in slot order."""
-    value = node.label
-    parts: list[tuple[int, ...]] = []
-    for position in range(len(node.children), 0, -1):
-        child = node.children[position - 1]
-        if isinstance(child, BNode):
-            sub_value, sub_word = _fold_b(child)
-            value = w_compose(value, position, sub_value)
-            parts.append(sub_word)
-        else:
-            parts.append((child,))
-    word: list[int] = []
-    for part in reversed(parts):
-        word.extend(part)
-    return value, tuple(word)
+    return fold_slots(node.label, node.children, w_compose, _fold_b)
 
 
 def b_map_heights(b: BPoint, fn: Callable[[Fraction], Fraction]) -> BPoint:
@@ -451,9 +437,7 @@ def b_normalize_random_order(rng, op: EffectiveOperad, root: Union[int, BNode]) 
         if not steps:
             break
         root = _b_apply_step(root, steps[rng.randrange(len(steps))])
-    if isinstance(root, int):
-        return BPoint(op, 1)
-    return BPoint(op, _canonical_b(op, root)[0])
+    return _canonical_point(op, root)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +761,5 @@ def eval_truncated_bimodule_map(
         assert len(values) == 1
         value = values[0]
     word = tuple(number for row in rows for _, number in row)
-    position_of = {number: p for p, number in enumerate(word, start=1)}
-    sigma = InjectiveMap(len(word), len(word),
-                         tuple(position_of[j] for j in range(1, len(word) + 1)))
+    sigma = InjectiveMap(len(word), len(word), word).inverse()
     return target.restrict(sigma, value)

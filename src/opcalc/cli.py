@@ -43,6 +43,7 @@ from .operads import (
     PointedSet,
     framed_intervals,
     parse_fraction,
+    parse_int,
 )
 from .serialize import (
     b_dot,
@@ -54,7 +55,7 @@ from .serialize import (
     w_from_jsonable,
     w_to_jsonable,
 )
-from .trees import DomainError, tree_text
+from .trees import DomainError, shown, tree_text
 from .wconstruction import (
     WOperad,
     eval_truncated_operad_map,
@@ -67,6 +68,7 @@ if TYPE_CHECKING:
     from .mapping import BimoduleMap, HofiberPoint, PointedMapFamily, QXElem, QXProductBimodule
 
 PATH_NAMES = ("const", "loop-a", "loop-b")
+MAX_SAMPLES = 10_000   # the most samples `check` runs, far above the default 200
 SUITE_NAMES = (
     "operad-axioms", "w-operad-axioms", "w-confluence", "b-confluence",
     "b-bimodule-axioms", "wself-bimodule-axioms", "qx-bimodule-axioms",
@@ -109,12 +111,12 @@ class Workspace:
             return self.operads[name]
         except KeyError:
             raise DomainError(
-                f"unknown operad {name!r}; have {', '.join(sorted(self.operads))}")
+                f"unknown operad {shown(name)}; have {', '.join(sorted(self.operads))}")
 
     def tag(self, x: str):
         if x not in self.space.elements:
             raise DomainError(
-                f"unknown tag {x!r}; have {', '.join(map(str, self.space.elements))}")
+                f"unknown tag {shown(x)}; have {', '.join(map(str, self.space.elements))}")
         return x
 
     def path(self, name: str):
@@ -124,7 +126,7 @@ class Workspace:
         if name.startswith("loop-"):
             sweep = self.family.path_to(self.tag(name[len("loop-"):]))
             return concat_paths(sweep, reverse_path(sweep))
-        raise DomainError(f"unknown path {name!r}; have {', '.join(PATH_NAMES)}")
+        raise DomainError(f"unknown path {shown(name)}; have {', '.join(PATH_NAMES)}")
 
     def hofiber(self, x: str) -> HofiberPoint:
         from .mapping import HofiberPoint
@@ -145,7 +147,7 @@ def read_point(op, kind: str, text: str):
         text = sys.stdin.read().strip()
     if text.startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_int=parse_int)
         except RecursionError:
             raise DomainError("JSON input nested too deeply") from None
         return b_from_jsonable(op, data) if kind == "b" else w_from_jsonable(op, data)
@@ -340,8 +342,8 @@ def run_suite(ws: Workspace, args):
         suite_w_confluence,
     )
     name, samples, seed = args.suite, args.samples, args.seed
-    if samples < 0:
-        raise DomainError(f"--samples must be at least 0, got {samples}")
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise DomainError(f"--samples must be between 0 and {MAX_SAMPLES}, got {samples}")
     if name == "operad-axioms":
         return suite_operad_axioms(ws.operad(args.operad), samples, seed)
     if name == "w-operad-axioms":
@@ -381,7 +383,7 @@ def run_suite(ws: Workspace, args):
         return check_bimodule_map(ws.section_map(args.x), samples, seed)
     if name == "matching":
         return suite_matching(ws.space, max_n=4)
-    raise DomainError(f"unknown suite {name!r}; have {', '.join(SUITE_NAMES)}")
+    raise DomainError(f"unknown suite {shown(name)}; have {', '.join(SUITE_NAMES)}")
 
 
 def cmd_check(ws: Workspace, args) -> int:

@@ -23,7 +23,7 @@ from .bconstruction import (
 )
 from .operads import EffectiveOperad, LittleDiscs, LittleIntervals, PointedSet, format_fraction
 from .sampling import random_fraction, random_injection
-from .trees import DomainError, InjectiveMap
+from .trees import DomainError, InjectiveMap, fold_slots, shown
 from .wconstruction import WOperad, WPoint, mu
 
 
@@ -247,7 +247,7 @@ class PointedMapFamily:
 
     def __getitem__(self, x) -> OperadMap:
         if x not in self.maps:
-            raise DomainError(f"unknown tag {x!r}")
+            raise DomainError(f"unknown tag {shown(x)}")
         return self.maps[x]
 
     def path_to(self, x) -> PathOfMaps:
@@ -388,7 +388,7 @@ class QxBimodule(Bimodule):
 
     def __init__(self, family: PointedMapFamily, x) -> None:
         if x not in family.space.elements:
-            raise DomainError(f"unknown tag {x!r}")
+            raise DomainError(f"unknown tag {shown(x)}")
         self.family = family
         self.x = x
         self.delta = family[x]
@@ -636,9 +636,7 @@ def fold_point_through(b: BPoint, target: EffectiveOperad, vertex_value: Callabl
     if b.is_trivial:
         return target.unit()
     value, word = _fold_through(b.root, target, vertex_value)
-    position_of = {number: p for p, number in enumerate(word, start=1)}
-    sigma = InjectiveMap(len(word), len(word),
-                         tuple(position_of[j] for j in range(1, len(word) + 1)))
+    sigma = InjectiveMap(len(word), len(word), word).inverse()
     return target.restrict(sigma, value)
 
 
@@ -647,19 +645,8 @@ def _fold_through(node, target: EffectiveOperad, vertex_value: Callable):
     value = vertex_value(node.label, node.height)
     if target.arity_of(value) != len(node.children):
         raise DomainError("vertex value has the wrong arity")
-    parts = []
-    for position in range(len(node.children), 0, -1):
-        child = node.children[position - 1]
-        if isinstance(child, int):
-            parts.append((child,))
-        else:
-            sub_value, sub_word = _fold_through(child, target, vertex_value)
-            value = target.compose(value, position, sub_value)
-            parts.append(sub_word)
-    word: list[int] = []
-    for part in reversed(parts):
-        word.extend(part)
-    return value, tuple(word)
+    return fold_slots(value, node.children, target.compose,
+                      lambda child: _fold_through(child, target, vertex_value))
 
 
 def xi_eval(g: PathOfMaps, b: BPoint):
@@ -748,10 +735,6 @@ def lift_path(f0: BimoduleMap, g: XPath, x, t: Fraction, b: BPoint,
         upper = fold_point_through(piece, q_operad, vertex_value)
         value = qxprod.compose_plain(value, position, upper)
         parts.append(tuple(entry.exits))
-    word: list[int] = []
-    for part in reversed(parts):
-        word.extend(part)
-    position_of = {number: p for p, number in enumerate(word, start=1)}
-    sigma = InjectiveMap(len(word), len(word),
-                         tuple(position_of[j] for j in range(1, len(word) + 1)))
+    word = tuple(number for part in reversed(parts) for number in part)
+    sigma = InjectiveMap(len(word), len(word), word).inverse()
     return qxprod.restrict(sigma, value)

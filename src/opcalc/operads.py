@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
-from .trees import DomainError, InjectiveMap
+from .trees import DomainError, InjectiveMap, shown
 
 
 def format_fraction(q: Fraction | int) -> str:
@@ -43,26 +43,26 @@ def parse_int(text: str, signed: bool = True) -> int:
     element, point and configuration texts goes through here."""
     digits = text[1:] if signed and text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise DomainError(f"bad integer {text!r}")
+        raise DomainError(f"bad integer {shown(text)}")
     try:
         return int(text)
     except ValueError as exc:   # more digits than int() converts
-        raise DomainError(f"bad integer {text!r}") from exc
+        raise DomainError(f"integer of {len(digits)} digits, more than int() converts") from exc
 
 
 def parse_fraction(text: str) -> Fraction:
     """p/q with p matching `-?[0-9]+` and q matching `[0-9]+`, q nonzero;
     p/q need not be reduced. Whitespace around the whole text is ignored."""
     if not isinstance(text, str):
-        raise DomainError(f"expected a p/q string, got {text!r}")
+        raise DomainError(f"expected a p/q string, got {shown(text)}")
     text = text.strip()
     if "/" not in text:
-        raise DomainError(f"expected p/q, got {text!r}")
+        raise DomainError(f"expected p/q, got {shown(text)}")
     num, _, den = text.partition("/")
     try:
         return Fraction(parse_int(num), parse_int(den, signed=False))
     except (DomainError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad fraction {text!r}") from exc
+        raise DomainError(f"bad fraction {shown(text)}") from exc
 
 
 def _sorting_twist(tokens: list[str]) -> InjectiveMap | None:
@@ -117,7 +117,9 @@ class EffectiveOperad(ABC):
     (Python's string order), not on the underlying numbers, so 1/10
     comes before 1/2. Returning None means "no such promise": callers then
     search all arity_of(x)! twists, as they do for every operad that keeps
-    the default.
+    the default. A W point whose every vertex got a permutation is marked
+    and trusted to stay normal when its leaves are renumbered, grafted or
+    cut (see `wconstruction`), so the answer must depend on x alone.
     """
 
     name: str
@@ -170,7 +172,7 @@ class EffectiveOperad(ABC):
 
     def from_jsonable(self, data):
         if not isinstance(data, str):
-            raise DomainError(f"expected a formatted element string, got {data!r}")
+            raise DomainError(f"expected a formatted element string, got {shown(data)}")
         return self.parse_element(data)
 
     # -- sampling -------------------------------------------------------------
@@ -215,10 +217,10 @@ def _interval_tokens(x) -> list[str]:
 
 def _interval_shape_error(pair) -> str | None:
     if not (isinstance(pair, tuple) and len(pair) == 2):
-        return f"bad interval {pair!r}"
+        return f"bad interval {shown(pair)}"
     a, b = pair
     if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-        return f"interval endpoints must be Fractions, got {pair!r}"
+        return f"interval endpoints must be Fractions, got {shown(pair)}"
     return None
 
 
@@ -240,13 +242,13 @@ class LittleIntervals(EffectiveOperad):
 
     def validate(self, x) -> None:
         if not isinstance(x, tuple) or not x:
-            raise DomainError(f"expected a nonempty tuple of intervals, got {x!r}")
+            raise DomainError(f"expected a nonempty tuple of intervals, got {shown(x)}")
         pairs, shape_error = _well_formed_prefix(x, _interval_shape_error)
         d, flat = _on_common_denominator([t for pair in pairs for t in pair])
         scaled = list(zip(flat[::2], flat[1::2]))
         for pair, (a, b) in zip(pairs, scaled):
             if not (0 <= a < b <= d):
-                raise DomainError(f"interval {pair!r} not inside [0,1]")
+                raise DomainError(f"interval {shown(pair)} not inside [0,1]")
         if shape_error is not None:
             raise DomainError(shape_error)
         by_left = sorted(zip(scaled, pairs))
@@ -281,11 +283,11 @@ class LittleIntervals(EffectiveOperad):
     def parse_element(self, text: str):
         body = text.strip()
         if not (body.startswith("<") and body.endswith(">")):
-            raise DomainError(f"expected <...>, got {text!r}")
+            raise DomainError(f"expected <...>, got {shown(text)}")
         out = []
         for chunk in body[1:-1].split():
             if not (chunk.startswith("[") and chunk.endswith("]")):
-                raise DomainError(f"bad interval token {chunk!r}")
+                raise DomainError(f"bad interval token {shown(chunk)}")
             a, _, b = chunk[1:-1].partition(",")
             out.append((parse_fraction(a), parse_fraction(b)))
         x = tuple(out)
@@ -347,11 +349,11 @@ class LittleDiscs(EffectiveOperad):
                 and all(isinstance(t, Fraction) for t in ball[0])
                 and isinstance(ball[1], Fraction)):
             return None
-        return f"bad ball {ball!r}"
+        return f"bad ball {shown(ball)}"
 
     def validate(self, x) -> None:
         if not isinstance(x, tuple) or not x:
-            raise DomainError(f"expected a nonempty tuple of balls, got {x!r}")
+            raise DomainError(f"expected a nonempty tuple of balls, got {shown(x)}")
         balls, shape_error = _well_formed_prefix(x, self._shape_error)
         d, flat = _on_common_denominator([t for c, r in balls for t in (*c, r)])
         scaled = [(flat[k:k + self.dim], flat[k + self.dim])
@@ -360,7 +362,7 @@ class LittleDiscs(EffectiveOperad):
             if r <= 0:
                 raise DomainError(f"radius must be positive, got {ball[1]}")
             if sum(t * t for t in c) > (d - r) * (d - r):
-                raise DomainError(f"ball {ball!r} leaves the unit ball")
+                raise DomainError(f"ball {shown(ball)} leaves the unit ball")
         if shape_error is not None:
             raise DomainError(shape_error)
         for (ball0, (c0, r0)), (ball1, (c1, r1)) in itertools.combinations(
@@ -396,11 +398,11 @@ class LittleDiscs(EffectiveOperad):
     def parse_element(self, text: str):
         body = text.strip()
         if not (body.startswith("<") and body.endswith(">")):
-            raise DomainError(f"expected <...>, got {text!r}")
+            raise DomainError(f"expected <...>, got {shown(text)}")
         out = []
         for chunk in body[1:-1].split():
             if not (chunk.startswith("ball((") and chunk.endswith(")")):
-                raise DomainError(f"bad ball token {chunk!r}")
+                raise DomainError(f"bad ball token {shown(chunk)}")
             inner = chunk[len("ball(("):-1]
             center_text, _, radius_text = inner.partition(");")
             center = tuple(parse_fraction(t) for t in center_text.split(","))
@@ -448,7 +450,7 @@ class Associative(EffectiveOperad):
         if not (isinstance(x, tuple) and x
                 and all(isinstance(t, int) and not isinstance(t, bool) for t in x)
                 and sorted(x) == list(range(1, len(x) + 1))):
-            raise DomainError(f"expected a word listing 1..n, got {x!r}")
+            raise DomainError(f"expected a word listing 1..n, got {shown(x)}")
 
     def unit(self):
         return (1,)
@@ -494,11 +496,11 @@ class Associative(EffectiveOperad):
     def parse_element(self, text: str):
         body = text.strip()
         if not (body.startswith("word(") and body.endswith(")")):
-            raise DomainError(f"expected word(...), got {text!r}")
+            raise DomainError(f"expected word(...), got {shown(text)}")
         try:
             x = tuple(parse_int(t) for t in body[len("word("):-1].split())
         except DomainError as exc:
-            raise DomainError(f"bad letter in {text!r}") from exc
+            raise DomainError(f"bad letter in {shown(text)}") from exc
         self.validate(x)
         return x
 
@@ -532,7 +534,7 @@ class FiniteGroup:
         for g in self.elements:
             invs = [h for h in self.elements if table[(g, h)] == self.identity]
             if len(invs) != 1 or table[(invs[0], g)] != self.identity:
-                raise DomainError(f"element {g!r} has no unique inverse")
+                raise DomainError(f"element {shown(g)} has no unique inverse")
             self._inv[g] = invs[0]
         for a in self.elements:
             for b in self.elements:
@@ -589,15 +591,15 @@ class FramedOperad(EffectiveOperad):
 
     def validate(self, x) -> None:
         if not isinstance(x, FramedElement):
-            raise DomainError(f"expected a FramedElement, got {x!r}")
+            raise DomainError(f"expected a FramedElement, got {shown(x)}")
         self.base.validate(x.point)
         if not isinstance(x.frames, tuple):
-            raise DomainError(f"frames must be a tuple, got {x.frames!r}")
+            raise DomainError(f"frames must be a tuple, got {shown(x.frames)}")
         if len(x.frames) != self.base.arity_of(x.point):
             raise DomainError("one frame per input is required")
         for g in x.frames:
             if g not in self.group.elements:
-                raise DomainError(f"frame {g!r} is not in {self.group.name}")
+                raise DomainError(f"frame {shown(g)} is not in {self.group.name}")
 
     def unit(self):
         return self._unit
@@ -633,10 +635,10 @@ class FramedOperad(EffectiveOperad):
     def parse_element(self, text: str):
         body = text.strip()
         if not (body.startswith("(") and body.endswith(")")):
-            raise DomainError(f"expected (... ; frames), got {text!r}")
+            raise DomainError(f"expected (... ; frames), got {shown(text)}")
         point_text, sep, frame_text = body[1:-1].rpartition(";")
         if not sep:
-            raise DomainError(f"expected (... ; frames), got {text!r}")
+            raise DomainError(f"expected (... ; frames), got {shown(text)}")
         point = self.base.parse_element(point_text.strip())
         frames = tuple(frame_text.split())
         x = FramedElement(point, frames)
@@ -754,7 +756,7 @@ class FormalOperad(EffectiveOperad):
 
     def validate(self, x) -> None:
         if not isinstance(x, (FLeaf, FNode)):
-            raise DomainError(f"expected an expression, got {x!r}")
+            raise DomainError(f"expected an expression, got {shown(x)}")
         out: list[int] = []
         _fexpr_leaves(x, out)
         if sorted(out) != list(range(1, len(out) + 1)):
@@ -798,7 +800,7 @@ class FormalOperad(EffectiveOperad):
         tokens = self._tokenize(text)
         expr, rest = self._parse_expr(tokens)
         if rest:
-            raise DomainError(f"trailing tokens {rest!r}")
+            raise DomainError(f"trailing tokens {shown(rest)}")
         self.validate(expr)
         return expr
 
@@ -822,7 +824,7 @@ class FormalOperad(EffectiveOperad):
                     if in_quote:
                         if c == "\\":
                             if j + 1 == len(text):
-                                raise DomainError(f"dangling escape at the end of {text!r}")
+                                raise DomainError(f"dangling escape at the end of {shown(text)}")
                             buf.append(text[j + 1])
                             j += 2
                             continue
@@ -854,7 +856,7 @@ class FormalOperad(EffectiveOperad):
             if "#" in head:
                 name, _, quoted = head.partition("#")
                 if not (quoted.startswith('"') and quoted.endswith('"')):
-                    raise DomainError(f"bad payload in {head!r}")
+                    raise DomainError(f"bad payload in {shown(head)}")
                 payload: Hashable = quoted[1:-1]
             else:
                 name, payload = head, None
@@ -869,8 +871,8 @@ class FormalOperad(EffectiveOperad):
             try:
                 return FLeaf(parse_int(tok[1:], signed=False)), rest
             except DomainError as exc:
-                raise DomainError(f"bad leaf token {tok!r}") from exc
-        raise DomainError(f"bad token {tok!r}")
+                raise DomainError(f"bad leaf token {shown(tok)}") from exc
+        raise DomainError(f"bad token {shown(tok)}")
 
     def sample(self, rng, n: int):
         raise DomainError("the recording operad has no sampler")
@@ -885,9 +887,7 @@ def eval_formal(expr: FExpr, target: EffectiveOperad, atom_eval: Callable) -> Ha
     numbers become input labels.
     """
     value, word = _positional(expr, target, atom_eval)
-    n = len(word)
-    position_of = {number: p for p, number in enumerate(word, start=1)}
-    sigma = InjectiveMap(n, n, tuple(position_of[j] for j in range(1, n + 1)))
+    sigma = InjectiveMap(len(word), len(word), word).inverse()
     return target.restrict(sigma, value)
 
 
@@ -899,14 +899,11 @@ def _positional(e: FExpr, target: EffectiveOperad,
     k = len(e.children)
     value = atom_eval(e.name, e.payload, k)
     if target.arity_of(value) != k:
-        raise DomainError(f"atom {e.name!r} evaluated to the wrong arity")
+        raise DomainError(f"atom {shown(e.name)} evaluated to the wrong arity")
     parts = [_positional(c, target, atom_eval) for c in e.children]
     for s in range(k, 0, -1):
         value = target.compose(value, s, parts[s - 1][0])
-    word: list[int] = []
-    for _, child_word in parts:
-        word.extend(child_word)
-    return value, tuple(word)
+    return value, tuple(number for _, child_word in parts for number in child_word)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Union
 
 from .bconstruction import BNode, BPoint, bpoint
 from .operads import EffectiveOperad, format_fraction, parse_fraction, parse_int
-from .trees import DomainError, check_depth
+from .trees import DomainError, check_depth, shown
 from .wconstruction import WEdge, WNode, WPoint, w_text, wpoint
 
 Token = tuple[str, str]
@@ -70,7 +70,7 @@ class _Reader:
     def take(self, kind: Union[str, None] = None) -> Token:
         tok = self.peek()
         if kind is not None and tok[0] != kind:
-            raise DomainError(f"expected {kind}, got {tok!r}")
+            raise DomainError(f"expected {kind}, got {shown(tok)}")
         self.pos += 1
         return tok
 
@@ -83,7 +83,7 @@ def _leaf_token(text: str) -> int:
     try:
         return parse_int(text[1:], signed=False)
     except DomainError as exc:
-        raise DomainError(f"bad leaf token {text!r}") from exc
+        raise DomainError(f"bad leaf token {shown(text)}") from exc
 
 
 def _read_w_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> WNode:
@@ -91,7 +91,7 @@ def _read_w_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> WNode:
     r.take("lp")
     head = r.take("atom")
     if head[1] != "v":
-        raise DomainError(f"expected a vertex, got {head[1]!r}")
+        raise DomainError(f"expected a vertex, got {shown(head[1])}")
     label = op.parse_element(r.take("quote")[1])
     children: list = []
     while r.peek()[0] != "rp":
@@ -116,7 +116,7 @@ def _read_w_entry(op: EffectiveOperad, r: _Reader, depth: int):
             return WEdge(length, node)
         r.pos = mark
         return _read_w_node(op, r, depth)
-    raise DomainError(f"unexpected token {tok!r}")
+    raise DomainError(f"unexpected token {shown(tok)}")
 
 
 def parse_w_text(op: EffectiveOperad, text: str) -> WPoint:
@@ -150,7 +150,7 @@ def _w_enc(op: EffectiveOperad, entry) -> dict:
 
 def _entry(blob) -> dict:
     if not isinstance(blob, dict):
-        raise DomainError(f"expected a JSON object for a tree entry, got {blob!r}")
+        raise DomainError(f"expected a JSON object for a tree entry, got {shown(blob)}")
     return blob
 
 
@@ -158,21 +158,21 @@ def _fields(blob: dict, *names: str) -> list:
     """The named fields of a JSON record, or DomainError naming those missing."""
     missing = [name for name in names if name not in blob]
     if missing:
-        raise DomainError(f"record {blob!r} lacks {', '.join(missing)}")
+        raise DomainError(f"record {shown(blob)} lacks {', '.join(missing)}")
     return [blob[name] for name in names]
 
 
 def _leaf(blob: dict) -> int:
     number = blob["leaf"]
     if isinstance(number, bool) or not isinstance(number, int):
-        raise DomainError(f"leaf must be an integer, got {number!r}")
+        raise DomainError(f"leaf must be an integer, got {shown(number)}")
     return number
 
 
 def _children(blob: dict) -> list:
     (children,) = _fields(blob, "children")
     if not isinstance(children, list):
-        raise DomainError(f"children must be a list, got {children!r}")
+        raise DomainError(f"children must be a list, got {shown(children)}")
     return children
 
 
@@ -180,7 +180,7 @@ def _record_root(data, kind: str, what: str, op: EffectiveOperad):
     if not isinstance(data, dict) or data.get("kind") != kind:
         raise DomainError(f"expected a {what} record")
     if data.get("operad") != op.name:
-        raise DomainError(f"point is over {data.get('operad')!r}, not {op.name!r}")
+        raise DomainError(f"point is over {shown(data.get('operad'))}, not {shown(op.name)}")
     (root,) = _fields(data, "root")
     return root
 
@@ -251,10 +251,10 @@ def _read_b_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> BNode:
     r.take("lp")
     head = r.take("atom")
     if head[1] != "v":
-        raise DomainError(f"expected a vertex, got {head[1]!r}")
+        raise DomainError(f"expected a vertex, got {shown(head[1])}")
     height_tok = r.take("atom")[1]
     if not height_tok.startswith(":h="):
-        raise DomainError(f"expected a height, got {height_tok!r}")
+        raise DomainError(f"expected a height, got {shown(height_tok)}")
     height = parse_fraction(height_tok[3:])
     label = parse_w_text(op, r.take("quote")[1])
     children: list = []

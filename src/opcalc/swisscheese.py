@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from .bconstruction import BPoint, b_map_heights, mu_prime, slice_point
 from .mapping import OperadMap, PathOfMaps, PathSegment, QXElem
 from .operads import format_fraction, parse_fraction
-from .trees import DomainError, InjectiveMap
+from .trees import DomainError, InjectiveMap, shown
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class SC1Element:
 
 def sc1(color: str, intervals) -> SC1Element:
     if color not in ("c", "o"):
-        raise DomainError(f"colour must be 'c' or 'o', got {color!r}")
+        raise DomainError(f"colour must be 'c' or 'o', got {shown(color)}")
     pairs = tuple((Fraction(a), Fraction(b)) for a, b in intervals)
     if not pairs:
         raise DomainError("a configuration needs at least one interval")
@@ -205,9 +205,7 @@ def _assemble(c: SC1Element, fs: Sequence[Callable], y: BPoint,
     regs = regions_of(c)
     piece_tree = slice_point(y, _cuts(c), trivial_chains=True)
     value, tags, word = _piece_value(piece_tree, regs, fs, inclusion, tagged)
-    position_of = {number: p for p, number in enumerate(word, start=1)}
-    sigma = InjectiveMap(len(word), len(word),
-                         tuple(position_of[j] for j in range(1, len(word) + 1)))
+    sigma = InjectiveMap(len(word), len(word), word).inverse()
     value = target.restrict(sigma, value)
     if not tagged:
         return value
@@ -328,11 +326,11 @@ def format_sc(c: SC1Element) -> str:
 def parse_sc(text: str) -> SC1Element:
     text = text.strip()
     if len(text) < 3 or text[0] not in "co" or text[1] != "<" or text[-1] != ">":
-        raise DomainError(f"bad configuration text {text!r}")
+        raise DomainError(f"bad configuration text {shown(text)}")
     pairs = []
     for chunk in text[2:-1].split():
         if not (chunk.startswith("[") and chunk.endswith("]")):
-            raise DomainError(f"bad interval {chunk!r}")
+            raise DomainError(f"bad interval {shown(chunk)}")
         a, _, b = chunk[1:-1].partition(",")
         pairs.append((parse_fraction(a), parse_fraction(b)))
     return sc1(text[0], pairs)
@@ -345,11 +343,13 @@ def sc_to_jsonable(c: SC1Element) -> dict:
 
 
 def sc_from_jsonable(data: dict) -> SC1Element:
-    if data.get("kind") != "sc1":
+    if not isinstance(data, dict) or data.get("kind") != "sc1":
         raise DomainError("not a configuration record")
-    return sc1(data["color"],
-               [(parse_fraction(a), parse_fraction(b))
-                for a, b in data["intervals"]])
+    color, intervals = data.get("color"), data.get("intervals")
+    if not (isinstance(color, str) and isinstance(intervals, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in intervals)):
+        raise DomainError("a configuration record needs a colour and a list of [a, b] pairs")
+    return sc1(color, [(parse_fraction(a), parse_fraction(b)) for a, b in intervals])
 
 
 def sample_sc1(rng, n: int, color: str) -> SC1Element:

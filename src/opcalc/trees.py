@@ -37,6 +37,32 @@ def check_depth(depth: int) -> None:
         raise DomainError(f"tree deeper than {MAX_DEPTH} vertices")
 
 
+def shown(value, limit: int = 60) -> str:
+    """repr(value) for an error message, cut to `limit` characters."""
+    try:
+        text = repr(value)
+    except ValueError:   # an int with more digits than str() converts
+        return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
+def fold_slots(value, children, compose: Callable, fold_child: Callable):
+    """value with each child's composite composed in at the child's slot,
+    the last slot first so that earlier slots stay put, and the leaf numbers
+    in slot order. A child is a leaf number or what `fold_child` folds to a
+    (value, leaf word) pair."""
+    parts = []
+    for position in range(len(children), 0, -1):
+        child = children[position - 1]
+        if isinstance(child, int):
+            parts.append((child,))
+        else:
+            sub_value, sub_word = fold_child(child)
+            value = compose(value, position, sub_value)
+            parts.append(sub_word)
+    return value, tuple(number for part in reversed(parts) for number in part)
+
+
 def require(value, kind: type, what: str) -> None:
     """DomainError unless value is an instance of kind."""
     if isinstance(value, bool) or not isinstance(value, kind):

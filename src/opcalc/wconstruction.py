@@ -28,25 +28,34 @@ operads (the resolution itself, the recording operad) keep the search,
 `_least_twist`; `_canonical_node_search` applies it at every vertex and is
 the oracle the shortcut is tested against.
 
-A `WPoint` is normal by construction, and the structure maps rely on it.
-Raw trees are validated once, where they enter: `wpoint` (a raw tree),
-`w_corolla` (a label), `normalize_random_order`, and the text and JSON
-readers in `serialize`. The structure maps (`w_compose`, `w_lambda`, the
-components of `w_prime_decompose`) only rebuild normal forms from normal
-forms, so they go straight to `_normal_w` and check no label again; they do
-check that their arguments are points. `WOperad.validate` is the check for
-a point of unknown origin, such as one built with `WPoint(...)` by hand.
+A `WPoint` is normal by construction, and the structure maps rely on it;
+it keeps its text once built. Raw trees are validated once, where they
+enter: `wpoint`, `w_corolla` (a label), `normalize_random_order`, and the
+readers in `serialize`. The structure maps check that their arguments are
+points, and no label again.
+
+`_normal_w` marks a point when `canonical_twist` named the twist at each of
+its vertices with more than one input: no vertex then broke a tie by its
+children's texts, so renumbering its leaves, grafting two marked points
+along an edge of length 1 or cutting one at such edges leaves a normal
+tree. `w_compose`, bijective `w_lambda` and the `w_prime_decompose`
+components trust marked points and skip `_normal_w`; `bpoint` skips
+renormalizing a marked label. A point built with `WPoint(...)` is never
+marked, nor one with a vertex the shortcut did not name. `WOperad.validate`
+is the check for a point of unknown origin.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable, Hashable, Optional, Union
 
 from .operads import EffectiveOperad, format_fraction
-from .trees import DomainError, InjectiveMap, Leaf, Tree, Vertex, check_depth, require
+from .trees import (DomainError, InjectiveMap, Leaf, Tree, Vertex, check_depth, fold_slots,
+                    require, shown)
 
 
 @dataclass(frozen=True)
@@ -70,10 +79,16 @@ class WPoint:
 
     Normal by construction: every function here that returns one has
     reduced and canonicalized it, and takes it for normal in turn. A point
-    assembled by hand is checked with `WOperad(op).validate`."""
+    assembled by hand is checked with `WOperad(op).validate`. `_hooked` is
+    set by `_normal_w` alone (see the module docstring)."""
 
     operad: EffectiveOperad
     root: Union[int, WNode]
+    _hooked: bool = field(default=False, init=False, compare=False, repr=False)
+
+    @cached_property
+    def text(self) -> str:
+        return entry_text(self.operad, self.root)
 
     @property
     def is_trivial(self) -> bool:
@@ -95,7 +110,7 @@ class WPoint:
         return _depth(self.root)
 
     def __repr__(self) -> str:
-        return f"WPoint({self.operad.name}: {entry_text(self.operad, self.root)})"
+        return f"WPoint({self.operad.name}: {self.text})"
 
 
 def _collect_leaves(entry: Union[WEntry, WNode], out: list[int]) -> None:
@@ -129,7 +144,7 @@ def entry_text(op: EffectiveOperad, entry: Union[WEntry, WNode]) -> str:
 
 
 def w_text(a: WPoint) -> str:
-    return entry_text(a.operad, a.root)
+    return a.text
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +156,7 @@ def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode],
     """Check shapes, coerce lengths to Fraction, validate labels; `depth`
     counts the vertices above entry."""
     if isinstance(entry, bool) or (isinstance(entry, int) and entry < 1):
-        raise DomainError(f"bad leaf number {entry!r}")
+        raise DomainError(f"bad leaf number {shown(entry)}")
     if isinstance(entry, int):
         return entry
     if isinstance(entry, WEdge):
@@ -149,7 +164,7 @@ def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode],
         if not 0 <= length <= 1:
             raise DomainError(f"edge length {entry.length} outside [0,1]")
         if not isinstance(entry.node, WNode):
-            raise DomainError(f"an inner edge must end in a vertex, got {entry.node!r}")
+            raise DomainError(f"an inner edge must end in a vertex, got {shown(entry.node)}")
         return WEdge(length, _validate_raw(op, entry.node, depth))
     if isinstance(entry, WNode):
         check_depth(depth)
@@ -158,7 +173,7 @@ def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode],
             raise DomainError(
                 f"label arity {op.arity_of(entry.label)} against {len(entry.children)} children")
         return WNode(entry.label, tuple(_validate_raw(op, c, depth + 1) for c in entry.children))
-    raise DomainError(f"bad tree entry {entry!r}")
+    raise DomainError(f"bad tree entry {shown(entry)}")
 
 
 def _validate_root(op: EffectiveOperad, root) -> Union[int, WNode]:
@@ -215,20 +230,26 @@ def _reduce_vertex(op: EffectiveOperad, node: WNode) -> Union[int, WNode]:
     return WNode(label, tuple(entries))
 
 
-def _canonical_node(op: EffectiveOperad, node: WNode) -> WNode:
+def _canonical_node(op: EffectiveOperad, node: WNode) -> tuple[WNode, bool]:
     """Least presentation of every vertex, through the operad's sorting
-    shortcut where it has one and by search where it does not."""
-    entries = tuple(
-        child if isinstance(child, int) else WEdge(child.length, _canonical_node(op, child.node))
-        for child in node.children)
+    shortcut where it has one and by search where it does not; and whether
+    the shortcut named the twist at every vertex with more than one input."""
+    hooked = True
+    entries: list[WEntry] = []
+    for child in node.children:
+        if isinstance(child, WEdge):
+            sub, sub_hooked = _canonical_node(op, child.node)
+            child, hooked = WEdge(child.length, sub), hooked and sub_hooked
+        entries.append(child)
     if len(entries) == 1:
-        return WNode(node.label, entries)
+        return WNode(node.label, tuple(entries)), hooked
     sigma = op.canonical_twist(node.label)
     if sigma is None:
-        return _least_twist(op, node.label, entries)
+        return _least_twist(op, node.label, tuple(entries)), False
     # the label text alone is strictly least, so the children's texts never
     # break a tie
-    return WNode(op.restrict(sigma, node.label), tuple(entries[v - 1] for v in sigma.values))
+    children = tuple(entries[v - 1] for v in sigma.values)
+    return WNode(op.restrict(sigma, node.label), children), hooked
 
 
 def _canonical_node_search(op: EffectiveOperad, node: WNode) -> WNode:
@@ -274,7 +295,14 @@ def _normal_w(op: EffectiveOperad, root: WNode) -> WPoint:
         if isinstance(only, int):
             return WPoint(op, 1)
         reduced = only.node
-    return WPoint(op, _canonical_node(op, reduced))
+    return _normal_point(op, *_canonical_node(op, reduced))
+
+
+def _normal_point(op: EffectiveOperad, root: WNode, hooked: bool = True) -> WPoint:
+    """The point on a normal tree, marked when `hooked`."""
+    point = WPoint(op, root)
+    object.__setattr__(point, "_hooked", hooked)
+    return point
 
 
 def wpoint(op: EffectiveOperad, root: Union[int, WNode]) -> WPoint:
@@ -287,7 +315,7 @@ def wpoint(op: EffectiveOperad, root: Union[int, WNode]) -> WPoint:
     word: list[int] = []
     _collect_leaves(root, word)
     if sorted(word) != list(range(1, len(word) + 1)):
-        raise DomainError(f"leaf numbers {word} are not a bijection onto 1..{len(word)}")
+        raise DomainError(f"leaf numbers {shown(word)} are not a bijection onto 1..{len(word)}")
     return _normal_w(op, root)
 
 
@@ -386,7 +414,7 @@ def normalize_random_order(rng, op: EffectiveOperad, root: Union[int, WNode]) ->
         root = _apply_step(op, root, rng.choice(steps))
         if isinstance(root, int):
             return 1
-    return _canonical_node(op, root)
+    return _canonical_node(op, root)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +444,8 @@ def w_compose(a: WPoint, i: int, b: WPoint) -> WPoint:
     if b.is_trivial:
         return a
     guest = _shift_leaves(b.root, lambda k: i + k - 1)
-    return _normal_w(a.operad, _graft(a.root, i, m, guest))
+    finish = _normal_point if a._hooked and b._hooked else _normal_w
+    return finish(a.operad, _graft(a.root, i, m, guest))
 
 
 def _graft(entry: Union[WEntry, WNode], i: int, m: int, guest: WNode):
@@ -447,6 +476,8 @@ def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
         return a
     op = a.operad
     renumber = {u(j): j for j in range(1, u.m + 1)}
+    if a._hooked and u.m == u.n:
+        return _normal_point(op, _shift_leaves(a.root, renumber.__getitem__))
     new_root = _restrict_node(op, a.root, renumber)
     assert new_root is not None
     return _normal_w(op, new_root)
@@ -480,27 +511,13 @@ def mu(a: WPoint):
     if a.is_trivial:
         return op.unit()
     value, word = _fold(op, a.root)
-    position_of = {number: p for p, number in enumerate(word, start=1)}
-    sigma = InjectiveMap(len(word), len(word), tuple(position_of[j] for j in range(1, len(word) + 1)))
+    sigma = InjectiveMap(len(word), len(word), word).inverse()
     return op.restrict(sigma, value)
 
 
 def _fold(op: EffectiveOperad, node: WNode) -> tuple[Hashable, tuple[int, ...]]:
     """The composite of a subtree's labels, with its leaves in slot order."""
-    value = node.label
-    parts: list[tuple[int, ...]] = []
-    for position in range(len(node.children), 0, -1):
-        child = node.children[position - 1]
-        if isinstance(child, WEdge):
-            sub_value, sub_word = _fold(op, child.node)
-            value = op.compose(value, position, sub_value)
-            parts.append(sub_word)
-        else:
-            parts.append((child,))
-    word: list[int] = []
-    for part in reversed(parts):
-        word.extend(part)
-    return value, tuple(word)
+    return fold_slots(node.label, node.children, op.compose, lambda edge: _fold(op, edge.node))
 
 
 # ---------------------------------------------------------------------------
@@ -527,35 +544,39 @@ def w_prime_decompose(a: WPoint) -> WDecomposition:
     op = a.operad
     if a.is_trivial:
         return WDecomposition((), Tree(Leaf(1)), 0)
+    # the pieces of a marked point are normal as cut
+    finish = partial(_normal_point if a._hooked else _normal_w, op)
     components: list[WPoint] = []
-    skeleton = Tree(_carve(op, a.root, components))
+    skeleton = Tree(_carve(finish, a.root, components))
     level = max(piece.arity for piece in components)
     return WDecomposition(tuple(components), skeleton, level)
 
 
-def _carve(op: EffectiveOperad, node: WNode, components: list) -> Vertex:
+def _carve(finish: Callable[[WNode], WPoint], node: WNode, components: list) -> Vertex:
     """The skeleton vertex of the piece at node, whose component is
-    components[index], reserved before the pieces above it are appended."""
+    components[index], reserved before the pieces above it are appended;
+    `finish` makes a piece's tree a point."""
     index = len(components)
     components.append(None)
     exits: list = []
     piece_root = WNode(node.label,
-                       tuple(_carve_entry(op, c, exits, components) for c in node.children))
-    components[index] = _normal_w(op, piece_root)
+                       tuple(_carve_entry(finish, c, exits, components) for c in node.children))
+    components[index] = finish(piece_root)
     return Vertex(tuple(exits))
 
 
-def _carve_entry(op: EffectiveOperad, entry: WEntry, exits: list, components: list) -> WEntry:
+def _carve_entry(finish: Callable[[WNode], WPoint], entry: WEntry, exits: list,
+                 components: list) -> WEntry:
     """Keep entry in the current piece, or cut it off as exit len(exits)."""
     if isinstance(entry, int):
         exits.append(Leaf(entry))
         return len(exits)
     if entry.length == 1:
-        exits.append(_carve(op, entry.node, components))
+        exits.append(_carve(finish, entry.node, components))
         return len(exits)
     return WEdge(entry.length, WNode(
         entry.node.label,
-        tuple(_carve_entry(op, c, exits, components) for c in entry.node.children)))
+        tuple(_carve_entry(finish, c, exits, components) for c in entry.node.children)))
 
 
 def reassemble(op: EffectiveOperad, dec: WDecomposition) -> WPoint:
@@ -563,8 +584,7 @@ def reassemble(op: EffectiveOperad, dec: WDecomposition) -> WPoint:
         return w_unit(op)
     index_of = {path: k for k, path in enumerate(dec.skeleton.vertex_ids())}
     value, word = _assemble(dec, index_of, ())
-    position_of = {number: p for p, number in enumerate(word, start=1)}
-    sigma = InjectiveMap(len(word), len(word), tuple(position_of[j] for j in range(1, len(word) + 1)))
+    sigma = InjectiveMap(len(word), len(word), word).inverse()
     return w_lambda(sigma, value)
 
 
@@ -574,20 +594,10 @@ def _assemble(dec: WDecomposition, index_of: dict,
     its leaves in slot order."""
     vertex = dec.skeleton.node_at(path)
     assert isinstance(vertex, Vertex)
-    value = dec.components[index_of[path]]
-    parts: list[tuple[int, ...]] = []
-    for position in range(len(vertex.children), 0, -1):
-        child = vertex.children[position - 1]
-        if isinstance(child, Leaf):
-            parts.append((child.number,))
-        else:
-            sub_value, sub_word = _assemble(dec, index_of, path + (position - 1,))
-            value = w_compose(value, position, sub_value)
-            parts.append(sub_word)
-    word: list[int] = []
-    for part in reversed(parts):
-        word.extend(part)
-    return value, tuple(word)
+    slots = tuple(child.number if isinstance(child, Leaf) else path + (position,)
+                  for position, child in enumerate(vertex.children))
+    return fold_slots(dec.components[index_of[path]], slots, w_compose,
+                      lambda above: _assemble(dec, index_of, above))
 
 
 def eval_truncated_operad_map(
@@ -656,8 +666,7 @@ def eval_truncated_operad_map(
     root = find(0)
     word = tuple(number for kind, number in exits[root])
     assert all(kind == "leaf" for kind, _ in exits[root])
-    position_of = {number: p for p, number in enumerate(word, start=1)}
-    sigma = InjectiveMap(len(word), len(word), tuple(position_of[j] for j in range(1, len(word) + 1)))
+    sigma = InjectiveMap(len(word), len(word), word).inverse()
     return target.restrict(sigma, values[root])
 
 
@@ -695,7 +704,7 @@ class WOperad(EffectiveOperad):
         return (self.name, x.root)
 
     def format_element(self, x: WPoint) -> str:
-        return w_text(x)
+        return x.text
 
     def parse_element(self, text: str) -> WPoint:
         from .serialize import parse_w_text

@@ -2,7 +2,8 @@
 
 Every operad with a `canonical_twist` hook must give, vertex by vertex,
 the normal form that trying all twists gives, byte for byte. Operads
-without the hook must still take the search.
+without the hook must still take the search. Height-tree vertices sort
+their children by text, checked against trying all twists there too.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import random
 import pytest
 
 import opcalc.wconstruction as wc
-from opcalc.bconstruction import _canonical_b, b_entry_text
+from opcalc.bconstruction import BNode, _canonical_b, _reduce_b, b_entry_text
 from opcalc.operads import (
     Associative,
     FormalOperad,
@@ -30,6 +31,7 @@ from opcalc.wconstruction import (
     _validate_raw,
     entry_text,
     w_corolla,
+    w_lambda,
     wpoint,
 )
 
@@ -72,10 +74,11 @@ def test_hooked_canonical_node_matches_the_search(name, k):
         # corollas reach arity k at the root; deeper trees mix smaller vertices
         depth = 0 if sample % 2 == 0 else rng.randint(1, 2)
         node = _validate_raw(op, random_raw_wnode(rng, op, k, depth))
-        fast = _canonical_node(op, node)
+        fast, hooked = _canonical_node(op, node)
         slow = _canonical_node_search(op, node)
         assert entry_text(op, fast) == entry_text(op, slow)
         assert fast == slow
+        assert hooked
 
 
 @pytest.mark.parametrize("k", [10, 11, 12, 13])
@@ -142,9 +145,10 @@ def test_resolution_labels_fall_back_to_the_search(monkeypatch):
     for n in (2, 3, 3, 4, 4):
         node = _validate_raw(op, random_raw_wnode(rng, op, n, depth=rng.randint(0, 1)))
         searched.clear()
-        fast = _canonical_node(op, node)
+        fast, hooked = _canonical_node(op, node)
         wide = sum(1 for v in _vertices(node) if len(v.children) > 1)
         assert len(searched) == wide
+        assert hooked == (wide == 0)
         assert entry_text(op, fast) == entry_text(op, _canonical_node_search(op, node))
 
 
@@ -165,3 +169,44 @@ def test_height_tree_texts_are_built_once_and_agree(name):
             continue
         canonical, text = _canonical_b(op, node)
         assert text == b_entry_text(op, canonical)
+
+
+def _canonical_b_search(op, node):
+    """Every vertex at its least twist by (children's texts, label text),
+    trying all k! twists: the oracle for the sort in `_canonical_b`."""
+    if isinstance(node, int):
+        return node, f"l{node}"
+    subs = [_canonical_b_search(op, child) for child in node.children]
+    k = len(subs)
+    best = None
+    for values in itertools.permutations(range(1, k + 1)):
+        label = w_lambda(InjectiveMap(k, k, values), node.label)
+        key = (tuple(subs[v - 1][1] for v in values), label.text)
+        if best is None or key < best[0]:
+            best = key, BNode(label, node.height, tuple(subs[v - 1][0] for v in values))
+    return best[1], b_entry_text(op, best[1])
+
+
+@pytest.mark.parametrize("name", sorted(HOOKED))
+def test_height_tree_sort_matches_the_search(name):
+    # children own disjoint leaves, so their texts never tie and sorting
+    # them leaves nothing for the label text to decide
+    op = HOOKED[name]
+    rng = random.Random(f"b-search-{name}")
+    for n in (1, 2, 3, 3, 4, 4, 5, 5):
+        node = _reduce_b(op, random_raw_bnode(rng, op, n, depth=rng.randint(0, 2)))
+        if isinstance(node, int):
+            continue
+        canonical, text = _canonical_b(op, node)
+        slow, slow_text = _canonical_b_search(op, node)
+        assert text == slow_text and canonical == slow
+        for vertex in _b_vertices(canonical):
+            texts = [b_entry_text(op, child) for child in vertex.children]
+            assert texts == sorted(set(texts))
+
+
+def _b_vertices(node):
+    yield node
+    for child in node.children:
+        if not isinstance(child, int):
+            yield from _b_vertices(child)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from opcalc.bconstruction import BNode, bpoint, mu_prime
-from opcalc.cli import Workspace, build_parser, cmd_check, main
+from opcalc.cli import MAX_SAMPLES, Workspace, build_parser, cmd_check, main
 from opcalc.mapping import lift_path, xi_eval
 from opcalc.operads import LittleIntervals
 from opcalc.serialize import parse_b_text, parse_w_text
@@ -187,6 +187,15 @@ def test_check_negative_samples_is_a_usage_error(capsys):
     assert "samples" in captured.err and "Traceback" not in captured.err
 
 
+def test_check_samples_above_the_cap_are_a_usage_error(capsys):
+    assert MAX_SAMPLES >= 200
+    code = main(["check", "w-confluence", "--samples", str(MAX_SAMPLES + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(MAX_SAMPLES) in captured.err and "Traceback" not in captured.err
+
+
 def test_check_failure_exits_one_with_a_witness(capsys):
     ws = Workspace()
     ws.operads["broken"] = SlotOneIntervals()
@@ -230,6 +239,39 @@ def test_other_number_spellings_exit_two(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+LONG = "3" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--kind", "w", f'(v "<[0/1,1/{LONG}] [1/2,1/1]>" l1 l2)'],
+    ["normalize", "--kind", "w", f'(v "{HALVES}" l1 (e 1/{LONG} (v "{THIRDS}" l2 l3)))'],
+    ["normalize", "--kind", "w", f'(v "{HALVES}" l1 l{LONG})'],
+    ["normalize", "--kind", "w", f'(v "{HALVES}" l1 x{LONG})'],
+    ["normalize", "--kind", "w", f'(v "<[0/1,{LONG}/1]>" l1)'],
+    ["normalize", "--kind", "b", f'(v :h=1/{LONG} "l1" l1)'],
+    ["normalize", "--operad", "assoc", "--kind", "w", f'(v "word(1 {LONG})" l1 l2)'],
+    ["compose", "--kind", "base", "-i", "1", f"<[0/1,1/{LONG}]>", HALVES],
+    ["lift", "--t", f"1/{LONG}x", "l1"],
+])
+def test_errors_do_not_echo_long_input(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert len(captured.err) < 300
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts integers of any length")
+def test_json_integer_past_the_digit_limit_gets_its_own_message(capsys):
+    digits = DIGIT_LIMIT + 1
+    record = '{"kind": "w", "operad": "intervals", "root": {"leaf": ' + "1" * digits + "}}"
+    assert main(["normalize", "--kind", "w", record]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: integer of {digits} digits, more than int() converts\n"
 
 
 def test_missing_required_flag_exits_two():

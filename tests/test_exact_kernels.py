@@ -2,11 +2,11 @@
 LittleDiscs.validate against the Fraction-arithmetic checks they replace.
 
 The oracles below are those checks as they were, kept here as the slow
-reference. Over seeded corpora (exact tangencies, shared endpoints, misses
-by one grid step, large coprime denominators, malformed entries in any
-position) both must accept the same elements and reject the others with
-the same DomainError text, so the order in which the checks fire is
-compared too.
+reference; their messages cut echoed values with `shown`, as the library's
+do. Over seeded corpora (exact tangencies, shared endpoints, misses by one
+grid step, large coprime denominators, malformed entries in any position)
+both must accept the same elements and reject the others with the same
+DomainError text, so the order in which the checks fire is compared too.
 """
 
 import itertools
@@ -24,6 +24,7 @@ from opcalc.operads import (
     format_fraction,
     framed_intervals,
 )
+from opcalc.trees import shown
 
 # ------------------------------------------------------------------ oracles
 
@@ -38,15 +39,15 @@ def _norm2(c):
 
 def oracle_intervals_validate(x) -> None:
     if not isinstance(x, tuple) or not x:
-        raise DomainError(f"expected a nonempty tuple of intervals, got {x!r}")
+        raise DomainError(f"expected a nonempty tuple of intervals, got {shown(x)}")
     for pair in x:
         if not (isinstance(pair, tuple) and len(pair) == 2):
-            raise DomainError(f"bad interval {pair!r}")
+            raise DomainError(f"bad interval {shown(pair)}")
         a, b = pair
         if not (isinstance(a, Fr) and isinstance(b, Fr)):
-            raise DomainError(f"interval endpoints must be Fractions, got {pair!r}")
+            raise DomainError(f"interval endpoints must be Fractions, got {shown(pair)}")
         if not (0 <= a < b <= 1):
-            raise DomainError(f"interval {pair!r} not inside [0,1]")
+            raise DomainError(f"interval {shown(pair)} not inside [0,1]")
     by_left = sorted(x)
     for (a0, b0), (a1, b1) in zip(by_left, by_left[1:]):
         if b0 > a1:
@@ -55,19 +56,19 @@ def oracle_intervals_validate(x) -> None:
 
 def oracle_discs_validate(dim: int, x) -> None:
     if not isinstance(x, tuple) or not x:
-        raise DomainError(f"expected a nonempty tuple of balls, got {x!r}")
+        raise DomainError(f"expected a nonempty tuple of balls, got {shown(x)}")
     for ball in x:
         if not (isinstance(ball, tuple) and len(ball) == 2):
-            raise DomainError(f"bad ball {ball!r}")
+            raise DomainError(f"bad ball {shown(ball)}")
         c, r = ball
         if not (isinstance(c, tuple) and len(c) == dim
                 and all(isinstance(t, Fr) for t in c)
                 and isinstance(r, Fr)):
-            raise DomainError(f"bad ball {ball!r}")
+            raise DomainError(f"bad ball {shown(ball)}")
         if r <= 0:
             raise DomainError(f"radius must be positive, got {r}")
         if _norm2(c) > (1 - r) * (1 - r):
-            raise DomainError(f"ball {ball!r} leaves the unit ball")
+            raise DomainError(f"ball {shown(ball)} leaves the unit ball")
     for (c0, r0), (c1, r1) in itertools.combinations(x, 2):
         if _norm2(_vsub(c0, c1)) < (r0 + r1) * (r0 + r1):
             raise DomainError(f"balls {(c0, r0)} and {(c1, r1)} overlap")

@@ -1,10 +1,12 @@
-"""Fuzz tests for the base operads' boundaries: whatever text or value comes
-in, the only error is DomainError, and formatted elements parse back.
+"""Fuzz tests for the base operads' boundaries and the JSON decoders:
+whatever text, value or JSON comes in, the only error is DomainError, and
+formatted elements and encoded points read back.
 
 Every test is derandomized with a small example budget, so each run checks
 the same inputs and the suite stays deterministic.
 """
 
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -25,7 +27,15 @@ from opcalc.operads import (
     parse_fraction,
 )
 from opcalc.sampling import random_bpoint, random_wpoint
-from opcalc.serialize import parse_b_text, parse_w_text
+from opcalc.serialize import (
+    b_from_jsonable,
+    b_to_jsonable,
+    parse_b_text,
+    parse_w_text,
+    w_from_jsonable,
+    w_to_jsonable,
+)
+from opcalc.swisscheese import sample_sc1, sc_from_jsonable, sc_to_jsonable
 from opcalc.wconstruction import w_text
 
 OPERADS = {"d1": LittleIntervals(), "d2": LittleDiscs(2), "assoc": Associative(),
@@ -185,3 +195,68 @@ def test_respelled_numbers_are_rejected(seed, n, pick, how):
         respelled = text[:run.start()] + RESPELL[how](run.group()) + text[run.end():]
         with pytest.raises(DomainError):
             parse(respelled)
+
+
+# ------------------------------------------------------------ JSON records
+
+# the decoders' own field names and values, so that generated records get
+# past the first schema check, mixed with arbitrary JSON
+FIELDS = ("kind", "operad", "root", "leaf", "label", "children", "length", "node",
+          "height", "color", "intervals")
+json_atoms = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10 ** 6), st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.sampled_from(("w", "b", "sc1", "intervals", "c", "o", "0/1", "1/2", "1/1", "3/2",
+                     "1/0", "l1", "<[0/1,1/2]>", "<[0/1,1/2] [1/2,1/1]>")))
+json_values = st.recursive(
+    json_atoms,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.one_of(st.sampled_from(FIELDS), st.text(max_size=2)),
+                                            inner, max_size=4)),
+    max_leaves=24)
+records = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"kind": st.sampled_from(("w", "b", "sc1")),
+                           "operad": st.just("intervals"), "root": json_values,
+                           "color": json_values, "intervals": json_values}))
+DECODERS = {"w": lambda data: w_from_jsonable(OPERADS["d1"], data),
+            "b": lambda data: b_from_jsonable(OPERADS["d1"], data),
+            "sc1": sc_from_jsonable}
+
+
+@pytest.mark.parametrize("kind", sorted(DECODERS))
+@FUZZ
+@given(data=records)
+def test_json_decoders_raise_only_domain_error(kind, data):
+    try:
+        DECODERS[kind](data)
+    except DomainError:
+        pass
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "sc1", "intervals": [["0/1", "1/2"]]},
+    {"kind": "sc1", "color": "c", "intervals": 5},
+    {"kind": "sc1", "color": "c", "intervals": [["0/1"]]},
+    {"kind": "sc1", "color": "c", "intervals": [["0/1", "1/2", "1/1"]]},
+    {"kind": "sc1", "color": 5, "intervals": [["0/1", "1/2"]]},
+    {"kind": "sc1", "color": "c", "intervals": [[0, 1]]},
+    ["sc1"],
+])
+def test_configuration_records_check_their_schema(data):
+    with pytest.raises(DomainError):
+        sc_from_jsonable(data)
+
+
+@pytest.mark.parametrize("name", sorted(OPERADS))
+@settings(FUZZ, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 5))
+def test_json_round_trips(name, seed, n):
+    op = OPERADS[name]
+    rng = random.Random(seed)
+    a, b = random_wpoint(rng, op, n), random_bpoint(rng, op, n)
+    assert w_from_jsonable(op, json.loads(json.dumps(w_to_jsonable(a)))) == a
+    assert b_from_jsonable(op, json.loads(json.dumps(b_to_jsonable(b)))) == b
+    for color in "co":
+        c = sample_sc1(rng, n, color)
+        assert sc_from_jsonable(json.loads(json.dumps(sc_to_jsonable(c)))) == c

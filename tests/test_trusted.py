@@ -8,6 +8,7 @@ every result must pass the validating oracle (`WOperad.validate`,
 boundary must still refuse what it refused before.
 """
 
+import dataclasses
 import io
 import json
 import random
@@ -15,12 +16,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import opcalc.wconstruction as wc
 from opcalc.bconstruction import (
     BBimodule,
     BNode,
     BPoint,
     SlicePiece,
     b_corolla,
+    b_entry_text,
     b_lambda,
     b_left_act,
     b_right_act,
@@ -29,8 +32,17 @@ from opcalc.bconstruction import (
     slice_point,
 )
 from opcalc.cli import main
-from opcalc.operads import Associative, LittleDiscs, LittleIntervals, framed_intervals
-from opcalc.sampling import random_bpoint, random_injection, random_wpoint
+from opcalc.operads import (
+    Associative,
+    FormalOperad,
+    FramedElement,
+    FramedOperad,
+    LittleDiscs,
+    LittleIntervals,
+    framed_intervals,
+    z2,
+)
+from opcalc.sampling import random_bpoint, random_injection, random_permutation, random_wpoint
 from opcalc.serialize import parse_b_text, parse_w_text, w_from_jsonable
 from opcalc.trees import MAX_DEPTH, DomainError, InjectiveMap
 from opcalc.wconstruction import (
@@ -38,6 +50,8 @@ from opcalc.wconstruction import (
     WNode,
     WOperad,
     WPoint,
+    _normal_w,
+    entry_text,
     reassemble,
     w_compose,
     w_lambda,
@@ -124,6 +138,150 @@ def test_b_structure_maps_return_valid_points(name):
         for trivial_chains in (True, False):
             for point in _slice_points(slice_point(b, cuts, trivial_chains)):
                 bop.validate(point)
+
+
+# ------------------------------------------- marked points skip _normal_w
+
+def _labels(entry):
+    if not isinstance(entry, int):
+        yield entry.label
+        for child in entry.children:
+            yield from _labels(child)
+
+
+def _fresh(entry):
+    """The tree with new copies of its labels, which hold no cached text."""
+    if isinstance(entry, int):
+        return entry
+    return BNode(WPoint(entry.label.operad, entry.label.root), entry.height,
+                 tuple(_fresh(child) for child in entry.children))
+
+
+def _check_trusted(op, point):
+    """point is what _normal_w makes of its own tree, passes the validating
+    oracle, and its cached text is the text computed afresh."""
+    if not point.is_trivial:
+        assert _normal_w(op, point.root) == point
+    WOperad(op).validate(point)
+    assert point.text == entry_text(op, point.root)
+
+
+@pytest.mark.parametrize("name", sorted(OPERADS))
+def test_fast_paths_equal_the_normalizer(name):
+    op = OPERADS[name]
+    for rng, a in _corpus(op, 51, 30, 5):
+        b = random_wpoint(rng, op, rng.randint(1, 3))
+        assert a._hooked or a.is_trivial
+        c = w_compose(a, rng.randint(1, a.arity), b)
+        _check_trusted(op, c)
+        assert c._hooked or c.is_trivial
+        twisted = w_lambda(random_permutation(rng, a.arity), a)
+        _check_trusted(op, twisted)
+        for piece in w_prime_decompose(a).components:
+            _check_trusted(op, piece)
+            assert piece._hooked
+
+
+@pytest.mark.parametrize("name", sorted(OPERADS))
+def test_height_tree_labels_and_texts_equal_the_normalizer(name):
+    # _canonical_b relabels each vertex label along the sorting
+    # permutation of its children, through bijective w_lambda
+    op = OPERADS[name]
+    rng = random.Random(52)
+    for _ in range(30):
+        b = random_bpoint(rng, op, rng.randint(1, 5))
+        for point in (b, b_right_act(b, 1, random_wpoint(rng, op, rng.randint(1, 3)))):
+            BBimodule(op).validate(point)
+            for label in _labels(point.root):
+                _check_trusted(op, label)
+            assert point.text == b_entry_text(op, _fresh(point.root))
+
+
+def test_bpoint_renormalizes_an_unmarked_label():
+    # a hand-built label in the wrong twist is not trusted: bpoint turns
+    # it into the normal label
+    normal = _cup()
+    swapped = WPoint(D1, WNode(normal.root.label[::-1], (2, 1)))
+    assert not swapped._hooked and swapped != normal
+    point = bpoint(D1, _b_cup(swapped))
+    assert point == bpoint(D1, _b_cup(normal))
+    assert point.root.label == normal
+
+
+def _spy_normalizer(monkeypatch):
+    calls = []
+    normal_w = wc._normal_w
+
+    def spy(op, root):
+        calls.append(op)
+        return normal_w(op, root)
+
+    monkeypatch.setattr(wc, "_normal_w", spy)
+    return calls
+
+
+def _framed_formal():
+    base = FormalOperad()
+    op = FramedOperad(base, z2(), lambda g, x: x)
+
+    def vertex(name, *children):
+        atom = FramedElement(base.atom(name, len(children)), ("e",) * len(children))
+        return WNode(atom, children)
+
+    a = wpoint(op, vertex("p", WEdge(F(1, 2), vertex("q", 1, 2)), WEdge(F(1), vertex("r", 3, 4))))
+    return op, a, wpoint(op, vertex("s", 2, 1))
+
+
+def _resolution_points():
+    op = WOperad(D1)
+    rng = random.Random(53)
+    return op, random_wpoint(rng, op, 3), random_wpoint(rng, op, 2)
+
+
+@pytest.mark.parametrize("make", [_framed_formal, _resolution_points])
+def test_points_without_the_shortcut_go_through_the_normalizer(make, monkeypatch):
+    op, a, b = make()
+    assert any(len(v.children) > 1 for v in _wnodes(a.root))
+    assert not a._hooked
+    calls = _spy_normalizer(monkeypatch)
+    searched = []
+    search = wc._least_twist
+    monkeypatch.setattr(wc, "_least_twist",
+                        lambda *args: searched.append(1) or search(*args))
+    reverse = InjectiveMap(a.arity, a.arity, tuple(range(a.arity, 0, -1)))
+    c = w_compose(a, 1, b)
+    assert calls == [op] and searched
+    twisted = w_lambda(reverse, a)
+    assert calls == [op] * 2
+    pieces = w_prime_decompose(a).components
+    assert calls == [op] * (2 + len(pieces))
+    for point in (c, twisted, *pieces):
+        assert not point._hooked or all(len(v.children) == 1 for v in _wnodes(point.root))
+        WOperad(op).validate(point)
+
+
+def test_marked_points_skip_the_normalizer(monkeypatch):
+    rng = random.Random(54)
+    a, b = random_wpoint(rng, D1, 4), random_wpoint(rng, D1, 3)
+    calls = _spy_normalizer(monkeypatch)
+    w_compose(a, 2, b)
+    w_lambda(random_permutation(rng, 4), a)
+    w_prime_decompose(a)
+    assert calls == []
+    w_lambda(InjectiveMap(2, 4, (1, 3)), a)
+    assert calls == [D1]
+
+
+def test_replace_drops_the_mark():
+    a = _cup()
+    assert a._hooked and not dataclasses.replace(a)._hooked
+
+
+def _wnodes(node):
+    yield node
+    for child in node.children:
+        if isinstance(child, WEdge):
+            yield from _wnodes(child.node)
 
 
 # --------------------------------------------------- the boundary still checks
