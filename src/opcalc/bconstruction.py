@@ -37,13 +37,13 @@ arguments are points. A point keeps the text `_canonical_b` built for it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Optional, Union
 
 from .operads import EffectiveOperad, format_fraction
-from .trees import MAX_DEPTH, DomainError, InjectiveMap, fold_slots, require, shown
+from .trees import (MAX_DEPTH, DomainError, InjectiveMap, Record, fold_slots, require, set_field,
+                    shown)
 from .wconstruction import (
     WOperad,
     WPoint,
@@ -54,18 +54,21 @@ from .wconstruction import (
 )
 
 
-@dataclass(frozen=True)
-class BNode:
+class BNode(Record):
     label: WPoint
     height: Fraction
     children: tuple["BEntry", ...]
+
+    def __init__(self, label: WPoint, height: Fraction, children: tuple["BEntry", ...]) -> None:
+        set_field(self, "label", label)
+        set_field(self, "height", height)
+        set_field(self, "children", children)
 
 
 BEntry = Union[int, BNode]
 
 
-@dataclass(frozen=True)
-class BPoint:
+class BPoint(Record):
     """A normal-form point. Build these with bpoint / b_unit / b_corolla.
 
     Normal by construction, labels included: every function here that
@@ -75,6 +78,10 @@ class BPoint:
 
     operad: EffectiveOperad
     root: Union[int, BNode]
+
+    def __init__(self, operad: EffectiveOperad, root: Union[int, BNode]) -> None:
+        set_field(self, "operad", operad)
+        set_field(self, "root", root)
 
     @cached_property
     def text(self) -> str:
@@ -88,7 +95,7 @@ class BPoint:
     def arity(self) -> int:
         return len(self.leaf_word)
 
-    @property
+    @cached_property
     def leaf_word(self) -> tuple[int, ...]:
         out: list[int] = []
         _collect_b_leaves(self.root, out)
@@ -455,8 +462,7 @@ def layer_of(height: Fraction, cuts: tuple[Cut, ...]) -> int:
     return layer
 
 
-@dataclass(frozen=True)
-class SlicePiece:
+class SlicePiece(Record):
     """One layer-homogeneous piece of a sliced point.
 
     exits has one entry per input of the piece: the original external leaf
@@ -527,8 +533,7 @@ def _slice_entry(op: EffectiveOperad, entry: BEntry, layer: int, cuts: tuple[Cut
 # two-sided prime decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BDecomposition:
+class BDecomposition(Record):
     """The canonical two-sided splitting of a point.
 
     root_label is the label of the height-0 vertex when there is one.

@@ -415,13 +415,22 @@ def cmd_dot(ws: Workspace, args) -> int:
 
 # -------------------------------------------------------------------- parsing
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone. Its texts are the
+    full parser's wherever it can print them: the usage line lists every
+    command, and a command's own help and errors read the same."""
     parser = argparse.ArgumentParser(
         prog="opcalc",
         description="Exact calculus on decorated-tree resolutions of operads.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(HANDLERS) + "}")
 
-    def common(p, point=True, kind=None):
+    def add(name, summary, point=True, kind=None):
+        """The subparser of name with the common options, or None."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--operad", default="d1",
                        help="workspace operad name (default d1)")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -430,56 +439,47 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kind", choices=kind, default=kind[0])
         if point:
             p.add_argument("point", help="point text, JSON, or - for stdin")
+        return p
 
-    p = sub.add_parser("normalize", help="parse and print the canonical form")
-    common(p, kind=("w", "b"))
+    add("normalize", "parse and print the canonical form", kind=("w", "b"))
 
-    p = sub.add_parser("compose", help="operadic composition at a slot")
-    common(p, point=False, kind=("w", "base"))
-    p.add_argument("-i", "--slot", type=int, required=True)
-    p.add_argument("left")
-    p.add_argument("right")
+    if p := add("compose", "operadic composition at a slot", point=False, kind=("w", "base")):
+        p.add_argument("-i", "--slot", type=int, required=True)
+        p.add_argument("left")
+        p.add_argument("right")
 
-    p = sub.add_parser("mu", help="compose a resolution point down a level")
-    common(p, kind=("w", "b"))
-    p.add_argument("--truncate", type=int, default=None,
-                   help="evaluate through the level-k truncation")
+    if p := add("mu", "compose a resolution point down a level", kind=("w", "b")):
+        p.add_argument("--truncate", type=int, default=None,
+                       help="evaluate through the level-k truncation")
 
-    p = sub.add_parser("decompose", help="split into prime components")
-    common(p, kind=("w", "b"))
+    add("decompose", "split into prime components", kind=("w", "b"))
 
-    p = sub.add_parser("eval-xi", help="evaluate a height tree through a loop")
-    common(p)
-    p.add_argument("--path", default="loop-a", help=f"one of {', '.join(PATH_NAMES)}")
+    if p := add("eval-xi", "evaluate a height tree through a loop"):
+        p.add_argument("--path", default="loop-a", help=f"one of {', '.join(PATH_NAMES)}")
 
-    p = sub.add_parser("eval-psi", help="evaluate a height tree at a tag's sweep")
-    common(p)
-    p.add_argument("--x", default="a", help="tag (default a)")
-    p.add_argument("--truncate", type=int, default=None)
+    if p := add("eval-psi", "evaluate a height tree at a tag's sweep"):
+        p.add_argument("--x", default="a", help="tag (default a)")
+        p.add_argument("--truncate", type=int, default=None)
 
-    p = sub.add_parser("lift", help="evaluate the lifted path at a time")
-    common(p)
-    p.add_argument("--x", default="a", help="starting tag (default a)")
-    p.add_argument("--to", default=None, help="tag switched to along the way")
-    p.add_argument("--switch", default="1/2", help="switch time (default 1/2)")
-    p.add_argument("--t", required=True, help="evaluation time, a fraction")
+    if p := add("lift", "evaluate the lifted path at a time"):
+        p.add_argument("--x", default="a", help="starting tag (default a)")
+        p.add_argument("--to", default=None, help="tag switched to along the way")
+        p.add_argument("--switch", default="1/2", help="switch time (default 1/2)")
+        p.add_argument("--t", required=True, help="evaluation time, a fraction")
 
-    p = sub.add_parser("alpha", help="act by an open interval configuration")
-    common(p)
-    p.add_argument("--config", required=True, help='e.g. "o<[1/8,3/8] [5/8,1/1]>"')
-    p.add_argument("--x", default="a", help="tag for the open disc (default a)")
-    p.add_argument("--loops", default=None,
-                   help="comma-separated loop names for the closed discs")
+    if p := add("alpha", "act by an open interval configuration"):
+        p.add_argument("--config", required=True, help='e.g. "o<[1/8,3/8] [5/8,1/1]>"')
+        p.add_argument("--x", default="a", help="tag for the open disc (default a)")
+        p.add_argument("--loops", default=None,
+                       help="comma-separated loop names for the closed discs")
 
-    p = sub.add_parser("check", help="run a named randomized law suite")
-    common(p, point=False)
-    p.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--x", default="a")
-    p.add_argument("--path", default="loop-a")
+    if p := add("check", "run a named randomized law suite", point=False):
+        p.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--x", default="a")
+        p.add_argument("--path", default="loop-a")
 
-    p = sub.add_parser("dot", help="render a point as DOT")
-    common(p, kind=("w", "b"))
+    add("dot", "render a point as DOT", kind=("w", "b"))
 
     return parser
 
@@ -499,7 +499,10 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser only for help, a missing command or an unknown one
+    command = argv[0] if argv and argv[0] in HANDLERS else None
+    args = build_parser(command).parse_args(argv)
     ws = Workspace()
     try:
         return HANDLERS[args.command](ws, args)

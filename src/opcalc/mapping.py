@@ -11,7 +11,6 @@ entries carry a serialized witness for each failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -23,7 +22,7 @@ from .bconstruction import (
 )
 from .operads import EffectiveOperad, LittleDiscs, LittleIntervals, PointedSet, format_fraction
 from .sampling import random_fraction, random_injection
-from .trees import DomainError, InjectiveMap, fold_slots, shown
+from .trees import DomainError, InjectiveMap, Record, fold_slots, shown
 from .wconstruction import WOperad, WPoint, mu
 
 
@@ -125,8 +124,7 @@ def eta_mu_map(d1: LittleIntervals, d2: LittleDiscs) -> OperadMap:
 # paths of operad maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(Record):
     t0: Fraction
     t1: Fraction
     fn: Callable   # (element, local time in [0,1]) -> target element
@@ -289,8 +287,7 @@ def delta_family(d1: LittleIntervals, d2: LittleDiscs, space: PointedSet,
     return PointedMapFamily(space, maps, base, rotations=rotations)
 
 
-@dataclass(frozen=True)
-class HofiberPoint:
+class HofiberPoint(Record):
     """A tag together with a path from the untwisted inclusion to its map."""
     x: object
     g: PathOfMaps
@@ -374,8 +371,7 @@ def sample_xpath(rng, space: PointedSet, start) -> XPath:
 # tagged-target bimodules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QXElem:
+class QXElem(Record):
     """A target element with one tag per input."""
     q: object
     tags: tuple
@@ -486,15 +482,13 @@ class QXProductBimodule(Bimodule):
 # law checking with reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     check: str
     passed: bool
     witness: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     name: str
     seed: int
     samples: int

@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
-from .trees import DomainError, InjectiveMap, shown
+from .trees import DomainError, InjectiveMap, Record, shown
 
 
 def format_fraction(q: Fraction | int) -> str:
@@ -52,10 +51,9 @@ def parse_int(text: str, signed: bool = True) -> int:
 
 def parse_fraction(text: str) -> Fraction:
     """p/q with p matching `-?[0-9]+` and q matching `[0-9]+`, q nonzero;
-    p/q need not be reduced. Whitespace around the whole text is ignored."""
+    p/q need not be reduced. No whitespace, not even around the whole text."""
     if not isinstance(text, str):
         raise DomainError(f"expected a p/q string, got {shown(text)}")
-    text = text.strip()
     if "/" not in text:
         raise DomainError(f"expected p/q, got {shown(text)}")
     num, _, den = text.partition("/")
@@ -565,8 +563,7 @@ def z2_interval_action(g, x):
     return x if g == "e" else reflect_intervals(x)
 
 
-@dataclass(frozen=True)
-class FramedElement:
+class FramedElement(Record):
     point: Hashable
     frames: tuple
 
@@ -659,16 +656,14 @@ def framed_intervals() -> FramedOperad:
 # A free recording operad on named atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FLeaf:
+class FLeaf(Record):
     number: int
 
     def __repr__(self) -> str:
         return f"FLeaf({self.number})"
 
 
-@dataclass(frozen=True)
-class FNode:
+class FNode(Record):
     name: str
     payload: Hashable
     children: tuple
@@ -910,8 +905,7 @@ def _positional(e: FExpr, target: EffectiveOperad,
 # Finite pointed sets, power sequences, matching families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointedSet:
+class PointedSet(Record):
     name: str
     elements: tuple
     basepoint: Hashable
@@ -947,8 +941,7 @@ def proper_face_maps(n: int) -> list[InjectiveMap]:
     return out
 
 
-@dataclass(frozen=True)
-class MatchingFamily:
+class MatchingFamily(Record):
     """A compatible choice of an element below every proper face of level n.
 
     Keys are the value tuples of proper order-preserving injections into

@@ -11,18 +11,16 @@ everything back together in the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .bconstruction import BPoint, b_map_heights, mu_prime, slice_point
 from .mapping import OperadMap, PathOfMaps, PathSegment, QXElem
 from .operads import format_fraction, parse_fraction
-from .trees import DomainError, InjectiveMap, shown
+from .trees import DomainError, InjectiveMap, Record, shown
 
 
-@dataclass(frozen=True)
-class SC1Element:
+class SC1Element(Record):
     """A sorted configuration of subintervals of [0,1].
 
     Closed colour: the intervals are the n closed-input discs. Open
@@ -130,15 +128,13 @@ def _cuts(c: SC1Element):
     return tuple(cuts)
 
 
-@dataclass(frozen=True)
-class Subpoint:
+class Subpoint(Record):
     region: tuple[str, int]
     body: BPoint
     position: int
 
 
-@dataclass(frozen=True)
-class SubpointTable:
+class SubpointTable(Record):
     discs: tuple[tuple[Subpoint, ...], ...]
     gaps: tuple[tuple[Subpoint, ...], ...]
 

@@ -10,13 +10,16 @@ because every symmetric or cosimplicial structure downstream is phrased in
 terms of them: restriction of labels, block substitution of slots, and the
 two standard factorizations (permutation followed by an order-preserving
 map, and inclusion followed by a permutation).
+
+Every immutable value is a `Record`: a frozen dataclass in behaviour, without
+the `dataclasses` and `inspect` imports and the `exec` per class it would cost.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Union
 
 
@@ -63,14 +66,63 @@ def fold_slots(value, children, compose: Callable, fold_child: Callable):
     return value, tuple(number for part in reversed(parts) for number in part)
 
 
+set_field = object.__setattr__   # how a record's own __init__ sets its fields
+
+
+class Record:
+    """A frozen dataclass in behaviour. The fields are the bases' fields, then
+    the class's own annotated names, with class attributes as defaults; the
+    hash is the field tuple's, equality needs the same class, and a `__dict__`
+    holds `cached_property` values. Classes built in bulk write `__init__`."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a class's own annotations, never its bases' (Python 3.10 on)
+        own = tuple(name for name in cls.__annotations__ if name not in cls._fields)
+        cls._fields = fields = cls._fields + own
+        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        get = attrgetter(*fields)   # a tuple for two fields or more
+        cls._key = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        given = dict(zip(self._fields, args), **kwargs)
+        values = {**self._defaults, **given}
+        if len(given) < len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(self._fields)}")
+        for field in self._fields:
+            set_field(self, field, values[field])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """The checks a subclass runs once its fields are set."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign or delete the field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def require(value, kind: type, what: str) -> None:
     """DomainError unless value is an instance of kind."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise DomainError(f"{what} must be a {kind.__name__}, got a {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     number: int
 
     def __post_init__(self) -> None:
@@ -81,8 +133,7 @@ class Leaf:
         return f"Leaf({self.number})"
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     children: tuple["Node", ...]
 
     def __post_init__(self) -> None:
@@ -112,8 +163,7 @@ def _collect_leaf_numbers(node: Node, out: list[int]) -> None:
             _collect_leaf_numbers(child, out)
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(Record):
     """A planar rooted tree whose n leaves are numbered bijectively by 1..n."""
 
     root: Node
@@ -202,8 +252,7 @@ def graft(host: Tree, i: int, guest: Tree) -> Tree:
     return Tree(map_leaves(host.root, place))
 
 
-@dataclass(frozen=True)
-class DeletionEntry:
+class DeletionEntry(Record):
     """What happened at one surviving vertex during a leaf deletion.
 
     kept_slots lists the 1-based child positions that still have a
@@ -214,8 +263,7 @@ class DeletionEntry:
     original_arity: int
 
 
-@dataclass(frozen=True)
-class DeletionLedger:
+class DeletionLedger(Record):
     kept: Mapping[VertexId, DeletionEntry]
     removed: frozenset[VertexId]
 
@@ -261,13 +309,18 @@ def delete_leaves(t: Tree, u: "InjectiveMap") -> tuple[Tree, DeletionLedger]:
     return Tree(new_root), DeletionLedger(kept, frozenset(removed))
 
 
-@dataclass(frozen=True)
-class InjectiveMap:
+class InjectiveMap(Record):
     """An injection u: {1..m} -> {1..n}, stored by its tuple of values."""
 
     m: int
     n: int
     values: tuple[int, ...]
+
+    def __init__(self, m: int, n: int, values: tuple[int, ...]) -> None:
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < 0 or len(self.values) != self.m:

@@ -48,33 +48,37 @@ is the check for a point of unknown origin.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Hashable, Optional, Union
 
 from .operads import EffectiveOperad, format_fraction
-from .trees import (DomainError, InjectiveMap, Leaf, Tree, Vertex, check_depth, fold_slots,
-                    require, shown)
+from .trees import (DomainError, InjectiveMap, Leaf, Record, Tree, Vertex, check_depth,
+                    fold_slots, require, set_field, shown)
 
 
-@dataclass(frozen=True)
-class WNode:
+class WNode(Record):
     label: Hashable
     children: tuple["WEntry", ...]
 
+    def __init__(self, label: Hashable, children: tuple["WEntry", ...]) -> None:
+        set_field(self, "label", label)
+        set_field(self, "children", children)
 
-@dataclass(frozen=True)
-class WEdge:
+
+class WEdge(Record):
     length: Fraction
     node: WNode
+
+    def __init__(self, length: Fraction, node: WNode) -> None:
+        set_field(self, "length", length)
+        set_field(self, "node", node)
 
 
 WEntry = Union[int, WEdge]   # a bare leaf number, or an inner edge
 
 
-@dataclass(frozen=True)
-class WPoint:
+class WPoint(Record):
     """A normal-form point. Build these with wpoint / w_unit / w_corolla.
 
     Normal by construction: every function here that returns one has
@@ -84,7 +88,11 @@ class WPoint:
 
     operad: EffectiveOperad
     root: Union[int, WNode]
-    _hooked: bool = field(default=False, init=False, compare=False, repr=False)
+    _hooked = False   # not a field: outside __init__, equality, hash and repr
+
+    def __init__(self, operad: EffectiveOperad, root: Union[int, WNode]) -> None:
+        set_field(self, "operad", operad)
+        set_field(self, "root", root)
 
     @cached_property
     def text(self) -> str:
@@ -98,7 +106,7 @@ class WPoint:
     def arity(self) -> int:
         return len(self.leaf_word)
 
-    @property
+    @cached_property
     def leaf_word(self) -> tuple[int, ...]:
         out: list[int] = []
         _collect_leaves(self.root, out)
@@ -301,7 +309,7 @@ def _normal_w(op: EffectiveOperad, root: WNode) -> WPoint:
 def _normal_point(op: EffectiveOperad, root: WNode, hooked: bool = True) -> WPoint:
     """The point on a normal tree, marked when `hooked`."""
     point = WPoint(op, root)
-    object.__setattr__(point, "_hooked", hooked)
+    set_field(point, "_hooked", hooked)
     return point
 
 
@@ -524,8 +532,7 @@ def _fold(op: EffectiveOperad, node: WNode) -> tuple[Hashable, tuple[int, ...]]:
 # prime decomposition along length-1 edges
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WDecomposition:
+class WDecomposition(Record):
     """Components obtained by cutting every inner edge of length 1.
 
     components are listed in depth-first preorder of the skeleton's

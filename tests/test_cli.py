@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from opcalc.bconstruction import BNode, bpoint, mu_prime
-from opcalc.cli import MAX_SAMPLES, Workspace, build_parser, cmd_check, main
+import opcalc.cli as cli
+from opcalc.cli import HANDLERS, MAX_SAMPLES, Workspace, build_parser, cmd_check, main
 from opcalc.mapping import lift_path, xi_eval
 from opcalc.operads import LittleIntervals
 from opcalc.serialize import parse_b_text, parse_w_text
@@ -274,6 +275,24 @@ def test_json_integer_past_the_digit_limit_gets_its_own_message(capsys):
     assert captured.err == f"error: integer of {digits} digits, more than int() converts\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lift", "--t", " 1/2 ", "l1"],
+    ["lift", "--t", "1/2\t", "l1"],
+    ["lift", "--to", "b", "--switch", " 1/2", "--t", "1/2", "l1"],
+    ["normalize", "--kind", "w", json.dumps(
+        {"kind": "w", "operad": "intervals", "root": {"label": HALVES, "children": [
+            {"leaf": 1}, {"length": "1/2 ", "node": {"label": "<[0/1,1/1]>",
+                                                    "children": [{"leaf": 2}]}}]}})],
+    ["normalize", "--kind", "b", json.dumps(
+        {"kind": "b", "operad": "intervals", "root": {"height": " 1/2", "children": [{"leaf": 1}],
+         "label": {"kind": "w", "operad": "intervals", "root": {"leaf": 1}}}})],
+])
+def test_fractions_with_whitespace_exit_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: bad fraction")
+
+
 def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(["lift", B_CUP])
@@ -349,3 +368,59 @@ def test_malformed_json_records_exit_two_without_a_traceback():
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
+
+
+# ------------------------------------------------- one subparser per process
+
+def _parse(parser, argv, capsys):
+    """The exit code or namespace of parsing argv, with what it printed."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+PARSER_EXITS = [
+    [], ["--help"], ["-h"], ["bogus"], ["bogus", "l1"], ["--bogus", "normalize", "l1"],
+    ["-h", "normalize"], ["normalize"], ["normalize", "--bogus", "l1"],
+    ["normalize", "l1", "l2"], ["compose", "-i", "x", "l1", "l1"], ["lift", B_CUP],
+    ["check", "mu", "--format", "xml"], ["mu", "--kind", "base", "l1"],
+    *([name, "--help"] for name in HANDLERS),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "nothing")
+def test_main_prints_what_the_full_parser_prints(capsys, argv):
+    full = _parse(build_parser(), argv, capsys)
+    assert isinstance(full[0], int)
+    with pytest.raises(SystemExit) as chosen:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (chosen.value.code, captured.out, captured.err) == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--kind", "b", "--format", "json", B_CUP],
+    ["compose", "-i", "2", "--kind", "base", HALVES, THIRDS],
+    ["mu", "--truncate", "2", W_CUP], ["decompose", W_CUP], ["eval-xi", B_CUP],
+    ["eval-psi", "--x", "b", B_CUP], ["lift", "--to", "b", "--t", "1/3", B_CUP],
+    ["alpha", "--config", "o<[0/1,1/1]>", B_CUP], ["check", "mu", "--samples", "3"],
+    ["dot", "--kind", "b", B_CUP],
+])
+def test_the_chosen_subparser_reads_what_the_full_parser_reads(capsys, argv):
+    assert _parse(build_parser(argv[0]), argv, capsys) == _parse(build_parser(), argv, capsys)
+
+
+def test_main_builds_the_full_parser_only_when_it_must(capsys, monkeypatch):
+    built = []
+    full_builder = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or full_builder(command))
+    assert main(["normalize", "l1"]) == 0
+    for argv in ([], ["--help"], ["bogus"], ["normalize", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == ["normalize", None, None, None, "normalize"]

@@ -6,6 +6,9 @@ their bodies, and `Workspace` builds its tag family on first use. A fresh
 interpreter shows what a W/B command leaves out of `sys.modules`. The
 in-process tests run every suite and every evaluator command, so that a
 handler missing one of its local imports fails here with a NameError.
+
+No command loads `dataclasses` or `inspect`: the records derive from
+`trees.Record`, and together the two modules cost a W/B process about 10 ms.
 """
 
 import json
@@ -20,13 +23,13 @@ from opcalc.cli import SUITE_NAMES, Workspace, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 EVALUATOR_MODULES = ("opcalc.mapping", "opcalc.suites", "opcalc.swisscheese", "opcalc.sampling")
+HEAVY_STDLIB = ("dataclasses", "inspect")
 B_CUP = '(v :h=1/2 "(v \\"<[0/1,1/2] [1/2,1/1]>\\" l1 l2)" l1 l2)'
 
 
 def loaded_after(code: str) -> set:
-    """The opcalc modules a fresh interpreter holds after running code."""
-    script = code + ("\nimport json, sys\n"
-                     "print(json.dumps([m for m in sys.modules if m.startswith('opcalc')]))")
+    """The modules a fresh interpreter holds after running code."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -45,6 +48,16 @@ def test_normalize_does_not_load_the_evaluators():
         "assert main(['normalize', '--operad', 'd1', 'l1']) == 0")
     assert "opcalc.serialize" in loaded
     assert loaded.isdisjoint(EVALUATOR_MODULES)
+
+
+@pytest.mark.parametrize("code", [
+    "import opcalc.cli\nopcalc.cli.Workspace()",
+    "from opcalc.cli import main\nassert main(['normalize', '--operad', 'd1', 'l1']) == 0",
+    f"from opcalc.cli import main\nassert main(['mu', '--kind', 'b', {B_CUP!r}]) == 0",
+    "from opcalc.cli import main\nassert main(['lift', '--t', '1/2', 'l1']) == 0",
+], ids=["workspace", "normalize", "mu-b", "lift"])
+def test_no_command_loads_dataclasses_or_inspect(code):
+    assert loaded_after(code).isdisjoint(HEAVY_STDLIB)
 
 
 def test_workspace_builds_its_family_once():

@@ -1,21 +1,25 @@
-"""Fuzz tests for the base operads' boundaries and the JSON decoders:
-whatever text, value or JSON comes in, the only error is DomainError, and
+"""Fuzz tests for the base operads' boundaries, the W and B text readers,
+the JSON decoders and the CLI's exit codes: whatever text, value or JSON
+comes in, the only error is DomainError (exit 2 from the CLI), and
 formatted elements and encoded points read back.
 
 Every test is derandomized with a small example budget, so each run checks
 the same inputs and the suite stays deterministic.
 """
 
+import contextlib
+import io
 import json
 import random
 import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opcalc.bconstruction import b_text
+from opcalc.cli import main
 from opcalc.operads import (
     Associative,
     DomainError,
@@ -122,7 +126,8 @@ def test_framed_frames_must_be_a_tuple(frames):
 #
 # Every number in a text is spelled one way: numerators and letters match
 # -?[0-9]+, denominators and leaf numbers [0-9]+. int() would also take a
-# sign "+", "_" between digits, surrounding spaces and non-ASCII digits.
+# sign "+", "_" between digits, surrounding spaces and non-ASCII digits, and
+# a fraction takes no whitespace around it either.
 
 @pytest.mark.parametrize("text", ["+1/2", "1/+2", "1_0/20", "1/2_0", "١/2", "1/٢",
                                   "1/-2", "-1/-2", "1 /2", "1/ 2", "0x1/2", "1/"])
@@ -132,8 +137,41 @@ def test_fraction_spellings_are_canonical(text):
 
 
 def test_fractions_need_not_be_reduced():
-    assert parse_fraction("2/4") == parse_fraction("1/2") == parse_fraction(" 1/2 ")
+    assert parse_fraction("2/4") == parse_fraction("1/2")
     assert parse_fraction("-0/3") == 0
+
+
+@pytest.mark.parametrize("text", [" 1/2 ", " 1/2", "1/2 ", "\t1/2", "1/2\n", "\xa01/2"])
+def test_fractions_take_no_surrounding_whitespace(text):
+    with pytest.raises(DomainError, match="bad fraction"):
+        parse_fraction(text)
+
+
+def _padded(data, key):
+    """A JSON value with every string under `key` wrapped in spaces."""
+    if isinstance(data, dict):
+        return {k: f" {v} " if k == key else _padded(v, key) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_padded(v, key) for v in data]
+    return data
+
+
+def test_json_lengths_and_heights_take_no_whitespace():
+    d1 = OPERADS["d1"]
+    a = parse_w_text(d1, '(v "<[0/1,1/2] [1/2,1/1]>" l1 (e 1/2 (v "<[0/1,1/3] [2/3,1/1]>" l2 l3)))')
+    b = parse_b_text(d1, '(v :h=1/2 "(v \\"<[0/1,1/2] [1/2,1/1]>\\" l1 l2)" l1 l2)')
+    with pytest.raises(DomainError, match="bad fraction"):
+        w_from_jsonable(d1, _padded(w_to_jsonable(a), "length"))
+    with pytest.raises(DomainError, match="bad fraction"):
+        b_from_jsonable(d1, _padded(b_to_jsonable(b), "height"))
+    assert w_from_jsonable(d1, w_to_jsonable(a)) == a
+    assert b_from_jsonable(d1, b_to_jsonable(b)) == b
+
+
+@pytest.mark.parametrize("pair", [[" 0/1", "1/2"], ["0/1", "1/2 "], ["0/1", " 1/2 "]])
+def test_configuration_pairs_take_no_whitespace(pair):
+    with pytest.raises(DomainError, match="bad fraction"):
+        sc_from_jsonable({"kind": "sc1", "color": "c", "intervals": [pair]})
 
 
 @pytest.mark.parametrize("text", ["<[0/2,+1_0/2_0]>", "<[0/1,+1/2]>", "<[0/1,1/-2]>",
@@ -195,6 +233,77 @@ def test_respelled_numbers_are_rejected(seed, n, pick, how):
         respelled = text[:run.start()] + RESPELL[how](run.group()) + text[run.end():]
         with pytest.raises(DomainError):
             parse(respelled)
+
+
+# ------------------------------------------------------ W and B text readers
+
+# the readers' own tokens, so that generated texts reach past the tokenizer,
+# mixed with arbitrary characters
+TREE_PIECES = ("(", ")", "(v ", "(e ", ":h=", '"', '\\"', "\\", " ", "l", "l1", "l2", "l0",
+               "0/1", "1/2", "1/1", "3/2", "<[0/1,1/2] [1/2,1/1]>", "<[0/1,1/1]>", "e", "v")
+tree_texts = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.one_of(st.sampled_from(TREE_PIECES), st.text(max_size=2)), max_size=30).map("".join))
+TEXT_READERS = {"w": parse_w_text, "b": parse_b_text}
+# one character inserted, deleted or replaced at a position taken modulo the length
+edits = st.tuples(st.sampled_from(("insert", "delete", "replace")), st.integers(0, 10 ** 6),
+                  st.one_of(st.characters(), st.sampled_from('()"\\ lev:h=/0123456789<>[],;-')))
+
+
+def edited(text, edit):
+    how, at, char = edit
+    if how == "insert":
+        at %= len(text) + 1
+        return text[:at] + char + text[at:]
+    at %= len(text)
+    return text[:at] + ("" if how == "delete" else char) + text[at + 1:]
+
+
+def sampled_text(kind, op, seed, n):
+    rng = random.Random(seed)
+    return w_text(random_wpoint(rng, op, n)) if kind == "w" else b_text(random_bpoint(rng, op, n))
+
+
+def reads(kind, op, text):
+    try:
+        TEXT_READERS[kind](op, text)
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_READERS))
+@FUZZ
+@given(text=tree_texts)
+def test_text_readers_raise_only_domain_error(kind, text):
+    reads(kind, OPERADS["d1"], text)
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_READERS))
+@pytest.mark.parametrize("name", sorted(OPERADS))
+@settings(FUZZ, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 4), edit=edits)
+def test_edited_point_texts_raise_only_domain_error(kind, name, seed, n, edit):
+    op = OPERADS[name]
+    text = sampled_text(kind, op, seed, n)
+    assert reads(kind, op, text)
+    reads(kind, op, edited(text, edit))
+
+
+@settings(FUZZ, max_examples=12)
+@given(kind=st.sampled_from(sorted(TEXT_READERS)), name=st.sampled_from(sorted(OPERADS)),
+       seed=st.integers(0, 2 ** 32), n=st.integers(1, 3), edit=edits)
+def test_edited_point_texts_exit_two_from_the_cli(kind, name, seed, n, edit):
+    op = OPERADS[name]
+    text = edited(sampled_text(kind, op, seed, n), edit)
+    assume(not text.strip().startswith("{"))   # the CLI reads that as JSON
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["normalize", "--operad", name, "--kind", kind, text])
+    if reads(kind, op, text.strip()):
+        assert code == 0 and err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 # ------------------------------------------------------------ JSON records

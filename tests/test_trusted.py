@@ -8,7 +8,6 @@ every result must pass the validating oracle (`WOperad.validate`,
 boundary must still refuse what it refused before.
 """
 
-import dataclasses
 import io
 import json
 import random
@@ -22,6 +21,7 @@ from opcalc.bconstruction import (
     BNode,
     BPoint,
     SlicePiece,
+    _collect_b_leaves,
     b_corolla,
     b_entry_text,
     b_lambda,
@@ -197,6 +197,28 @@ def test_height_tree_labels_and_texts_equal_the_normalizer(name):
             assert point.text == b_entry_text(op, _fresh(point.root))
 
 
+@pytest.mark.parametrize("name", sorted(OPERADS))
+def test_cached_leaf_words_equal_a_fresh_walk(name):
+    op = OPERADS[name]
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        a, b = random_wpoint(rng, op, n), random_bpoint(rng, op, n)
+        other = random_wpoint(rng, op, rng.randint(1, 3))
+        w_points = (a, w_compose(a, rng.randint(1, n), other),
+                    w_lambda(random_permutation(rng, n), a), *_labels(b.root))
+        for point in w_points:
+            fresh: list = []
+            wc._collect_leaves(point.root, fresh)
+            assert point.leaf_word == tuple(fresh) and point.leaf_word is point.leaf_word
+            assert point.arity == len(fresh)
+        for point in (b, b_right_act(b, 1, other), b_lambda(random_permutation(rng, n), b)):
+            fresh = []
+            _collect_b_leaves(point.root, fresh)
+            assert point.leaf_word == tuple(fresh) and point.leaf_word is point.leaf_word
+            assert point.arity == len(fresh)
+
+
 def test_bpoint_renormalizes_an_unmarked_label():
     # a hand-built label in the wrong twist is not trusted: bpoint turns
     # it into the normal label
@@ -274,7 +296,8 @@ def test_marked_points_skip_the_normalizer(monkeypatch):
 
 def test_replace_drops_the_mark():
     a = _cup()
-    assert a._hooked and not dataclasses.replace(a)._hooked
+    rebuilt = WPoint(a.operad, a.root)
+    assert a._hooked and not rebuilt._hooked and rebuilt == a
 
 
 def _wnodes(node):
