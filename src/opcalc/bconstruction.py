@@ -39,11 +39,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Hashable, Optional, Union
 
 from .operads import EffectiveOperad, format_fraction
-from .trees import (MAX_DEPTH, DomainError, InjectiveMap, Record, fold_slots, require, set_field,
-                    shown)
+from .trees import MAX_DEPTH, DomainError, InjectiveMap, Record, fold, require, set_field, shown
 from .wconstruction import (
     WOperad,
     WPoint,
@@ -352,19 +352,15 @@ def _restrict_b_node(node: BNode, renumber: dict[int, int]) -> Optional[BNode]:
     return BNode(w_lambda(kept, node.label), node.height, tuple(entries))
 
 
+_open_b_node = attrgetter("label", "children")
+
+
 def mu_prime(b: BPoint) -> WPoint:
     """Forget heights and compose every label in the resolution."""
     op = b.operad
     if b.is_trivial:
         return w_unit(op)
-    value, word = _fold_b(b.root)
-    sigma = InjectiveMap(len(word), len(word), word).inverse()
-    return w_lambda(sigma, value)
-
-
-def _fold_b(node: BNode) -> tuple[WPoint, tuple[int, ...]]:
-    """The composite of a subtree's labels, with its leaves in slot order."""
-    return fold_slots(node.label, node.children, w_compose, _fold_b)
+    return fold(b.root.label, b.root.children, _open_b_node, w_compose, w_lambda)
 
 
 def b_map_heights(b: BPoint, fn: Callable[[Fraction], Fraction]) -> BPoint:
@@ -765,6 +761,6 @@ def eval_truncated_bimodule_map(
     else:
         assert len(values) == 1
         value = values[0]
-    word = tuple(number for row in rows for _, number in row)
-    sigma = InjectiveMap(len(word), len(word), word).inverse()
-    return target.restrict(sigma, value)
+    # every slot holds a leaf number now, so the fold only relabels
+    return fold(value, tuple(number for row in rows for _, number in row), None, None,
+                target.restrict)

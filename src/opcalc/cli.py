@@ -399,7 +399,9 @@ def cmd_check(ws: Workspace, args) -> int:
         print(f"{status} {report.name} (samples={report.samples} "
               f"seed={report.seed}){flag}")
         for r in report.results:
-            if r.passed:
+            if r.check in report.vacuous:
+                print(f"  vacuous {r.check}")
+            elif r.passed:
                 print(f"  pass {r.check}")
             else:
                 print(f"  FAIL {r.check}: {r.witness}")

@@ -22,7 +22,7 @@ from .bconstruction import (
 )
 from .operads import EffectiveOperad, LittleDiscs, LittleIntervals, PointedSet, format_fraction
 from .sampling import random_fraction, random_injection
-from .trees import DomainError, InjectiveMap, Record, fold_slots, shown
+from .trees import DomainError, InjectiveMap, Record, fold, shown
 from .wconstruction import WOperad, WPoint, mu
 
 
@@ -489,10 +489,14 @@ class CheckResult(Record):
 
 
 class CheckReport(Record):
+    """One result per law; the laws named in `vacuous` were never evaluated
+    and pass by default."""
+
     name: str
     seed: int
     samples: int
     results: tuple[CheckResult, ...]
+    vacuous: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -506,23 +510,40 @@ class CheckReport(Record):
             "ok": self.ok,
             "checks": [
                 {"check": r.check, "pass": r.passed,
-                 **({"witness": r.witness} if r.witness is not None else {})}
+                 **({"witness": r.witness} if r.witness is not None else {}),
+                 **({"vacuous": True} if r.check in self.vacuous else {})}
                 for r in self.results
             ],
         }
 
 
+class Recorder:
+    """First-failure bookkeeping for a law check: call it once per evaluation
+    of a law, then `report` keeps the first failing witness of each law."""
+
+    def __init__(self) -> None:
+        self.results: dict[str, CheckResult] = {}
+
+    def __call__(self, check: str, passed: bool, witness: str = "") -> None:
+        if check not in self.results:
+            self.results[check] = CheckResult(check, True)
+        if not passed and self.results[check].passed:
+            self.results[check] = CheckResult(check, False, witness)
+
+    def report(self, name: str, seed: int, samples: int,
+               order: Sequence[str]) -> CheckReport:
+        """Every law in `order`, the ones never evaluated marked vacuous."""
+        results = self.results
+        return CheckReport(name, seed, samples,
+                           tuple(results[k] if k in results else CheckResult(k, True)
+                                 for k in order),
+                           tuple(k for k in order if k not in results))
+
+
 def check_operad_map(f: OperadMap, samples: int = 100, seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     source, target = f.source, f.target
-    results: dict[str, CheckResult] = {}
-
-    def record(check: str, passed: bool, witness: str = "") -> None:
-        if check not in results:
-            results[check] = CheckResult(check, True)
-        if not passed and results[check].passed:
-            results[check] = CheckResult(check, False, witness)
-
+    record = Recorder()
     record("unit", target.eq(f(source.unit()), target.unit()),
            "image of the unit is not the unit")
     for _ in range(samples):
@@ -539,22 +560,14 @@ def check_operad_map(f: OperadMap, samples: int = 100, seed: int = 0) -> CheckRe
         record("restriction",
                target.eq(f(source.restrict(u, x)), target.restrict(u, f(x))),
                f"u={u.values} x={source.format_element(x)}")
-    order = ["unit", "composition", "restriction"]
-    return CheckReport(f"operad-map:{f.name}", seed, samples,
-                       tuple(results[k] for k in order if k in results))
+    return record.report(f"operad-map:{f.name}", seed, samples,
+                         ("unit", "composition", "restriction"))
 
 
 def check_path(g: PathOfMaps, samples: int = 100, seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     source, target = g.source, g.target
-    results: dict[str, CheckResult] = {}
-
-    def record(check: str, passed: bool, witness: str = "") -> None:
-        if check not in results:
-            results[check] = CheckResult(check, True)
-        if not passed and results[check].passed:
-            results[check] = CheckResult(check, False, witness)
-
+    record = Recorder()
     for _ in range(samples):
         t = random_fraction(rng, include_ends=True)
         n = rng.randint(1, 3)
@@ -577,23 +590,15 @@ def check_path(g: PathOfMaps, samples: int = 100, seed: int = 0) -> CheckReport:
                target.eq(g.at(source.restrict(u, x), t),
                          target.restrict(u, g.at(x, t))),
                f"t={t} u={u.values} x={source.format_element(x)}")
-    order = ["unit", "composition", "start", "end", "restriction"]
-    return CheckReport(f"path:{g.name}", seed, samples,
-                       tuple(results[k] for k in order if k in results))
+    return record.report(f"path:{g.name}", seed, samples,
+                         ("unit", "composition", "start", "end", "restriction"))
 
 
 def check_bimodule_map(f: BimoduleMap, samples: int = 60, seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     source, target = f.source, f.target
     over = source.over
-    results: dict[str, CheckResult] = {}
-
-    def record(check: str, passed: bool, witness: str = "") -> None:
-        if check not in results:
-            results[check] = CheckResult(check, True)
-        if not passed and results[check].passed:
-            results[check] = CheckResult(check, False, witness)
-
+    record = Recorder()
     for _ in range(samples):
         k = rng.randint(1, 3)
         p = over.sample(rng, k)
@@ -614,9 +619,8 @@ def check_bimodule_map(f: BimoduleMap, samples: int = 60, seed: int = 0) -> Chec
         record("restriction",
                target.eq(f(source.restrict(u, b)), target.restrict(u, f(b))),
                f"u={u.values}")
-    order = ["left-action", "right-action", "restriction"]
-    return CheckReport(f"bimodule-map:{f.name}", seed, samples,
-                       tuple(results[k] for k in order if k in results))
+    return record.report(f"bimodule-map:{f.name}", seed, samples,
+                         ("left-action", "right-action", "restriction"))
 
 
 # ---------------------------------------------------------------------------
@@ -629,18 +633,14 @@ def fold_point_through(b: BPoint, target: EffectiveOperad, vertex_value: Callabl
     point's own leaf numbers."""
     if b.is_trivial:
         return target.unit()
-    value, word = _fold_through(b.root, target, vertex_value)
-    sigma = InjectiveMap(len(word), len(word), word).inverse()
-    return target.restrict(sigma, value)
 
+    def open_node(node) -> tuple:
+        value = vertex_value(node.label, node.height)
+        if target.arity_of(value) != len(node.children):
+            raise DomainError("vertex value has the wrong arity")
+        return value, node.children
 
-def _fold_through(node, target: EffectiveOperad, vertex_value: Callable):
-    """The composite of a subtree's vertex values, with its leaves in slot order."""
-    value = vertex_value(node.label, node.height)
-    if target.arity_of(value) != len(node.children):
-        raise DomainError("vertex value has the wrong arity")
-    return fold_slots(value, node.children, target.compose,
-                      lambda child: _fold_through(child, target, vertex_value))
+    return fold(*open_node(b.root), open_node, target.compose, target.restrict)
 
 
 def xi_eval(g: PathOfMaps, b: BPoint):
@@ -713,22 +713,13 @@ def lift_path(f0: BimoduleMap, g: XPath, x, t: Fraction, b: BPoint,
     cut = 1 - t / 2
     bottom = slice_point(b, ((cut, True),), trivial_chains=False)
     lower = b_map_heights(bottom.point, lambda h: h / cut)
-    value = f0(lower)
-    parts = []
-    for position in range(len(bottom.exits), 0, -1):
-        entry = bottom.exits[position - 1]
-        if isinstance(entry, int):
-            parts.append((entry,))
-            continue
-        piece = entry.point
 
-        def vertex_value(label, s):
-            tag = g.value(2 * s + t - 2)
-            return family[tag](label)
+    def vertex_value(label, s):
+        tag = g.value(2 * s + t - 2)
+        return family[tag](label)
 
-        upper = fold_point_through(piece, q_operad, vertex_value)
-        value = qxprod.compose_plain(value, position, upper)
-        parts.append(tuple(entry.exits))
-    word = tuple(number for part in reversed(parts) for number in part)
-    sigma = InjectiveMap(len(word), len(word), word).inverse()
-    return qxprod.restrict(sigma, value)
+    def open_exit(entry) -> tuple:
+        """An upper piece's value, and the leaf numbers of its inputs."""
+        return fold_point_through(entry.point, q_operad, vertex_value), entry.exits
+
+    return fold(f0(lower), bottom.exits, open_exit, qxprod.compose_plain, qxprod.restrict)

@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
-from .trees import DomainError, InjectiveMap, Record, shown
+from .trees import DomainError, InjectiveMap, Record, fold, shown
 
 
 def format_fraction(q: Fraction | int) -> str:
@@ -877,28 +877,21 @@ def eval_formal(expr: FExpr, target: EffectiveOperad, atom_eval: Callable) -> Ha
     """Evaluate an expression in a target operad.
 
     atom_eval(name, payload, arity) supplies the value of each atom. The
-    composite is assembled positionally (descending slot order keeps the
-    earlier positions stable) and relabelled once at the end so that leaf
-    numbers become input labels.
+    composite is assembled positionally and relabelled once at the end so
+    that leaf numbers become input labels (`trees.fold`).
     """
-    value, word = _positional(expr, target, atom_eval)
-    sigma = InjectiveMap(len(word), len(word), word).inverse()
-    return target.restrict(sigma, value)
 
+    def open_expr(e: FExpr) -> tuple:
+        """An atom's value and its slots: a leaf number or a subexpression."""
+        if isinstance(e, FLeaf):
+            return target.unit(), (e.number,)
+        k = len(e.children)
+        value = atom_eval(e.name, e.payload, k)
+        if target.arity_of(value) != k:
+            raise DomainError(f"atom {shown(e.name)} evaluated to the wrong arity")
+        return value, tuple(c.number if isinstance(c, FLeaf) else c for c in e.children)
 
-def _positional(e: FExpr, target: EffectiveOperad,
-                atom_eval: Callable) -> tuple[Hashable, tuple[int, ...]]:
-    """The composite of an expression in the target, with its leaves in slot order."""
-    if isinstance(e, FLeaf):
-        return target.unit(), (e.number,)
-    k = len(e.children)
-    value = atom_eval(e.name, e.payload, k)
-    if target.arity_of(value) != k:
-        raise DomainError(f"atom {shown(e.name)} evaluated to the wrong arity")
-    parts = [_positional(c, target, atom_eval) for c in e.children]
-    for s in range(k, 0, -1):
-        value = target.compose(value, s, parts[s - 1][0])
-    return value, tuple(number for _, child_word in parts for number in child_word)
+    return fold(*open_expr(expr), open_expr, target.compose, target.restrict)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,11 @@ def _dot_name(prefix: str, counter: list[int]) -> str:
     return f"{prefix}{counter[0]}"
 
 
+def _dot_escaped(text: str) -> str:
+    """text for the inside of a DOT quoted string: backslashes first, then quotes."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _w_dot_entry(op: EffectiveOperad, entry, parent, lines: list[str], counter: list[int]) -> None:
     if isinstance(entry, int):
         name = _dot_name("leaf", counter)
@@ -229,7 +234,7 @@ def _w_dot_entry(op: EffectiveOperad, entry, parent, lines: list[str], counter: 
     node = entry.node if isinstance(entry, WEdge) else entry
     edge_len = entry.length if isinstance(entry, WEdge) else None
     name = _dot_name("v", counter)
-    label = op.format_element(node.label).replace('"', '\\"')
+    label = _dot_escaped(op.format_element(node.label))
     lines.append(f'  {name} [shape=ellipse label="{label}"];')
     if parent is not None:
         text = "" if edge_len is None else f' [label="{format_fraction(edge_len)}"]'
@@ -325,7 +330,7 @@ def _b_dot_entry(entry, parent, lines: list[str], counter: list[int]) -> None:
             lines.append(f'  {name} -> {parent};')
         return
     name = _dot_name("v", counter)
-    label = w_text(entry.label).replace("\\", "\\\\").replace('"', '\\"')
+    label = _dot_escaped(w_text(entry.label))
     height = format_fraction(entry.height)
     lines.append(f'  {name} [shape=ellipse label="h={height}\\n{label}"];')
     if parent is not None:

@@ -2,18 +2,17 @@
 
 Each suite draws seeded samples, evaluates a fixed list of named checks,
 and returns the same CheckReport the map checks in mapping produce: one
-entry per law, first failing witness kept. Running a suite with zero
-samples yields a vacuous report; the CLI flags those so silence is not
-mistaken for evidence.
+entry per law, first failing witness kept. A law that no sample reached,
+or every law when there are zero samples, is marked vacuous, and the CLI
+flags it so that silence is not mistaken for evidence.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .bconstruction import Bimodule, b_normalize_random_order, b_text, bpoint
-from .mapping import CheckReport, CheckResult
+from .mapping import CheckReport, Recorder
 from .operads import (
     EffectiveOperad,
     PointedSet,
@@ -33,29 +32,11 @@ from .trees import InjectiveMap, block_injection, drop_block
 from .wconstruction import normalize_random_order, w_text, wpoint
 
 
-class _Recorder:
-    """First-failure bookkeeping shared by every suite."""
-
-    def __init__(self) -> None:
-        self.results: dict[str, CheckResult] = {}
-
-    def __call__(self, check: str, passed: bool, witness: str = "") -> None:
-        if check not in self.results:
-            self.results[check] = CheckResult(check, True)
-        if not passed and self.results[check].passed:
-            self.results[check] = CheckResult(check, False, witness)
-
-    def report(self, name: str, seed: int, samples: int,
-               order: Sequence[str]) -> CheckReport:
-        return CheckReport(name, seed, samples,
-                           tuple(self.results[k] for k in order if k in self.results))
-
-
 def suite_operad_axioms(op: EffectiveOperad, samples: int = 500,
                         seed: int = 0) -> CheckReport:
     """Unit, associativity and restriction laws on seeded random elements."""
     rng = random.Random(seed)
-    rec = _Recorder()
+    rec = Recorder()
     for _ in range(samples):
         n = rng.randint(1, 4)
         x = op.sample(rng, n)
@@ -108,7 +89,7 @@ def suite_w_confluence(op: EffectiveOperad, samples: int = 100, seed: int = 0,
                        orders: int = 10) -> CheckReport:
     """Random reduction orders and vertex twists reach one normal form."""
     rng = random.Random(seed)
-    rec = _Recorder()
+    rec = Recorder()
     for _ in range(samples):
         raw = random_raw_wnode(rng, op, rng.randint(1, 5))
         base = wpoint(op, raw)
@@ -125,7 +106,7 @@ def suite_b_confluence(op: EffectiveOperad, samples: int = 100, seed: int = 0,
                        orders: int = 10) -> CheckReport:
     """Same confluence story one level up, for height trees."""
     rng = random.Random(seed)
-    rec = _Recorder()
+    rec = Recorder()
     for _ in range(samples):
         raw = random_raw_bnode(rng, op, rng.randint(1, 5))
         base = bpoint(op, raw)
@@ -143,7 +124,7 @@ def suite_bimodule_axioms(bim: Bimodule, samples: int = 100,
     """Two-sided action, interchange and restriction laws for a bimodule."""
     rng = random.Random(seed)
     over = bim.over
-    rec = _Recorder()
+    rec = Recorder()
     for _ in range(samples):
         b = bim.sample(rng, rng.randint(1, 4))
         n = bim.arity_of(b)
@@ -241,7 +222,7 @@ def suite_matching(space: PointedSet, max_n: int = 4) -> CheckReport:
     """
     seq = PowerSequence(space)
     size = len(space.elements)
-    rec = _Recorder()
+    rec = Recorder()
 
     def key(fam):
         return tuple(sorted(fam.assignments.items()))

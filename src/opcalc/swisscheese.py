@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .bconstruction import BPoint, b_map_heights, mu_prime, slice_point
 from .mapping import OperadMap, PathOfMaps, PathSegment, QXElem
 from .operads import format_fraction, parse_fraction
-from .trees import DomainError, InjectiveMap, Record, shown
+from .trees import DomainError, Record, fold, shown
 
 
 class SC1Element(Record):
@@ -199,45 +199,25 @@ def _assemble(c: SC1Element, fs: Sequence[Callable], y: BPoint,
         raise DomainError(f"need {len(c.intervals)} maps, got {len(fs)}")
     target = inclusion.target
     regs = regions_of(c)
-    piece_tree = slice_point(y, _cuts(c), trivial_chains=True)
-    value, tags, word = _piece_value(piece_tree, regs, fs, inclusion, tagged)
-    sigma = InjectiveMap(len(word), len(word), word).inverse()
-    value = target.restrict(sigma, value)
-    if not tagged:
-        return value
-    return QXElem(value, tuple(tags[sigma(j) - 1] for j in range(1, sigma.m + 1)))
-
-
-def _piece_value(piece, regs, fs: Sequence[Callable], inclusion: OperadMap, tagged: bool):
-    """The value of a slice piece and the pieces above it: (plain target
-    element, tag tuple or None, leaf word)."""
-    target = inclusion.target
     top = len(regs) - 1
-    kind, index, lo, hi = regs[piece.layer]
-    if kind == "gap":
-        base, tags = inclusion(mu_prime(piece.point)), None
-    else:
+    tag_of: dict = {}   # leaf number -> the tag the top pieces give its input
+
+    def open_piece(piece) -> tuple:
+        """A slice piece's plain target value, and the pieces or leaf numbers above it."""
+        kind, index, lo, hi = regs[piece.layer]
+        if kind == "gap":
+            return inclusion(mu_prime(piece.point)), piece.exits
         out = fs[index - 1](rescale((lo, hi), piece.point))
         if tagged and piece.layer == top:
-            base, tags = out.q, out.tags
-        else:
-            base, tags = out, None
-    if piece.layer == top:
-        return base, tags, tuple(piece.exits)
-    value = base
-    parts = []
-    for position in range(len(piece.exits), 0, -1):
-        sub_value, sub_tags, sub_word = _piece_value(
-            piece.exits[position - 1], regs, fs, inclusion, tagged)
-        value = target.compose(value, position, sub_value)
-        parts.append((sub_tags, sub_word))
-    tags: list = []
-    word: list = []
-    for sub_tags, sub_word in reversed(parts):
-        if tagged:
-            tags.extend(sub_tags)
-        word.extend(sub_word)
-    return value, tuple(tags) if tagged else None, tuple(word)
+            tag_of.update(zip(piece.exits, out.tags))
+            return out.q, piece.exits
+        return out, piece.exits
+
+    piece_tree = slice_point(y, _cuts(c), trivial_chains=True)
+    value = fold(*open_piece(piece_tree), open_piece, target.compose, target.restrict)
+    if not tagged:
+        return value
+    return QXElem(value, tuple(tag_of[j] for j in range(1, y.arity + 1)))
 
 
 def alpha_eval(c: SC1Element, fs: Sequence[Callable], y: BPoint,

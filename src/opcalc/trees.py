@@ -3,13 +3,14 @@
 Trees are immutable. A tree with n leaves carries a bijective numbering of
 its leaves by 1..n; the numbering need not agree with the planar
 left-to-right order. Every vertex has at least one child. The tree that is
-a single bare leaf is allowed and acts as the identity for grafting.
+a single bare leaf is allowed.
 
 Injections between the sets {1..m} and {1..n} are first-class values here
 because every symmetric or cosimplicial structure downstream is phrased in
-terms of them: restriction of labels, block substitution of slots, and the
-two standard factorizations (permutation followed by an order-preserving
-map, and inclusion followed by a permutation).
+terms of them: restriction of labels and block substitution of slots.
+
+Every evaluation of a decorated tree is one `fold`: compose the vertex values
+down the tree, then relabel the inputs by the leaf word.
 
 Every immutable value is a `Record`: a frozen dataclass in behaviour, without
 the `dataclasses` and `inspect` imports and the `exec` per class it would cost.
@@ -18,9 +19,8 @@ the `dataclasses` and `inspect` imports and the `exec` per class it would cost.
 from __future__ import annotations
 
 import itertools
-from math import comb
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Union
 
 
 class DomainError(ValueError):
@@ -49,21 +49,31 @@ def shown(value, limit: int = 60) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
-def fold_slots(value, children, compose: Callable, fold_child: Callable):
-    """value with each child's composite composed in at the child's slot,
-    the last slot first so that earlier slots stay put, and the leaf numbers
-    in slot order. A child is a leaf number or what `fold_child` folds to a
-    (value, leaf word) pair."""
-    parts = []
+def fold(value, children, open_child: Callable, compose: Callable, restrict: Callable):
+    """value with each child's result composed in at the child's slot, the
+    last slot first so that earlier slots stay put, then restricted once along
+    the inverse of the leaf word, so that input j is the leaf numbered j. A
+    child is a leaf number or what `open_child` turns into a (value, children)
+    pair, folded the same way."""
+    word: list[int] = []
+    value = _fold_slots(value, children, open_child, compose, word)
+    word.reverse()
+    n = len(word)
+    return restrict(InjectiveMap(n, n, tuple(word)).inverse(), value)
+
+
+def _fold_slots(value, children, open_child: Callable, compose: Callable, word: list[int]):
+    """The composite below one vertex; appends its leaf numbers to `word`
+    from the last slot back."""
     for position in range(len(children), 0, -1):
         child = children[position - 1]
         if isinstance(child, int):
-            parts.append((child,))
+            word.append(child)
         else:
-            sub_value, sub_word = fold_child(child)
-            value = compose(value, position, sub_value)
-            parts.append(sub_word)
-    return value, tuple(number for part in reversed(parts) for number in part)
+            sub_value, sub_children = open_child(child)
+            value = compose(value, position,
+                            _fold_slots(sub_value, sub_children, open_child, compose, word))
+    return value
 
 
 set_field = object.__setattr__   # how a record's own __init__ sets its fields
@@ -185,10 +195,6 @@ class Tree(Record):
         _collect_leaf_numbers(self.root, word)
         return tuple(word)
 
-    @property
-    def is_trivial(self) -> bool:
-        return isinstance(self.root, Leaf)
-
     def vertex_ids(self) -> tuple[VertexId, ...]:
         """All vertex addresses in depth-first preorder."""
         found: list[VertexId] = []
@@ -209,104 +215,6 @@ def _collect_vertex_ids(node: Node, path: VertexId, found: list[VertexId]) -> No
         found.append(path)
         for idx, child in enumerate(node.children):
             _collect_vertex_ids(child, path + (idx,), found)
-
-
-def trivial_tree() -> Tree:
-    return Tree(Leaf(1))
-
-
-def corolla(n: int) -> Tree:
-    """One vertex with n leaves numbered 1..n in planar order."""
-    if n < 1:
-        raise DomainError("a corolla needs at least one leaf")
-    return Tree(Vertex(tuple(Leaf(k) for k in range(1, n + 1))))
-
-
-def map_leaves(node: Node, replace: Callable[[int], Node]) -> Node:
-    """Rebuild a subtree, substituting replace(number) for each leaf."""
-    if isinstance(node, Leaf):
-        return replace(node.number)
-    return Vertex(tuple(map_leaves(child, replace) for child in node.children))
-
-
-def renumber_leaves(t: Tree, new_number: Mapping[int, int]) -> Tree:
-    return Tree(map_leaves(t.root, lambda k: Leaf(new_number[k])))
-
-
-def graft(host: Tree, i: int, guest: Tree) -> Tree:
-    """Replace leaf number i of host by guest, with the standard renumbering.
-
-    Host leaves below i keep their numbers, leaves above i are shifted up by
-    guest.arity - 1, and guest leaf k becomes i + k - 1.
-    """
-    n, m = host.arity, guest.arity
-    if not 1 <= i <= n:
-        raise DomainError(f"graft slot {i} out of range 1..{n}")
-    shifted = map_leaves(guest.root, lambda k: Leaf(i + k - 1))
-
-    def place(number: int) -> Node:
-        if number == i:
-            return shifted
-        return Leaf(number if number < i else number + m - 1)
-
-    return Tree(map_leaves(host.root, place))
-
-
-class DeletionEntry(Record):
-    """What happened at one surviving vertex during a leaf deletion.
-
-    kept_slots lists the 1-based child positions that still have a
-    descendant leaf afterwards, in increasing order.
-    """
-
-    kept_slots: tuple[int, ...]
-    original_arity: int
-
-
-class DeletionLedger(Record):
-    kept: Mapping[VertexId, DeletionEntry]
-    removed: frozenset[VertexId]
-
-
-def delete_leaves(t: Tree, u: "InjectiveMap") -> tuple[Tree, DeletionLedger]:
-    """Restrict t to the leaves in the image of an injection u: [m] -> [n].
-
-    Leaves outside the image vanish and leaf u(j) is renumbered j. A vertex
-    that loses every child vanishes too, and its slot in the parent
-    disappears; this cascades upward. At least one leaf must survive.
-
-    Returns the surviving tree and a ledger keyed by addresses in the
-    ORIGINAL tree: for each surviving vertex, which of its slots survived;
-    plus the set of removed vertex addresses.
-    """
-    if u.n != t.arity:
-        raise DomainError(f"injection lands in [{u.n}] but the tree has arity {t.arity}")
-    if u.m == 0:
-        raise DomainError("cannot delete every leaf")
-    renumber = {u(j): j for j in range(1, u.m + 1)}
-    kept: dict[VertexId, DeletionEntry] = {}
-    removed: set[VertexId] = set()
-
-    def walk(node: Node, path: VertexId) -> Node | None:
-        if isinstance(node, Leaf):
-            j = renumber.get(node.number)
-            return None if j is None else Leaf(j)
-        survivors: list[Node] = []
-        slots: list[int] = []
-        for idx, child in enumerate(node.children):
-            kept_child = walk(child, path + (idx,))
-            if kept_child is not None:
-                survivors.append(kept_child)
-                slots.append(idx + 1)
-        if not survivors:
-            removed.add(path)
-            return None
-        kept[path] = DeletionEntry(tuple(slots), len(node.children))
-        return Vertex(tuple(survivors))
-
-    new_root = walk(t.root, ())
-    assert new_root is not None  # m >= 1 guarantees a survivor
-    return Tree(new_root), DeletionLedger(kept, frozenset(removed))
 
 
 class InjectiveMap(Record):
@@ -340,27 +248,12 @@ class InjectiveMap(Record):
         return f"InjectiveMap({self.m}->{self.n}: {list(self.values)})"
 
     @property
-    def is_order_preserving(self) -> bool:
-        return all(a < b for a, b in zip(self.values, self.values[1:]))
-
-    @property
     def is_permutation(self) -> bool:
         return self.m == self.n
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self.values)
 
     @classmethod
     def identity(cls, n: int) -> "InjectiveMap":
         return cls(n, n, tuple(range(1, n + 1)))
-
-    @classmethod
-    def inclusion(cls, m: int, n: int) -> "InjectiveMap":
-        """The order-preserving map j -> j."""
-        if m > n:
-            raise DomainError(f"no inclusion of [{m}] into [{n}]")
-        return cls(m, n, tuple(range(1, m + 1)))
 
     def after(self, other: "InjectiveMap") -> "InjectiveMap":
         """Composite self . other, i.e. j -> self(other(j))."""
@@ -376,38 +269,10 @@ class InjectiveMap(Record):
             inv[v - 1] = j
         return InjectiveMap(self.m, self.n, tuple(inv))
 
-    def factor(self) -> tuple["InjectiveMap", "InjectiveMap"]:
-        """Write self = w . sigma with sigma a permutation of [m] and w order-preserving.
-
-        w enumerates the image in increasing order and sigma(j) is the rank
-        of self(j) within the image.
-        """
-        ordered = sorted(self.values)
-        rank = {v: r for r, v in enumerate(ordered, start=1)}
-        w = InjectiveMap(self.m, self.n, tuple(ordered))
-        sigma = InjectiveMap(self.m, self.m, tuple(rank[v] for v in self.values))
-        return w, sigma
-
-    def padded_permutation(self) -> "InjectiveMap":
-        """The permutation of [n] that agrees with self on 1..m and lists the
-        complement of the image in increasing order afterwards, so that
-        self = padded . inclusion."""
-        complement = sorted(set(range(1, self.n + 1)) - set(self.values))
-        return InjectiveMap(self.n, self.n, self.values + tuple(complement))
-
     @staticmethod
     def all_order_preserving(m: int, n: int) -> Iterator["InjectiveMap"]:
         for combo in itertools.combinations(range(1, n + 1), m):
             yield InjectiveMap(m, n, combo)
-
-    @staticmethod
-    def all_maps(m: int, n: int) -> Iterator["InjectiveMap"]:
-        for perm in itertools.permutations(range(1, n + 1), m):
-            yield InjectiveMap(m, n, perm)
-
-    @staticmethod
-    def count_order_preserving(m: int, n: int) -> int:
-        return comb(n, m)
 
 
 def block_injection(u: InjectiveMap, i: int, v: InjectiveMap) -> InjectiveMap:

@@ -50,11 +50,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Callable, Hashable, Optional, Union
 
 from .operads import EffectiveOperad, format_fraction
-from .trees import (DomainError, InjectiveMap, Leaf, Record, Tree, Vertex, check_depth,
-                    fold_slots, require, set_field, shown)
+from .trees import (DomainError, InjectiveMap, Leaf, Record, Tree, Vertex, check_depth, fold,
+                    require, set_field, shown)
 
 
 class WNode(Record):
@@ -513,19 +514,15 @@ def _restrict_node(op: EffectiveOperad, node: WNode,
     return WNode(op.restrict(kept, node.label), tuple(entries))
 
 
+_open_edge = attrgetter("node.label", "node.children")   # an inner edge's (label, children)
+
+
 def mu(a: WPoint):
     """Collapse every inner edge to length 0 and compose down to the operad."""
     op = a.operad
     if a.is_trivial:
         return op.unit()
-    value, word = _fold(op, a.root)
-    sigma = InjectiveMap(len(word), len(word), word).inverse()
-    return op.restrict(sigma, value)
-
-
-def _fold(op: EffectiveOperad, node: WNode) -> tuple[Hashable, tuple[int, ...]]:
-    """The composite of a subtree's labels, with its leaves in slot order."""
-    return fold_slots(node.label, node.children, op.compose, lambda edge: _fold(op, edge.node))
+    return fold(a.root.label, a.root.children, _open_edge, op.compose, op.restrict)
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +587,16 @@ def reassemble(op: EffectiveOperad, dec: WDecomposition) -> WPoint:
     if not dec.components:
         return w_unit(op)
     index_of = {path: k for k, path in enumerate(dec.skeleton.vertex_ids())}
-    value, word = _assemble(dec, index_of, ())
-    sigma = InjectiveMap(len(word), len(word), word).inverse()
-    return w_lambda(sigma, value)
 
+    def open_vertex(path: tuple[int, ...]) -> tuple[WPoint, tuple]:
+        """The component at a skeleton vertex, and its slots: a leaf number
+        or the path of the vertex above."""
+        vertex = dec.skeleton.node_at(path)
+        return dec.components[index_of[path]], tuple(
+            child.number if isinstance(child, Leaf) else path + (position,)
+            for position, child in enumerate(vertex.children))
 
-def _assemble(dec: WDecomposition, index_of: dict,
-              path: tuple[int, ...]) -> tuple[WPoint, tuple[int, ...]]:
-    """The composite of the components at and above a skeleton vertex, with
-    its leaves in slot order."""
-    vertex = dec.skeleton.node_at(path)
-    assert isinstance(vertex, Vertex)
-    slots = tuple(child.number if isinstance(child, Leaf) else path + (position,)
-                  for position, child in enumerate(vertex.children))
-    return fold_slots(dec.components[index_of[path]], slots, w_compose,
-                      lambda above: _assemble(dec, index_of, above))
+    return fold(*open_vertex(()), open_vertex, w_compose, w_lambda)
 
 
 def eval_truncated_operad_map(
@@ -671,10 +663,10 @@ def eval_truncated_operad_map(
         owner[child] = parent
 
     root = find(0)
-    word = tuple(number for kind, number in exits[root])
     assert all(kind == "leaf" for kind, _ in exits[root])
-    sigma = InjectiveMap(len(word), len(word), word).inverse()
-    return target.restrict(sigma, values[root])
+    # every slot holds a leaf number now, so the fold only relabels
+    return fold(values[root], tuple(number for _, number in exits[root]), None, None,
+                target.restrict)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,28 @@ def test_check_zero_samples_is_flagged(capsys):
                     "--format", "json")
     assert code == 0
     assert json.loads(out)["flag"] == "no-samples"
+    assert [(c["check"], c.get("vacuous")) for c in json.loads(out)["checks"]] == [
+        ("confluence", True), ("twist-invariance", True)]
+
+
+def test_check_lists_laws_no_sample_reached_as_vacuous(capsys):
+    # one arity-1 sample reaches neither law that needs two inputs
+    args = ("check", "operad-axioms", "--samples", "1", "--seed", "2")
+    code, out = run(capsys, *args, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True and "flag" not in data
+    assert [c["check"] for c in data["checks"]] == [
+        "unit-left", "unit-right", "assoc-nested", "assoc-disjoint", "restrict-identity",
+        "restrict-functorial", "restrict-compose", "restrict-dropped"]
+    assert [c["check"] for c in data["checks"] if c.get("vacuous")] == [
+        "assoc-disjoint", "restrict-dropped"]
+    code, out = run(capsys, *args)
+    assert code == 0
+    assert out.splitlines() == [
+        "ok operad-axioms:intervals (samples=1 seed=2)", "  pass unit-left", "  pass unit-right",
+        "  pass assoc-nested", "  vacuous assoc-disjoint", "  pass restrict-identity",
+        "  pass restrict-functorial", "  pass restrict-compose", "  vacuous restrict-dropped"]
 
 
 class SlotOneIntervals(LittleIntervals):

@@ -322,6 +322,13 @@ def test_xi_on_the_constant_loop_collapses_the_tree():
         assert D2.eq(xi_eval(loop, b), EM(mu_prime(b)))
 
 
+def test_mu_prime_is_the_fold_of_the_labels_in_the_resolution():
+    rng = random.Random(60)
+    for _ in range(40):
+        b = random_bpoint(rng, D1, rng.randint(1, 5))
+        assert mu_prime(b) == fold_point_through(b, WD1, lambda label, h: label)
+
+
 def test_xi_is_independent_of_the_presentation():
     rng = random.Random(30)
     for _ in range(25):
@@ -505,6 +512,10 @@ def test_reports_serialize_to_json():
     assert blob["ok"] is True
     assert {c["check"] for c in blob["checks"]} == {"unit", "composition", "restriction"}
     assert all("witness" not in c for c in blob["checks"])
+    # without samples only the unit law runs; the other two are listed as vacuous
+    empty = check_operad_map(ETA, samples=0, seed=49)
+    assert empty.ok and empty.vacuous == ("composition", "restriction")
+    assert [c.get("vacuous", False) for c in empty.to_jsonable()["checks"]] == [False, True, True]
     bad = check_operad_map(OperadMap("flip", D1, D2, lambda x: ETA(x)[::-1]),
                            samples=20, seed=50)
     blob = json.loads(json.dumps(bad.to_jsonable()))

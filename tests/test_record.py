@@ -16,8 +16,8 @@ import pytest
 
 from opcalc.bconstruction import BNode, BPoint, bpoint
 from opcalc.mapping import CheckResult
-from opcalc.operads import FLeaf, LittleIntervals, PointedSet
-from opcalc.trees import DeletionEntry, DomainError, InjectiveMap, Leaf, Record, Tree, Vertex
+from opcalc.operads import FLeaf, FNode, LittleIntervals, PointedSet
+from opcalc.trees import DomainError, InjectiveMap, Leaf, Record, Tree, Vertex
 from opcalc.wconstruction import WEdge, WNode, WPoint, wpoint
 
 D1 = LittleIntervals()
@@ -32,7 +32,7 @@ def _samples():
     cup = _cup()
     node = BNode(cup, F(1, 2), (1, 2))
     return [Leaf(3), Vertex((Leaf(1), Leaf(2))), Tree(Vertex((Leaf(2), Leaf(1)))),
-            InjectiveMap(2, 3, (1, 3)), DeletionEntry((1,), 2), FLeaf(1),
+            InjectiveMap(2, 3, (1, 3)), FNode("f", None, (FLeaf(2), FLeaf(1))), FLeaf(1),
             PointedSet("X", ("*", "a"), "*"), WNode(HALVES, (1, 2)),
             WEdge(F(1, 2), WNode(HALVES, (1, 2))), cup, node, bpoint(D1, node),
             CheckResult("unit", True), CheckResult("unit", False, "w")]

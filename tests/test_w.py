@@ -3,13 +3,14 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from opcalc.operads import Associative, LittleDiscs, LittleIntervals, framed_intervals
+from opcalc.operads import Associative, FormalOperad, LittleDiscs, LittleIntervals, framed_intervals
 from opcalc.sampling import (
     random_injection,
     random_raw_wnode,
     random_vertex_twists,
     random_wpoint,
 )
+from opcalc.serialize import w_dot
 from opcalc.trees import DomainError, InjectiveMap, block_injection
 from opcalc.wconstruction import (
     WEdge,
@@ -119,6 +120,20 @@ def test_compose_grafts_with_length_one_edge():
     assert out.arity == 3
 
 
+def _oracle_graft_word(host_word, i, guest_word):
+    """Independent model: block substitution on leaf words."""
+    m = len(guest_word)
+    out = []
+    for entry in host_word:
+        if entry == i:
+            out.extend(i + g - 1 for g in guest_word)
+        elif entry < i:
+            out.append(entry)
+        else:
+            out.append(entry + m - 1)
+    return tuple(out)
+
+
 @pytest.mark.parametrize("op", BASES, ids=lambda o: o.name)
 def test_compose_associativity(op):
     rng = random.Random(33)
@@ -128,6 +143,7 @@ def test_compose_associativity(op):
         y = random_wpoint(rng, op, m)
         z = random_wpoint(rng, op, p)
         i, j = rng.randint(1, n), rng.randint(1, m)
+        assert w_compose(x, i, y).leaf_word == _oracle_graft_word(x.leaf_word, i, y.leaf_word)
         assert (w_compose(w_compose(x, i, y), i + j - 1, z)
                 == w_compose(x, i, w_compose(y, j, z)))
         if n >= 2:
@@ -302,3 +318,25 @@ def test_w_operad_interface():
     assert w_op.is_unit(w_op.unit())
     text = w_op.format_element(x)
     assert w_op.key(w_op.parse_element(text)) == w_op.key(x)
+
+
+def _dot_label(line):
+    """The label attribute of one DOT line, read as DOT reads a quoted string
+    (a backslash takes the next character literally, and the first other
+    quote ends the string), and the rest of the line after it."""
+    rest = line[line.index('label="') + len('label="'):]
+    out = []
+    k = 0
+    while rest[k] != '"':
+        k += rest[k] == "\\"
+        out.append(rest[k])
+        k += 1
+    return "".join(out), rest[k + 1:]
+
+
+@pytest.mark.parametrize("payload", ['a\\"b', 'a\\', '"', "plain"])
+def test_dot_labels_read_back_as_the_element_text(payload):
+    formal = FormalOperad()
+    x = formal.atom("f", 2, payload=payload)
+    (line,) = [line for line in w_dot(w_corolla(formal, x)).splitlines() if "ellipse" in line]
+    assert _dot_label(line) == (formal.format_element(x), "];")
