@@ -21,9 +21,9 @@ Consequently heights strictly increase along edges, at most one vertex has
 height 0 (the root), and every vertex of height 1 has only leaves below it.
 
 A `BPoint` is normal by construction, and the structure maps rely on it.
-Raw trees are validated once, where they enter: `bpoint`,
-`b_normalize_random_order`, `b_corolla` and `b_map_heights` (the caller
-picks the heights), and the text and JSON readers in `serialize`. They
+Raw trees are validated once, where they enter: `bpoint`, `b_corolla`,
+`b_map_heights` (the caller picks the heights), the text and JSON readers
+in `serialize`, and the random-order oracle in `oracles`. They
 normalize every label through `wpoint` again, except a label that
 `_normal_w` marked (see `wconstruction`): such a label is normal, and a
 label built with `WPoint(...)` never carries the mark. The structure maps
@@ -31,27 +31,19 @@ label built with `WPoint(...)` never carries the mark. The structure maps
 only rebuild normal forms from normal forms, so they go straight to
 `_normal_b` and check no label or height again; they do check that their
 arguments are points. A point keeps the text `_canonical_b` built for it.
-`BBimodule.validate` is the check for a point of unknown origin.
+`bimodules.BBimodule.validate` is the check for a point of unknown origin.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Hashable, Optional, Union
+from typing import Callable, Optional, Union
 
 from .operads import EffectiveOperad, format_fraction
 from .trees import MAX_DEPTH, DomainError, InjectiveMap, Record, fold, require, set_field, shown
-from .wconstruction import (
-    WOperad,
-    WPoint,
-    w_compose,
-    w_lambda,
-    w_unit,
-    wpoint,
-)
+from .wconstruction import WPoint, w_compose, w_lambda, w_unit, wpoint
 
 
 class BNode(Record):
@@ -74,7 +66,7 @@ class BPoint(Record):
     Normal by construction, labels included: every function here that
     returns one has reduced and canonicalized it, and takes it for normal
     in turn. A point assembled by hand is checked with
-    `BBimodule(op).validate`."""
+    `bimodules.BBimodule(op).validate`."""
 
     operad: EffectiveOperad
     root: Union[int, BNode]
@@ -378,72 +370,6 @@ def _map_heights(entry: BEntry, fn: Callable[[Fraction], Fraction]) -> BEntry:
 
 
 # ---------------------------------------------------------------------------
-# random-order reduction, kept separate as an oracle for confluence tests
-# ---------------------------------------------------------------------------
-
-def _b_node_at(root: BNode, path: tuple[int, ...]) -> BNode:
-    node = root
-    for index in path:
-        child = node.children[index]
-        assert isinstance(child, BNode)
-        node = child
-    return node
-
-
-def _b_with_node(root: BNode, path: tuple[int, ...], new: BEntry) -> BEntry:
-    if not path:
-        return new
-    index = path[0]
-    child = root.children[index]
-    assert isinstance(child, BNode)
-    replaced = _b_with_node(child, path[1:], new)
-    children = root.children[:index] + (replaced,) + root.children[index + 1:]
-    return BNode(root.label, root.height, children)
-
-
-def _b_applicable_steps(root: BNode) -> list[tuple]:
-    steps: list[tuple] = []
-    _collect_b_steps(root, (), steps)
-    return steps
-
-
-def _collect_b_steps(node: BNode, path: tuple[int, ...], steps: list[tuple]) -> None:
-    if len(node.children) == 1 and node.label.is_trivial:
-        steps.append(("splice", path))
-    for index, child in enumerate(node.children):
-        if isinstance(child, BNode):
-            if child.height == node.height:
-                steps.append(("contract", path, index))
-            _collect_b_steps(child, path + (index,), steps)
-
-
-def _b_apply_step(root: BNode, step: tuple) -> BEntry:
-    if step[0] == "splice":
-        _, path = step
-        node = _b_node_at(root, path)
-        return _b_with_node(root, path, node.children[0])
-    _, path, index = step
-    node = _b_node_at(root, path)
-    child = node.children[index]
-    assert isinstance(child, BNode)
-    label = w_compose(node.label, index + 1, child.label)
-    children = node.children[:index] + child.children + node.children[index + 1:]
-    return _b_with_node(root, path, BNode(label, node.height, children))
-
-
-def b_normalize_random_order(rng, op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
-    """Reduce by applying steps in a random order; agreement with bpoint
-    across many draws is the confluence check."""
-    root = _validate_b_raw(op, root, Fraction(0))
-    while isinstance(root, BNode):
-        steps = _b_applicable_steps(root)
-        if not steps:
-            break
-        root = _b_apply_step(root, steps[rng.randrange(len(steps))])
-    return _canonical_point(op, root)
-
-
-# ---------------------------------------------------------------------------
 # slicing by horizontal cuts
 # ---------------------------------------------------------------------------
 
@@ -583,184 +509,9 @@ def b_prime_decompose(b: BPoint) -> BDecomposition:
     return BDecomposition(root_label, tuple(pieces), (level, aux))
 
 
-# ---------------------------------------------------------------------------
-# bimodules over the resolution
-# ---------------------------------------------------------------------------
-
-class Bimodule(ABC):
-    """A two-sided module over a resolution operad, with restrictions."""
-
-    name: str
-    over: EffectiveOperad
-
-    @abstractmethod
-    def arity_of(self, x) -> int: ...
-
-    @abstractmethod
-    def validate(self, x) -> None: ...
-
-    @abstractmethod
-    def unit(self):
-        """The distinguished arity-1 element (image of the bare strand)."""
-
-    @abstractmethod
-    def left_act(self, p, xs: tuple): ...
-
-    @abstractmethod
-    def right_act(self, x, i: int, p): ...
-
-    @abstractmethod
-    def restrict(self, u: InjectiveMap, x): ...
-
-    @abstractmethod
-    def key(self, x) -> Hashable: ...
-
-    @abstractmethod
-    def sample(self, rng, n: int): ...
-
-    def eq(self, x, y) -> bool:
-        return self.key(x) == self.key(y)
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.name == getattr(other, "name", None)
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.name))
-
-    def __repr__(self) -> str:
-        return f"<bimodule {self.name}>"
-
-
-class BBimodule(Bimodule):
-    """The height-tree resolution as a bimodule over the resolution operad."""
-
-    def __init__(self, base: EffectiveOperad) -> None:
-        self.base = base
-        self.over = WOperad(base)
-        self.name = f"b({base.name})"
-
-    def arity_of(self, x: BPoint) -> int:
-        return x.arity
-
-    def validate(self, x) -> None:
-        if not isinstance(x, BPoint) or x.operad != self.base:
-            raise DomainError(f"expected a point over {self.base.name}")
-        if bpoint(self.base, x.root).root != x.root:
-            raise DomainError("point is not in normal form")
-
-    def unit(self) -> BPoint:
-        return b_unit(self.base)
-
-    def left_act(self, p: WPoint, xs: tuple) -> BPoint:
-        return b_left_act(p, tuple(xs))
-
-    def right_act(self, x: BPoint, i: int, p: WPoint) -> BPoint:
-        return b_right_act(x, i, p)
-
-    def restrict(self, u: InjectiveMap, x: BPoint) -> BPoint:
-        return b_lambda(u, x)
-
-    def key(self, x: BPoint) -> Hashable:
-        return (self.name, x.root)
-
-    def sample(self, rng, n: int) -> BPoint:
-        from .sampling import random_bpoint
-        return random_bpoint(rng, self.base, n)
-
-
-class WSelfBimodule(Bimodule):
-    """The resolution operad seen as a bimodule over itself."""
-
-    def __init__(self, base: EffectiveOperad) -> None:
-        self.base = base
-        self.over = WOperad(base)
-        self.name = f"wself({base.name})"
-
-    def arity_of(self, x: WPoint) -> int:
-        return x.arity
-
-    def validate(self, x) -> None:
-        self.over.validate(x)
-
-    def unit(self) -> WPoint:
-        return w_unit(self.base)
-
-    def left_act(self, p: WPoint, xs: tuple) -> WPoint:
-        if len(xs) != p.arity:
-            raise DomainError(f"need {p.arity} points, got {len(xs)}")
-        value = p
-        for position in range(p.arity, 0, -1):
-            value = w_compose(value, position, xs[position - 1])
-        return value
-
-    def right_act(self, x: WPoint, i: int, p: WPoint) -> WPoint:
-        return w_compose(x, i, p)
-
-    def restrict(self, u: InjectiveMap, x: WPoint) -> WPoint:
-        return w_lambda(u, x)
-
-    def key(self, x: WPoint) -> Hashable:
-        return (self.name, x.root)
-
-    def sample(self, rng, n: int) -> WPoint:
-        from .sampling import random_wpoint
-        return random_wpoint(rng, self.base, n)
-
-
-def eval_truncated_bimodule_map(
-    assign: Callable[[BPoint], Hashable],
-    level: int,
-    b: BPoint,
-    target: Bimodule,
-    order: Optional[list[int]] = None,
-):
-    """Evaluate a bimodule map defined on pieces of at most `level` inputs.
-
-    assign sends each middle piece of the two-sided decomposition to a
-    target element of the same arity; boundary labels act through the
-    target's own actions. `order` permutes the sequence in which the
-    height-1 caps are applied, and the result must not depend on it.
-    """
-    dec = b_prime_decompose(b)
-    if dec.filtration[0] > level:
-        raise DomainError(
-            f"point at filtration level {dec.filtration[0]} exceeds {level}")
-
-    values = []
-    rows = []
-    caps = []
-    for piece_index, (piece, records) in enumerate(dec.pieces):
-        value = assign(piece)
-        if target.arity_of(value) != piece.arity:
-            raise DomainError("assigned value has the wrong arity")
-        values.append(value)
-        row: list = []
-        for record in records:
-            if record[0] == "ext":
-                row.append(("ext", record[1]))
-            else:
-                caps.append((piece_index, len(row)))
-                row.append(("cap", record[1], record[2], len(caps) - 1))
-        rows.append(row)
-
-    if order is None:
-        order = list(range(len(caps)))
-    if sorted(order) != list(range(len(caps))):
-        raise DomainError("order must be a permutation of the cap indices")
-
-    for cap_id in order:
-        piece_index, _ = caps[cap_id]
-        row = rows[piece_index]
-        at = next(k for k, entry in enumerate(row) if entry[0] == "cap" and entry[3] == cap_id)
-        _, label, numbers, _ = row[at]
-        values[piece_index] = target.right_act(values[piece_index], at + 1, label)
-        row[at: at + 1] = [("ext", number) for number in numbers]
-
-    if dec.root_label is not None:
-        value = target.left_act(dec.root_label, tuple(values))
-    else:
-        assert len(values) == 1
-        value = values[0]
-    # every slot holds a leaf number now, so the fold only relabels
-    return fold(value, tuple(number for row in rows for _, number in row), None, None,
-                target.restrict)
+def __getattr__(name: str):
+    """`b_normalize_random_order`, which lives in `oracles`, loaded on first access."""
+    if name == "b_normalize_random_order":
+        from .oracles import b_normalize_random_order
+        return b_normalize_random_order
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

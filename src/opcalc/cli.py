@@ -12,11 +12,16 @@ usage or parse errors.
 A process loads only the modules its command runs. This module imports
 the core: `operads`, `trees`, `wconstruction`, `bconstruction` and
 `serialize`, which is all that `normalize`, `compose`, `mu`, `decompose`
-and `dot` use. The evaluator commands import the rest inside their
-handlers: `eval-xi`, `eval-psi` and `lift` load `mapping`, `alpha` loads
-`mapping` and `swisscheese`, and `check` loads `mapping` and `suites`
-(and through them `sampling`). `Workspace` builds its tag family and the
-product bimodule over it on first use, not when it is created.
+and `dot` use. The core holds the points, their normal forms, the
+structure maps, the decompositions and the readers and writers; the slow
+oracles and the recording operad (`oracles`), the bimodule classes and the
+truncated evaluators (`bimodules`) and the matching families (`suites`)
+are outside it. The other commands import the rest inside their handlers:
+`mu --truncate` loads `bimodules`, `eval-xi`, `eval-psi` and `lift` load
+`mapping` (and through it `bimodules`), `alpha` loads `mapping` and
+`swisscheese`, and `check` loads `mapping` and `suites` (and through them
+`bimodules`, `oracles` and `sampling`). `Workspace` builds its tag family
+and the product bimodule over it on first use, not when it is created.
 """
 
 from __future__ import annotations
@@ -28,14 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .bconstruction import (
-    BBimodule,
-    WSelfBimodule,
-    b_prime_decompose,
-    b_text,
-    eval_truncated_bimodule_map,
-    mu_prime,
-)
+from .bconstruction import b_prime_decompose, b_text, mu_prime
 from .operads import (
     Associative,
     LittleDiscs,
@@ -56,13 +54,7 @@ from .serialize import (
     w_to_jsonable,
 )
 from .trees import DomainError, shown, tree_text
-from .wconstruction import (
-    WOperad,
-    eval_truncated_operad_map,
-    mu,
-    w_prime_decompose,
-    w_text,
-)
+from .wconstruction import WOperad, mu, w_prime_decompose, w_text
 
 if TYPE_CHECKING:
     from .mapping import BimoduleMap, HofiberPoint, PointedMapFamily, QXElem, QXProductBimodule
@@ -134,6 +126,7 @@ class Workspace:
 
     def section_map(self, x: str) -> BimoduleMap:
         """The tagged bimodule map the lift and alpha commands start from."""
+        from .bimodules import BBimodule
         from .mapping import psi_double_prime, psi_prime_as_map
         f = psi_prime_as_map(self.hofiber(x), BBimodule(self.d1), self.family)
         return psi_double_prime(f, self.qxprod, samples=20, seed=0)
@@ -200,12 +193,14 @@ def cmd_mu(ws: Workspace, args) -> int:
     point = read_point(op, args.kind, args.point)
     if args.kind == "w":
         if args.truncate is not None:
+            from .bimodules import eval_truncated_operad_map
             value = eval_truncated_operad_map(mu, args.truncate, point, op)
         else:
             value = mu(point)
         emit(args, op.format_element(value), op.to_jsonable(value))
         return 0
     if args.truncate is not None:
+        from .bimodules import WSelfBimodule, eval_truncated_bimodule_map
         value = eval_truncated_bimodule_map(mu_prime, args.truncate, point,
                                             WSelfBimodule(op))
     else:
@@ -269,6 +264,7 @@ def cmd_eval_xi(ws: Workspace, args) -> int:
 
 
 def cmd_eval_psi(ws: Workspace, args) -> int:
+    from .bimodules import eval_truncated_bimodule_map
     from .mapping import QxBimodule, psi_prime_eval
     h = ws.hofiber(args.x)
     point = read_point(ws.d1, "b", args.point)
@@ -322,6 +318,7 @@ def cmd_alpha(ws: Workspace, args) -> int:
 
 
 def run_suite(ws: Workspace, args):
+    from .bimodules import BBimodule, WSelfBimodule
     from .mapping import (
         BimoduleMap,
         QxBimodule,

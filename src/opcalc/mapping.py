@@ -14,12 +14,8 @@ import random
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .bconstruction import (
-    Bimodule,
-    BPoint,
-    b_map_heights,
-    slice_point,
-)
+from .bconstruction import BPoint, b_map_heights, slice_point
+from .bimodules import Bimodule
 from .operads import EffectiveOperad, LittleDiscs, LittleIntervals, PointedSet, format_fraction
 from .sampling import random_fraction, random_injection
 from .trees import DomainError, InjectiveMap, Record, fold, shown

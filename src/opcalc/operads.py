@@ -15,6 +15,11 @@ Conventions shared by every instance:
   * compose(x, i, y) renumbers labels the standard way: labels of x below i
     are kept, labels of y move to the block i..i+m-1, labels of x above i
     shift up by m - 1.
+
+Here are the interval, disc, associative and framed operads and the pointed
+sets the CLI's workspace names. The recording operad `FormalOperad` lives in
+`oracles`, power sequences and matching families in `suites`: no W or B
+command runs them.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ import itertools
 import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Hashable, Iterable
 
-from .trees import DomainError, InjectiveMap, Record, fold, shown
+from .trees import DomainError, InjectiveMap, Record, shown
 
 
 def format_fraction(q: Fraction | int) -> str:
@@ -653,249 +658,7 @@ def framed_intervals() -> FramedOperad:
 
 
 # ---------------------------------------------------------------------------
-# A free recording operad on named atoms
-# ---------------------------------------------------------------------------
-
-class FLeaf(Record):
-    number: int
-
-    def __repr__(self) -> str:
-        return f"FLeaf({self.number})"
-
-
-class FNode(Record):
-    name: str
-    payload: Hashable
-    children: tuple
-
-
-FExpr = Union[FLeaf, FNode]
-
-
-def _fexpr_leaves(e: FExpr, out: list[int]) -> None:
-    if isinstance(e, FLeaf):
-        out.append(e.number)
-    else:
-        for c in e.children:
-            _fexpr_leaves(c, out)
-
-
-def _fexpr_map_leaves(e: FExpr, f: Callable[[int], FExpr]) -> FExpr:
-    if isinstance(e, FLeaf):
-        return f(e.number)
-    return FNode(e.name, e.payload, tuple(_fexpr_map_leaves(c, f) for c in e.children))
-
-
-def _check_fexpr_nodes(e: FExpr) -> None:
-    if isinstance(e, FNode):
-        if not e.children:
-            raise DomainError("expression nodes need children")
-        for c in e.children:
-            _check_fexpr_nodes(c)
-
-
-def _fexpr_restrict(e: FExpr, renumber: dict[int, int]) -> FExpr | None:
-    """The expression keeping the leaves `renumber` maps, or None if none is kept."""
-    if isinstance(e, FLeaf):
-        j = renumber.get(e.number)
-        return None if j is None else FLeaf(j)
-    survivors = []
-    slots = []
-    for idx, c in enumerate(e.children):
-        kept = _fexpr_restrict(c, renumber)
-        if kept is not None:
-            survivors.append(kept)
-            slots.append(idx + 1)
-    if not survivors:
-        return None
-    if len(slots) == len(e.children):
-        return FNode(e.name, e.payload, tuple(survivors))
-    return FNode(e.name, ("restricted", tuple(slots), e.payload), tuple(survivors))
-
-
-def _fexpr_text(e: FExpr) -> str:
-    if isinstance(e, FLeaf):
-        return f"L{e.number}"
-    head = e.name
-    if e.payload is not None:
-        text = e.payload if isinstance(e.payload, str) else repr(e.payload)
-        quoted = text.replace("\\", "\\\\").replace('"', '\\"')
-        head = f'{e.name}#"{quoted}"'
-    return "(" + " ".join([head] + [_fexpr_text(c) for c in e.children]) + ")"
-
-
-class FormalOperad(EffectiveOperad):
-    """The free operad on named atoms, used as a recording target.
-
-    Elements are expression trees whose leaves are numbered bijectively;
-    composition grafts, the bare leaf is the unit, and bijections act by
-    renumbering leaves. Restriction along a non-bijective injection deletes
-    leaves and tags the surviving atoms with the slots they kept. The
-    tagging makes deletions land in fresh atoms, so this instance is a
-    recording device rather than a lawful symmetric sequence: it is kept
-    out of the randomized law suites on purpose.
-    """
-
-    def __init__(self, name: str = "formal") -> None:
-        self.name = name
-
-    def atom(self, name: str, arity: int, payload: Hashable = None) -> FExpr:
-        if arity < 1:
-            raise DomainError("atoms need arity at least 1")
-        return FNode(name, payload, tuple(FLeaf(k) for k in range(1, arity + 1)))
-
-    def arity_of(self, x) -> int:
-        out: list[int] = []
-        _fexpr_leaves(x, out)
-        return len(out)
-
-    def validate(self, x) -> None:
-        if not isinstance(x, (FLeaf, FNode)):
-            raise DomainError(f"expected an expression, got {shown(x)}")
-        out: list[int] = []
-        _fexpr_leaves(x, out)
-        if sorted(out) != list(range(1, len(out) + 1)):
-            raise DomainError(f"leaf numbers {out} are not a bijection onto 1..{len(out)}")
-        _check_fexpr_nodes(x)
-
-    def unit(self):
-        return FLeaf(1)
-
-    def compose(self, x, i: int, y):
-        self._check_slot(x, i)
-        m = self.arity_of(y)
-        shifted = _fexpr_map_leaves(y, lambda k: FLeaf(i + k - 1))
-
-        def place(number: int) -> FExpr:
-            if number == i:
-                return shifted
-            return FLeaf(number if number < i else number + m - 1)
-
-        return _fexpr_map_leaves(x, place)
-
-    def restrict(self, u: InjectiveMap, x):
-        self._check_restrict(u, x)
-        if u.is_permutation:
-            inv = u.inverse()
-            return _fexpr_map_leaves(x, lambda k: FLeaf(inv(k)))
-        if u.m == 0:
-            raise DomainError("cannot delete every leaf")
-        renumber = {u(j): j for j in range(1, u.m + 1)}
-        out = _fexpr_restrict(x, renumber)
-        assert out is not None
-        return out
-
-    def key(self, x) -> Hashable:
-        return x
-
-    def format_element(self, x) -> str:
-        return _fexpr_text(x)
-
-    def parse_element(self, text: str):
-        tokens = self._tokenize(text)
-        expr, rest = self._parse_expr(tokens)
-        if rest:
-            raise DomainError(f"trailing tokens {shown(rest)}")
-        self.validate(expr)
-        return expr
-
-    @staticmethod
-    def _tokenize(text: str) -> list[str]:
-        out: list[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "()":
-                out.append(ch)
-                i += 1
-            else:
-                j = i
-                buf = []
-                in_quote = False
-                while j < len(text):
-                    c = text[j]
-                    if in_quote:
-                        if c == "\\":
-                            if j + 1 == len(text):
-                                raise DomainError(f"dangling escape at the end of {shown(text)}")
-                            buf.append(text[j + 1])
-                            j += 2
-                            continue
-                        buf.append(c)
-                        if c == '"':
-                            in_quote = False
-                        j += 1
-                    elif c == '"':
-                        in_quote = True
-                        buf.append(c)
-                        j += 1
-                    elif c.isspace() or c in "()":
-                        break
-                    else:
-                        buf.append(c)
-                        j += 1
-                out.append("".join(buf))
-                i = j
-        return out
-
-    def _parse_expr(self, tokens: list[str]):
-        if not tokens:
-            raise DomainError("unexpected end of expression")
-        tok, rest = tokens[0], tokens[1:]
-        if tok == "(":
-            if not rest:
-                raise DomainError("unexpected end of expression")
-            head, rest = rest[0], rest[1:]
-            if "#" in head:
-                name, _, quoted = head.partition("#")
-                if not (quoted.startswith('"') and quoted.endswith('"')):
-                    raise DomainError(f"bad payload in {shown(head)}")
-                payload: Hashable = quoted[1:-1]
-            else:
-                name, payload = head, None
-            children = []
-            while rest and rest[0] != ")":
-                child, rest = self._parse_expr(rest)
-                children.append(child)
-            if not rest:
-                raise DomainError("missing )")
-            return FNode(name, payload, tuple(children)), rest[1:]
-        if tok.startswith("L"):
-            try:
-                return FLeaf(parse_int(tok[1:], signed=False)), rest
-            except DomainError as exc:
-                raise DomainError(f"bad leaf token {shown(tok)}") from exc
-        raise DomainError(f"bad token {shown(tok)}")
-
-    def sample(self, rng, n: int):
-        raise DomainError("the recording operad has no sampler")
-
-
-def eval_formal(expr: FExpr, target: EffectiveOperad, atom_eval: Callable) -> Hashable:
-    """Evaluate an expression in a target operad.
-
-    atom_eval(name, payload, arity) supplies the value of each atom. The
-    composite is assembled positionally and relabelled once at the end so
-    that leaf numbers become input labels (`trees.fold`).
-    """
-
-    def open_expr(e: FExpr) -> tuple:
-        """An atom's value and its slots: a leaf number or a subexpression."""
-        if isinstance(e, FLeaf):
-            return target.unit(), (e.number,)
-        k = len(e.children)
-        value = atom_eval(e.name, e.payload, k)
-        if target.arity_of(value) != k:
-            raise DomainError(f"atom {shown(e.name)} evaluated to the wrong arity")
-        return value, tuple(c.number if isinstance(c, FLeaf) else c for c in e.children)
-
-    return fold(*open_expr(expr), open_expr, target.compose, target.restrict)
-
-
-# ---------------------------------------------------------------------------
-# Finite pointed sets, power sequences, matching families
+# Finite pointed sets
 # ---------------------------------------------------------------------------
 
 class PointedSet(Record):
@@ -908,124 +671,3 @@ class PointedSet(Record):
             raise DomainError("basepoint must be an element")
         if len(set(self.elements)) != len(self.elements):
             raise DomainError("elements must be distinct")
-
-
-class PowerSequence:
-    """Levels X^n, restriction along u picking out coordinates u(1)..u(m)."""
-
-    def __init__(self, space: PointedSet) -> None:
-        self.space = space
-        self.name = f"power({space.name})"
-
-    def elements(self, n: int) -> Iterator[tuple]:
-        return itertools.product(self.space.elements, repeat=n)
-
-    def restrict(self, u: InjectiveMap, xs: tuple) -> tuple:
-        if u.n != len(xs):
-            raise DomainError(f"injection into [{u.n}] against a tuple of length {len(xs)}")
-        return tuple(xs[u(j) - 1] for j in range(1, u.m + 1))
-
-
-def proper_face_maps(n: int) -> list[InjectiveMap]:
-    """All order-preserving injections [m] -> [n] with m < n."""
-    out = []
-    for m in range(n - 1, -1, -1):
-        out.extend(InjectiveMap.all_order_preserving(m, n))
-    return out
-
-
-class MatchingFamily(Record):
-    """A compatible choice of an element below every proper face of level n.
-
-    Keys are the value tuples of proper order-preserving injections into
-    [n]; compatibility means the assignment intertwines restriction."""
-
-    n: int
-    assignments: Mapping[tuple[int, ...], Hashable]
-
-
-def induced_matching_family(seq, n: int, z) -> MatchingFamily:
-    return MatchingFamily(
-        n, {u.values: seq.restrict(u, z) for u in proper_face_maps(n)})
-
-
-def _factor_through(u: InjectiveMap, w: InjectiveMap) -> InjectiveMap | None:
-    """The order-preserving v with u = w . v, if the image of u sits inside
-    the image of w."""
-    position = {w(j): j for j in range(1, w.m + 1)}
-    values = []
-    for j in range(1, u.m + 1):
-        p = position.get(u(j))
-        if p is None:
-            return None
-        values.append(p)
-    return InjectiveMap(u.m, w.m, tuple(values))
-
-
-def is_matching_compatible(seq, fam: MatchingFamily) -> bool:
-    faces = proper_face_maps(fam.n)
-    if set(fam.assignments) != {u.values for u in faces}:
-        return False
-    for u in faces:
-        for v in proper_face_maps(u.m):
-            if fam.assignments[u.after(v).values] != seq.restrict(v, fam.assignments[u.values]):
-                return False
-    return True
-
-
-def enumerate_matching_families(seq, n: int) -> list[MatchingFamily]:
-    """All matching families at level n, by backtracking over the top faces.
-
-    The codimension-one faces determine everything below by factorization,
-    so the search assigns those first, pruning on pairwise overlaps, and
-    then checks that the forced lower values are consistent.
-    """
-    if n == 1:
-        # only the empty face exists; its level has exactly one element
-        only = list(seq.elements(0))
-        return [MatchingFamily(1, {(): only[0]})]
-    top = list(InjectiveMap.all_order_preserving(n - 1, n))
-    lower = [u for u in proper_face_maps(n) if u.m < n - 1]
-    families: list[MatchingFamily] = []
-    _extend_families(seq, n, top, lower, 0, {}, families)
-    return families
-
-
-def _overlaps_ok(seq, n: int, top: list[InjectiveMap], chosen: dict) -> bool:
-    picked = [u for u in top if u.values in chosen]
-    for a, b in itertools.combinations(picked, 2):
-        common = sorted(set(a.values) & set(b.values))
-        u = InjectiveMap(len(common), n, tuple(common))
-        va = _factor_through(u, a)
-        vb = _factor_through(u, b)
-        if seq.restrict(va, chosen[a.values]) != seq.restrict(vb, chosen[b.values]):
-            return False
-    return True
-
-
-def _extend_families(seq, n: int, top: list[InjectiveMap], lower: list[InjectiveMap],
-                     idx: int, chosen: dict, families: list[MatchingFamily]) -> None:
-    """Assign top faces idx.. in turn, appending every consistent family."""
-    if idx == len(top):
-        assignments = dict(chosen)
-        for u in lower:
-            forced = None
-            for w in top:
-                v = _factor_through(u, w)
-                if v is None:
-                    continue
-                value = seq.restrict(v, chosen[w.values])
-                if forced is None:
-                    forced = value
-                elif forced != value:
-                    return
-            assert forced is not None
-            assignments[u.values] = forced
-        families.append(MatchingFamily(n, assignments))
-        return
-    u = top[idx]
-    for candidate in seq.elements(u.m):
-        chosen[u.values] = candidate
-        if _overlaps_ok(seq, n, top, chosen):
-            _extend_families(seq, n, top, lower, idx + 1, chosen, families)
-        del chosen[u.values]

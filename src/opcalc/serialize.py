@@ -7,9 +7,13 @@ The text grammar mirrors what entry_text produces:
     child  := "l" INT | "(e" FRACTION node ")"
 
 Labels are the base operad's own element format, quoted with backslash
-escapes. Parsing always goes through the validating constructors, so a
-parsed point compares equal to the point that produced the text. Every
-reader stops at MAX_DEPTH nested vertices with a DomainError.
+escapes. The W readers validate each label once, through the operad's
+`parse_element` or `from_jsonable`, and check the tree's shape as they
+read: label arity, edge lengths in [0,1], an edge onto a vertex, leaf
+numbers at least 1. They end where `wpoint` ends, in the leaf-number check
+and the normalizer, so a parsed point compares equal to the point that
+produced the text. The B readers go through `bpoint`. Every reader stops at
+MAX_DEPTH nested vertices with a DomainError.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Union
 from .bconstruction import BNode, BPoint, bpoint
 from .operads import EffectiveOperad, format_fraction, parse_fraction, parse_int
 from .trees import DomainError, check_depth, shown
-from .wconstruction import WEdge, WNode, WPoint, w_text, wpoint
+from .wconstruction import WEdge, WNode, WPoint, _checked_point, _edge, _vertex, w_text
 
 Token = tuple[str, str]
 
@@ -79,11 +83,18 @@ class _Reader:
 
 
 def _leaf_token(text: str) -> int:
-    """The number of a leaf token l<k>, k matching [0-9]+."""
+    """The number of a leaf token l<k>, k matching [0-9]+ and at least 1."""
     try:
-        return parse_int(text[1:], signed=False)
+        number = parse_int(text[1:], signed=False)
     except DomainError as exc:
         raise DomainError(f"bad leaf token {shown(text)}") from exc
+    return _leaf_number(number)
+
+
+def _leaf_number(number: int) -> int:
+    if number < 1:
+        raise DomainError(f"bad leaf number {shown(number)}")
+    return number
 
 
 def _read_w_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> WNode:
@@ -97,7 +108,7 @@ def _read_w_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> WNode:
     while r.peek()[0] != "rp":
         children.append(_read_w_entry(op, r, depth + 1))
     r.take("rp")
-    return WNode(label, tuple(children))
+    return _vertex(op, label, tuple(children))
 
 
 def _read_w_entry(op: EffectiveOperad, r: _Reader, depth: int):
@@ -113,7 +124,7 @@ def _read_w_entry(op: EffectiveOperad, r: _Reader, depth: int):
             length = parse_fraction(r.take("atom")[1])
             node = _read_w_node(op, r, depth)
             r.take("rp")
-            return WEdge(length, node)
+            return _edge(length, node)
         r.pos = mark
         return _read_w_node(op, r, depth)
     raise DomainError(f"unexpected token {shown(tok)}")
@@ -126,11 +137,11 @@ def parse_w_text(op: EffectiveOperad, text: str) -> WPoint:
         r.take()
         if not r.done():
             raise DomainError("trailing input after trivial point")
-        return wpoint(op, 1)
+        return _checked_point(op, 1)
     entry = _read_w_node(op, r)
     if not r.done():
         raise DomainError("trailing input after point")
-    return wpoint(op, entry)
+    return _checked_point(op, entry)
 
 
 # ----------------------------------------------------------------- JSON
@@ -166,7 +177,7 @@ def _leaf(blob: dict) -> int:
     number = blob["leaf"]
     if isinstance(number, bool) or not isinstance(number, int):
         raise DomainError(f"leaf must be an integer, got {shown(number)}")
-    return number
+    return _leaf_number(number)
 
 
 def _children(blob: dict) -> list:
@@ -186,7 +197,10 @@ def _record_root(data, kind: str, what: str, op: EffectiveOperad):
 
 
 def w_from_jsonable(op: EffectiveOperad, data: dict) -> WPoint:
-    return wpoint(op, _w_dec(op, _record_root(data, "w", "w point", op), 0))
+    root = _w_dec(op, _record_root(data, "w", "w point", op), 0)
+    if isinstance(root, WEdge):
+        raise DomainError("a point's root must be a vertex or a leaf, not an edge")
+    return _checked_point(op, root)
 
 
 def _w_dec(op: EffectiveOperad, blob, depth: int):
@@ -195,11 +209,11 @@ def _w_dec(op: EffectiveOperad, blob, depth: int):
         return _leaf(blob)
     if "length" in blob:
         length, node = _fields(blob, "length", "node")
-        return WEdge(parse_fraction(length), _w_dec(op, node, depth))
+        return _edge(parse_fraction(length), _w_dec(op, node, depth))
     check_depth(depth)
     (label,) = _fields(blob, "label")
-    return WNode(op.from_jsonable(label),
-                 tuple(_w_dec(op, c, depth + 1) for c in _children(blob)))
+    return _vertex(op, op.from_jsonable(label),
+                   tuple(_w_dec(op, c, depth + 1) for c in _children(blob)))
 
 
 # ------------------------------------------------------------------ DOT

@@ -5,22 +5,22 @@ and returns the same CheckReport the map checks in mapping produce: one
 entry per law, first failing witness kept. A law that no sample reached,
 or every law when there are zero samples, is marked vacuous, and the CLI
 flags it so that silence is not mistaken for evidence.
+
+The power sequences and matching families that `suite_matching` counts
+are defined here too; no other library code uses them.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Hashable, Iterator, Mapping
 
-from .bconstruction import Bimodule, b_normalize_random_order, b_text, bpoint
+from .bconstruction import b_text, bpoint
+from .bimodules import Bimodule
 from .mapping import CheckReport, Recorder
-from .operads import (
-    EffectiveOperad,
-    PointedSet,
-    PowerSequence,
-    enumerate_matching_families,
-    induced_matching_family,
-    is_matching_compatible,
-)
+from .operads import EffectiveOperad, PointedSet
+from .oracles import b_normalize_random_order, normalize_random_order
 from .sampling import (
     random_b_twists,
     random_injection,
@@ -28,8 +28,8 @@ from .sampling import (
     random_raw_wnode,
     random_vertex_twists,
 )
-from .trees import InjectiveMap, block_injection, drop_block
-from .wconstruction import normalize_random_order, w_text, wpoint
+from .trees import DomainError, InjectiveMap, Record, block_injection, drop_block
+from .wconstruction import w_text, wpoint
 
 
 def suite_operad_axioms(op: EffectiveOperad, samples: int = 500,
@@ -212,6 +212,130 @@ def suite_bimodule_axioms(bim: Bimodule, samples: int = 100,
              "right-disjoint", "interchange", "restrict-left",
              "restrict-right", "restrict-functorial")
     return rec.report(f"bimodule-axioms:{bim.name}", seed, samples, order)
+
+# ---------------------------------------------------------------------------
+# power sequences and matching families
+# ---------------------------------------------------------------------------
+
+class PowerSequence:
+    """Levels X^n, restriction along u picking out coordinates u(1)..u(m)."""
+
+    def __init__(self, space: PointedSet) -> None:
+        self.space = space
+        self.name = f"power({space.name})"
+
+    def elements(self, n: int) -> Iterator[tuple]:
+        return itertools.product(self.space.elements, repeat=n)
+
+    def restrict(self, u: InjectiveMap, xs: tuple) -> tuple:
+        if u.n != len(xs):
+            raise DomainError(f"injection into [{u.n}] against a tuple of length {len(xs)}")
+        return tuple(xs[u(j) - 1] for j in range(1, u.m + 1))
+
+
+def proper_face_maps(n: int) -> list[InjectiveMap]:
+    """All order-preserving injections [m] -> [n] with m < n."""
+    out = []
+    for m in range(n - 1, -1, -1):
+        out.extend(InjectiveMap.all_order_preserving(m, n))
+    return out
+
+
+class MatchingFamily(Record):
+    """A compatible choice of an element below every proper face of level n.
+
+    Keys are the value tuples of proper order-preserving injections into
+    [n]; compatibility means the assignment intertwines restriction."""
+
+    n: int
+    assignments: Mapping[tuple[int, ...], Hashable]
+
+
+def induced_matching_family(seq, n: int, z) -> MatchingFamily:
+    return MatchingFamily(
+        n, {u.values: seq.restrict(u, z) for u in proper_face_maps(n)})
+
+
+def _factor_through(u: InjectiveMap, w: InjectiveMap) -> InjectiveMap | None:
+    """The order-preserving v with u = w . v, if the image of u sits inside
+    the image of w."""
+    position = {w(j): j for j in range(1, w.m + 1)}
+    values = []
+    for j in range(1, u.m + 1):
+        p = position.get(u(j))
+        if p is None:
+            return None
+        values.append(p)
+    return InjectiveMap(u.m, w.m, tuple(values))
+
+
+def is_matching_compatible(seq, fam: MatchingFamily) -> bool:
+    faces = proper_face_maps(fam.n)
+    if set(fam.assignments) != {u.values for u in faces}:
+        return False
+    for u in faces:
+        for v in proper_face_maps(u.m):
+            if fam.assignments[u.after(v).values] != seq.restrict(v, fam.assignments[u.values]):
+                return False
+    return True
+
+
+def enumerate_matching_families(seq, n: int) -> list[MatchingFamily]:
+    """All matching families at level n, by backtracking over the top faces.
+
+    The codimension-one faces determine everything below by factorization,
+    so the search assigns those first, pruning on pairwise overlaps, and
+    then checks that the forced lower values are consistent.
+    """
+    if n == 1:
+        # only the empty face exists; its level has exactly one element
+        only = list(seq.elements(0))
+        return [MatchingFamily(1, {(): only[0]})]
+    top = list(InjectiveMap.all_order_preserving(n - 1, n))
+    lower = [u for u in proper_face_maps(n) if u.m < n - 1]
+    families: list[MatchingFamily] = []
+    _extend_families(seq, n, top, lower, 0, {}, families)
+    return families
+
+
+def _overlaps_ok(seq, n: int, top: list[InjectiveMap], chosen: dict) -> bool:
+    picked = [u for u in top if u.values in chosen]
+    for a, b in itertools.combinations(picked, 2):
+        common = sorted(set(a.values) & set(b.values))
+        u = InjectiveMap(len(common), n, tuple(common))
+        va = _factor_through(u, a)
+        vb = _factor_through(u, b)
+        if seq.restrict(va, chosen[a.values]) != seq.restrict(vb, chosen[b.values]):
+            return False
+    return True
+
+
+def _extend_families(seq, n: int, top: list[InjectiveMap], lower: list[InjectiveMap],
+                     idx: int, chosen: dict, families: list[MatchingFamily]) -> None:
+    """Assign top faces idx.. in turn, appending every consistent family."""
+    if idx == len(top):
+        assignments = dict(chosen)
+        for u in lower:
+            forced = None
+            for w in top:
+                v = _factor_through(u, w)
+                if v is None:
+                    continue
+                value = seq.restrict(v, chosen[w.values])
+                if forced is None:
+                    forced = value
+                elif forced != value:
+                    return
+            assert forced is not None
+            assignments[u.values] = forced
+        families.append(MatchingFamily(n, assignments))
+        return
+    u = top[idx]
+    for candidate in seq.elements(u.m):
+        chosen[u.values] = candidate
+        if _overlaps_ok(seq, n, top, chosen):
+            _extend_families(seq, n, top, lower, idx + 1, chosen, families)
+        del chosen[u.values]
 
 
 def suite_matching(space: PointedSet, max_n: int = 4) -> CheckReport:

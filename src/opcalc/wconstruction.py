@@ -25,13 +25,14 @@ Finding the least twist does not need all k! of them when the operad's
 the interval, disc, associative and framed operads one sort of the
 inputs' tokens does, and no tie is left for the children to break. Other
 operads (the resolution itself, the recording operad) keep the search,
-`_least_twist`; `_canonical_node_search` applies it at every vertex and is
-the oracle the shortcut is tested against.
+`_least_twist`; `oracles._canonical_node_search` applies it at every
+vertex and is the oracle the shortcut is tested against.
 
 A `WPoint` is normal by construction, and the structure maps rely on it;
 it keeps its text once built. Raw trees are validated once, where they
-enter: `wpoint`, `w_corolla` (a label), `normalize_random_order`, and the
-readers in `serialize`. The structure maps check that their arguments are
+enter: `wpoint`, `w_corolla` (a label), the random-order oracle in
+`oracles`, and the readers in `serialize`, which validate each label once,
+as they parse it. The structure maps check that their arguments are
 points, and no label again.
 
 `_normal_w` marks a point when `canonical_twist` named the twist at each of
@@ -169,20 +170,34 @@ def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode],
     if isinstance(entry, int):
         return entry
     if isinstance(entry, WEdge):
-        length = Fraction(entry.length)
-        if not 0 <= length <= 1:
-            raise DomainError(f"edge length {entry.length} outside [0,1]")
-        if not isinstance(entry.node, WNode):
-            raise DomainError(f"an inner edge must end in a vertex, got {shown(entry.node)}")
-        return WEdge(length, _validate_raw(op, entry.node, depth))
+        return _edge(Fraction(entry.length), _validate_raw(op, entry.node, depth))
     if isinstance(entry, WNode):
         check_depth(depth)
         op.validate(entry.label)
-        if op.arity_of(entry.label) != len(entry.children):
-            raise DomainError(
-                f"label arity {op.arity_of(entry.label)} against {len(entry.children)} children")
-        return WNode(entry.label, tuple(_validate_raw(op, c, depth + 1) for c in entry.children))
+        return _vertex(op, entry.label,
+                       tuple(_validate_raw(op, c, depth + 1) for c in entry.children))
     raise DomainError(f"bad tree entry {shown(entry)}")
+
+
+def _edge(length: Fraction, node) -> WEdge:
+    """An inner edge on a checked node, once its length is in [0,1] and the
+    node is a vertex; `_validate_raw` and the readers in `serialize` build
+    edges here."""
+    if not 0 <= length <= 1:
+        raise DomainError(f"edge length {length} outside [0,1]")
+    if not isinstance(node, WNode):
+        raise DomainError(f"an inner edge must end in a vertex, got {shown(node)}")
+    return WEdge(length, node)
+
+
+def _vertex(op: EffectiveOperad, label, children: tuple) -> WNode:
+    """A vertex on checked children, once its label, a valid element, has
+    one input per child and each child is a leaf number or an inner edge."""
+    if op.arity_of(label) != len(children):
+        raise DomainError(f"label arity {op.arity_of(label)} against {len(children)} children")
+    if any(isinstance(child, WNode) for child in children):
+        raise DomainError("a vertex's child must be a leaf number or an inner edge, not a vertex")
+    return WNode(label, children)
 
 
 def _validate_root(op: EffectiveOperad, root) -> Union[int, WNode]:
@@ -261,18 +276,6 @@ def _canonical_node(op: EffectiveOperad, node: WNode) -> tuple[WNode, bool]:
     return WNode(op.restrict(sigma, node.label), children), hooked
 
 
-def _canonical_node_search(op: EffectiveOperad, node: WNode) -> WNode:
-    """The same normal form by trying all k! twists at every vertex; the
-    oracle the sorting shortcut is tested against."""
-    entries = tuple(
-        child if isinstance(child, int)
-        else WEdge(child.length, _canonical_node_search(op, child.node))
-        for child in node.children)
-    if len(entries) == 1:
-        return WNode(node.label, entries)
-    return _least_twist(op, node.label, entries)
-
-
 def _least_twist(op: EffectiveOperad, label: Hashable, entries: tuple[WEntry, ...]) -> WNode:
     """The twist with the least (label text, children's texts) key."""
     k = len(entries)
@@ -316,7 +319,13 @@ def _normal_point(op: EffectiveOperad, root: WNode, hooked: bool = True) -> WPoi
 
 def wpoint(op: EffectiveOperad, root: Union[int, WNode]) -> WPoint:
     """Validate a raw tree, then reduce and canonicalize it."""
-    root = _validate_root(op, root)
+    return _checked_point(op, _validate_root(op, root))
+
+
+def _checked_point(op: EffectiveOperad, root: Union[int, WNode]) -> WPoint:
+    """The point on a tree whose shapes, lengths and labels are checked:
+    the leaf numbers must be 1..n, then `_normal_w`. `wpoint` ends here, and
+    so do the readers in `serialize`, which check a tree as they read it."""
     if isinstance(root, int):
         if root != 1:
             raise DomainError("a bare leaf point must be numbered 1")
@@ -335,95 +344,6 @@ def w_unit(op: EffectiveOperad) -> WPoint:
 def w_corolla(op: EffectiveOperad, label) -> WPoint:
     op.validate(label)
     return _normal_w(op, WNode(label, tuple(range(1, op.arity_of(label) + 1))))
-
-
-# ---------------------------------------------------------------------------
-# an independent reducer, used to check that normal forms do not depend on
-# the order reductions are applied in
-# ---------------------------------------------------------------------------
-
-def _node_at_path(node: WNode, path: tuple[int, ...]) -> WNode:
-    for index in path:
-        child = node.children[index]
-        assert isinstance(child, WEdge)
-        node = child.node
-    return node
-
-
-def _with_node(node: WNode, path: tuple[int, ...], new: WNode) -> WNode:
-    if not path:
-        return new
-    index = path[0]
-    edge = node.children[index]
-    assert isinstance(edge, WEdge)
-    replaced = WEdge(edge.length, _with_node(edge.node, path[1:], new))
-    return WNode(node.label, node.children[:index] + (replaced,) + node.children[index + 1:])
-
-
-def _applicable_steps(op: EffectiveOperad, root: WNode) -> list[tuple]:
-    steps: list[tuple] = []
-    _collect_steps(op, root, (), steps)
-    return steps
-
-
-def _collect_steps(op: EffectiveOperad, node: WNode, path: tuple[int, ...],
-                   steps: list[tuple]) -> None:
-    if len(node.children) == 1 and op.is_unit(node.label):
-        steps.append(("splice", path))
-    for position, child in enumerate(node.children):
-        if isinstance(child, WEdge):
-            if child.length == 0:
-                steps.append(("contract", path, position))
-            _collect_steps(op, child.node, path + (position,), steps)
-
-
-def _apply_step(op: EffectiveOperad, root: WNode, step: tuple) -> Union[int, WNode]:
-    if step[0] == "contract":
-        _, path, position = step
-        node = _node_at_path(root, path)
-        edge = node.children[position]
-        assert isinstance(edge, WEdge)
-        merged = WNode(
-            op.compose(node.label, position + 1, edge.node.label),
-            node.children[:position] + edge.node.children + node.children[position + 1:])
-        return _with_node(root, path, merged)
-    _, path = step
-    node = _node_at_path(root, path)
-    only = node.children[0]
-    if not path:
-        if isinstance(only, int):
-            return 1
-        return only.node
-    parent = _node_at_path(root, path[:-1])
-    position = path[-1]
-    edge = parent.children[position]
-    assert isinstance(edge, WEdge)
-    if isinstance(only, int):
-        new_entry: WEntry = only
-    else:
-        new_entry = WEdge(max(edge.length, only.length), only.node)
-    rebuilt = WNode(parent.label,
-                    parent.children[:position] + (new_entry,) + parent.children[position + 1:])
-    return _with_node(root, path[:-1], rebuilt)
-
-
-def normalize_random_order(rng, op: EffectiveOperad, root: Union[int, WNode]) -> Union[int, WNode]:
-    """Reduce by repeatedly applying a uniformly chosen applicable step.
-
-    Same contract as the deterministic pass inside wpoint; agreement across
-    many draws is what the confluence suite checks.
-    """
-    root = _validate_root(op, root)
-    if isinstance(root, int):
-        return 1
-    while True:
-        steps = _applicable_steps(op, root)
-        if not steps:
-            break
-        root = _apply_step(op, root, rng.choice(steps))
-        if isinstance(root, int):
-            return 1
-    return _canonical_node(op, root)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -599,76 +519,6 @@ def reassemble(op: EffectiveOperad, dec: WDecomposition) -> WPoint:
     return fold(*open_vertex(()), open_vertex, w_compose, w_lambda)
 
 
-def eval_truncated_operad_map(
-    assign: Callable[[WPoint], Hashable],
-    level: int,
-    a: WPoint,
-    target: EffectiveOperad,
-    order: Optional[list[int]] = None,
-):
-    """Evaluate a map defined on pieces of at most `level` inputs.
-
-    assign sends each prime component to a target element of the same
-    arity. The composite is assembled by contracting the skeleton's inner
-    edges one at a time; `order` (a permutation of range(#edges)) picks the
-    contraction order, and the result must not depend on it.
-    """
-    dec = w_prime_decompose(a)
-    if dec.filtration_level > level:
-        raise DomainError(
-            f"point at filtration level {dec.filtration_level} exceeds {level}")
-    if not dec.components:
-        return target.unit()
-
-    paths = dec.skeleton.vertex_ids()
-    index_of = {path: k for k, path in enumerate(paths)}
-    values: list = []
-    exits: list[list] = []
-    for path in paths:
-        piece = dec.components[index_of[path]]
-        value = assign(piece)
-        if target.arity_of(value) != piece.arity:
-            raise DomainError("assigned value has the wrong arity")
-        values.append(value)
-        vertex = dec.skeleton.node_at(path)
-        assert isinstance(vertex, Vertex)
-        row: list = []
-        for position, child in enumerate(vertex.children):
-            if isinstance(child, Leaf):
-                row.append(("leaf", child.number))
-            else:
-                row.append(("piece", index_of[path + (position,)]))
-        exits.append(row)
-
-    edges = [(index_of[path[:-1]], index_of[path]) for path in paths if path]
-    if order is None:
-        order = list(range(len(edges)))
-    if sorted(order) != list(range(len(edges))):
-        raise DomainError("order must be a permutation of the edge indices")
-
-    owner = list(range(len(paths)))
-
-    def find(k: int) -> int:
-        while owner[k] != k:
-            owner[k] = owner[owner[k]]
-            k = owner[k]
-        return k
-
-    for edge_index in order:
-        parent, child = edges[edge_index]
-        parent = find(parent)
-        position = exits[parent].index(("piece", child)) + 1
-        values[parent] = target.compose(values[parent], position, values[child])
-        exits[parent][position - 1: position] = exits[child]
-        owner[child] = parent
-
-    root = find(0)
-    assert all(kind == "leaf" for kind, _ in exits[root])
-    # every slot holds a leaf number now, so the fold only relabels
-    return fold(values[root], tuple(number for _, number in exits[root]), None, None,
-                target.restrict)
-
-
 # ---------------------------------------------------------------------------
 # the resolution as an operad in its own right
 # ---------------------------------------------------------------------------
@@ -712,3 +562,11 @@ class WOperad(EffectiveOperad):
     def sample(self, rng, n: int) -> WPoint:
         from .sampling import random_wpoint
         return random_wpoint(rng, self.base, n)
+
+
+def __getattr__(name: str):
+    """`normalize_random_order`, which lives in `oracles`, loaded on first access."""
+    if name == "normalize_random_order":
+        from .oracles import normalize_random_order
+        return normalize_random_order
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,14 +9,12 @@ import random
 import time
 from fractions import Fraction as F
 
-from opcalc.bconstruction import (
+from opcalc.bconstruction import BNode, b_prime_decompose, bpoint, mu_prime
+from opcalc.bimodules import (
     BBimodule,
-    BNode,
     WSelfBimodule,
-    b_prime_decompose,
-    bpoint,
     eval_truncated_bimodule_map,
-    mu_prime,
+    eval_truncated_operad_map,
 )
 from opcalc.mapping import (
     BimoduleMap,
@@ -43,14 +41,13 @@ from opcalc.mapping import (
 )
 from opcalc.operads import (
     Associative,
-    FormalOperad,
     LittleDiscs,
     LittleIntervals,
     PointedSet,
-    eval_formal,
     format_fraction,
     framed_intervals,
 )
+from opcalc.oracles import FormalOperad, eval_formal
 from opcalc.sampling import random_bpoint, random_wpoint
 from opcalc.suites import (
     suite_b_confluence,
@@ -59,13 +56,7 @@ from opcalc.suites import (
     suite_w_confluence,
 )
 from opcalc.swisscheese import alpha_eval, compose_sc, d1_action_eval, sample_sc1
-from opcalc.wconstruction import (
-    WOperad,
-    eval_truncated_operad_map,
-    mu,
-    w_corolla,
-    w_prime_decompose,
-)
+from opcalc.wconstruction import WOperad, mu, w_corolla, w_prime_decompose
 
 D1 = LittleIntervals()
 D2 = LittleDiscs(2)

@@ -4,26 +4,24 @@ from fractions import Fraction as F
 import pytest
 
 from opcalc.bconstruction import (
-    BBimodule,
     BNode,
     SlicePiece,
-    WSelfBimodule,
     b_corolla,
-    b_left_act,
     b_lambda,
+    b_left_act,
     b_map_heights,
-    b_normalize_random_order,
     b_prime_decompose,
     b_right_act,
     b_text,
     b_unit,
     bpoint,
-    eval_truncated_bimodule_map,
     layer_of,
     mu_prime,
     slice_point,
 )
+from opcalc.bimodules import BBimodule, WSelfBimodule, eval_truncated_bimodule_map
 from opcalc.operads import Associative, LittleDiscs, LittleIntervals
+from opcalc.oracles import b_normalize_random_order
 from opcalc.sampling import (
     random_b_twists,
     random_bpoint,

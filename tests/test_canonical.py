@@ -15,19 +15,18 @@ import opcalc.wconstruction as wc
 from opcalc.bconstruction import BNode, _canonical_b, _reduce_b, b_entry_text
 from opcalc.operads import (
     Associative,
-    FormalOperad,
     LittleDiscs,
     LittleIntervals,
     _sorting_twist,
     framed_intervals,
 )
+from opcalc.oracles import FormalOperad, _canonical_node_search
 from opcalc.sampling import random_permutation, random_raw_bnode, random_raw_wnode
 from opcalc.trees import InjectiveMap
 from opcalc.wconstruction import (
     WNode,
     WOperad,
     _canonical_node,
-    _canonical_node_search,
     _validate_raw,
     entry_text,
     w_corolla,

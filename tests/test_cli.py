@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from opcalc.bconstruction import BNode, bpoint, mu_prime
+from opcalc.bconstruction import mu_prime
 import opcalc.cli as cli
 from opcalc.cli import HANDLERS, MAX_SAMPLES, Workspace, build_parser, cmd_check, main
 from opcalc.mapping import lift_path, xi_eval
 from opcalc.operads import LittleIntervals
 from opcalc.serialize import parse_b_text, parse_w_text
 from opcalc.swisscheese import alpha_eval, parse_sc
-from opcalc.wconstruction import WEdge, WNode, w_compose, w_corolla, wpoint
+from opcalc.wconstruction import w_compose
 
 D1 = LittleIntervals()
 

@@ -14,30 +14,26 @@ from fractions import Fraction as F
 import pytest
 
 from opcalc.bconstruction import (
-    WSelfBimodule,
     b_corolla,
     b_lambda,
     b_left_act,
     b_map_heights,
-    b_normalize_random_order,
     b_prime_decompose,
     b_right_act,
     b_text,
     bpoint,
-    eval_truncated_bimodule_map,
     mu_prime,
     slice_point,
 )
+from opcalc.bimodules import WSelfBimodule, eval_truncated_bimodule_map, eval_truncated_operad_map
 from opcalc.cli import Workspace
 from opcalc.mapping import XPath, lift_path, psi_prime_eval, xi_eval
-from opcalc.operads import (
-    Associative,
+from opcalc.operads import Associative, LittleDiscs, LittleIntervals, PointedSet, framed_intervals
+from opcalc.oracles import (
     FormalOperad,
-    LittleDiscs,
-    LittleIntervals,
-    PointedSet,
+    b_normalize_random_order,
     eval_formal,
-    framed_intervals,
+    normalize_random_order,
 )
 from opcalc.sampling import random_bpoint, random_raw_bnode, random_raw_wnode, random_wpoint
 from opcalc.serialize import (
@@ -54,9 +50,7 @@ from opcalc.suites import suite_matching
 from opcalc.swisscheese import alpha_eval, d1_action_eval, extract_subpoints, parse_sc
 from opcalc.trees import InjectiveMap, tree_text
 from opcalc.wconstruction import (
-    eval_truncated_operad_map,
     mu,
-    normalize_random_order,
     reassemble,
     w_compose,
     w_corolla,

@@ -23,13 +23,13 @@ from opcalc.cli import main
 from opcalc.operads import (
     Associative,
     DomainError,
-    FormalOperad,
     FramedElement,
     LittleDiscs,
     LittleIntervals,
     framed_intervals,
     parse_fraction,
 )
+from opcalc.oracles import FormalOperad
 from opcalc.sampling import random_bpoint, random_wpoint
 from opcalc.serialize import (
     b_from_jsonable,

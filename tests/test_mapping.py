@@ -4,20 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from opcalc.bconstruction import (
-    BBimodule,
-    BNode,
-    BPoint,
-    b_corolla,
-    b_right_act,
-    b_map_heights,
-    bpoint,
-    mu_prime,
-)
+from opcalc.bconstruction import BNode, BPoint, b_corolla, bpoint, mu_prime
+from opcalc.bimodules import BBimodule
 from opcalc.mapping import (
     BimoduleMap,
-    CheckReport,
-    HofiberPoint,
     OperadMap,
     PathOfMaps,
     PathSegment,

@@ -7,24 +7,22 @@ from opcalc.operads import (
     Associative,
     DomainError,
     FiniteGroup,
-    FLeaf,
-    FNode,
-    FormalOperad,
     FramedElement,
     LittleDiscs,
     LittleIntervals,
     PointedSet,
-    PowerSequence,
-    enumerate_matching_families,
-    eval_formal,
     format_fraction,
     framed_intervals,
-    induced_matching_family,
-    is_matching_compatible,
     parse_fraction,
     reflect_intervals,
     z2,
-    z2_interval_action,
+)
+from opcalc.oracles import FLeaf, FNode, FormalOperad, eval_formal
+from opcalc.suites import (
+    PowerSequence,
+    enumerate_matching_families,
+    induced_matching_family,
+    is_matching_compatible,
 )
 from opcalc.trees import InjectiveMap, block_injection, drop_block
 
@@ -315,5 +313,5 @@ def test_matching_rejects_incompatible():
     assert is_matching_compatible(seq, fam)
     broken = dict(fam.assignments)
     broken[(1,)] = ("b",)
-    from opcalc.operads import MatchingFamily
+    from opcalc.suites import MatchingFamily
     assert not is_matching_compatible(seq, MatchingFamily(3, broken))

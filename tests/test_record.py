@@ -16,7 +16,8 @@ import pytest
 
 from opcalc.bconstruction import BNode, BPoint, bpoint
 from opcalc.mapping import CheckResult
-from opcalc.operads import FLeaf, FNode, LittleIntervals, PointedSet
+from opcalc.operads import LittleIntervals, PointedSet
+from opcalc.oracles import FLeaf, FNode
 from opcalc.trees import DomainError, InjectiveMap, Leaf, Record, Tree, Vertex
 from opcalc.wconstruction import WEdge, WNode, WPoint, wpoint
 

@@ -3,14 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from opcalc.bconstruction import (
-    BBimodule,
-    BNode,
-    b_corolla,
-    b_prime_decompose,
-    bpoint,
-    mu_prime,
-)
+from opcalc.bconstruction import BNode, b_corolla, b_prime_decompose, bpoint
+from opcalc.bimodules import BBimodule
 from opcalc.mapping import (
     BimoduleMap,
     HofiberPoint,
@@ -30,7 +24,6 @@ from opcalc.mapping import (
 from opcalc.operads import LittleDiscs, LittleIntervals, PointedSet
 from opcalc.sampling import random_bpoint
 from opcalc.swisscheese import (
-    SC1Element,
     Subpoint,
     _assemble,
     alpha_eval,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcalc.operads import FormalOperad
+from opcalc.oracles import FormalOperad
 from opcalc.trees import (
     DomainError,
     InjectiveMap,

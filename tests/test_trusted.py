@@ -17,7 +17,6 @@ import pytest
 
 import opcalc.wconstruction as wc
 from opcalc.bconstruction import (
-    BBimodule,
     BNode,
     BPoint,
     SlicePiece,
@@ -31,10 +30,10 @@ from opcalc.bconstruction import (
     bpoint,
     slice_point,
 )
+from opcalc.bimodules import BBimodule
 from opcalc.cli import main
 from opcalc.operads import (
     Associative,
-    FormalOperad,
     FramedElement,
     FramedOperad,
     LittleDiscs,
@@ -42,8 +41,16 @@ from opcalc.operads import (
     framed_intervals,
     z2,
 )
+from opcalc.oracles import FormalOperad
 from opcalc.sampling import random_bpoint, random_injection, random_permutation, random_wpoint
-from opcalc.serialize import parse_b_text, parse_w_text, w_from_jsonable
+from opcalc.serialize import (
+    b_from_jsonable,
+    b_to_jsonable,
+    parse_b_text,
+    parse_w_text,
+    w_from_jsonable,
+    w_to_jsonable,
+)
 from opcalc.trees import MAX_DEPTH, DomainError, InjectiveMap
 from opcalc.wconstruction import (
     WEdge,
@@ -69,6 +76,7 @@ OPERADS = {
     "d1_z2": framed_intervals(),
 }
 HALF = ((F(0), F(1, 2)),)
+HALVES = "<[0/1,1/2] [1/2,1/1]>"
 
 
 def _corpus(op, seed: int, count: int, max_arity: int):
@@ -313,6 +321,64 @@ def test_wpoint_rejects_overlapping_discs():
     overlapping = (((F(0), F(0)), F(1, 2)), ((F(1, 4), F(0)), F(1, 2)))
     with pytest.raises(DomainError, match="overlap"):
         wpoint(D2, WNode(overlapping, (1, 2)))
+
+
+class CountingIntervals(LittleIntervals):
+    """Little intervals that count their `validate` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.validated = 0
+
+    def validate(self, x) -> None:
+        self.validated += 1
+        super().validate(x)
+
+
+def _label_count(point) -> int:
+    if isinstance(point, WPoint):
+        return 0 if point.is_trivial else sum(1 for _ in _wnodes(point.root))
+    return sum(_label_count(node.label) for node in _bnodes(point.root))
+
+
+def _bnodes(entry):
+    if isinstance(entry, BNode):
+        yield entry
+        for child in entry.children:
+            yield from _bnodes(child)
+
+
+READERS = {
+    "w-text": (random_wpoint, lambda op, a: parse_w_text(op, a.text)),
+    "w-json": (random_wpoint, lambda op, a: w_from_jsonable(op, w_to_jsonable(a))),
+    "b-text": (random_bpoint, lambda op, b: parse_b_text(op, b.text)),
+    "b-json": (random_bpoint, lambda op, b: b_from_jsonable(op, b_to_jsonable(b))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_readers_validate_each_label_once(name):
+    sample, read = READERS[name]
+    rng = random.Random(56)
+    for n in (1, 2, 3, 4, 5):
+        point = sample(rng, D1, n)
+        op = CountingIntervals()
+        assert read(op, point).text == point.text
+        assert op.validated == _label_count(point)
+
+
+@pytest.mark.parametrize("text", [
+    f'(v "{HALVES}" (v "<[0/1,1/1]>" l1) l2)',
+    '{"kind":"w","operad":"intervals","root":{"label":"' + HALVES + '","children":'
+    '[{"label":"<[0/1,1/1]>","children":[{"leaf":1}]},{"leaf":2}]}}',
+], ids=["text", "json"])
+def test_a_vertex_in_a_slot_exits_two(capsys, text):
+    # a child vertex needs an inner edge above it; without one the
+    # normalizer used to fail with an AttributeError
+    assert main(["normalize", "--kind", "w", text]) == 2
+    assert capsys.readouterr().err.startswith("error: a vertex's child")
+    with pytest.raises(DomainError, match="inner edge"):
+        wpoint(D1, WNode(((F(0), F(1, 2)), (F(1, 2), F(1))), (WNode(D1.unit(), (1,)), 2)))
 
 
 def _b_cup(label) -> BNode:

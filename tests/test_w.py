@@ -3,7 +3,9 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from opcalc.operads import Associative, FormalOperad, LittleDiscs, LittleIntervals, framed_intervals
+from opcalc.bimodules import eval_truncated_operad_map
+from opcalc.operads import Associative, LittleDiscs, LittleIntervals, framed_intervals
+from opcalc.oracles import FormalOperad, normalize_random_order
 from opcalc.sampling import (
     random_injection,
     random_raw_wnode,
@@ -16,9 +18,7 @@ from opcalc.wconstruction import (
     WEdge,
     WNode,
     WOperad,
-    eval_truncated_operad_map,
     mu,
-    normalize_random_order,
     reassemble,
     w_compose,
     w_corolla,
