@@ -4,7 +4,8 @@ A point here is a planar rooted tree whose vertices carry a resolution
 point (a WPoint over the base operad) and an exact height in [0,1], with
 heights weakly increasing away from the root on raw input. Children sit in
 the slots of the vertex label: a label of arity k has leaf numbers 1..k and
-leaf j of the label corresponds to child position j.
+leaf j of the label corresponds to child position j. A vertex is an entry
+of `trees`' protocol, for its shared walks; rebuilt, it keeps its height.
 
 Normal form, computed by `_normal_b`:
 
@@ -38,11 +39,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 from typing import Callable, Optional, Union
 
-from .operads import EffectiveOperad, format_fraction
-from .trees import MAX_DEPTH, DomainError, InjectiveMap, Record, fold, require, set_field, shown
+from .operads import EffectiveOperad, escaped, format_fraction
+from .trees import (MAX_DEPTH, DomainError, InjectiveMap, Record, TreePoint, check_leaf_word, fold,
+                    keep_leaves, map_leaves, open_entry, require, set_field, shown)
 from .wconstruction import WPoint, w_compose, w_lambda, w_unit, wpoint
 
 
@@ -56,11 +57,15 @@ class BNode(Record):
         set_field(self, "height", height)
         set_field(self, "children", children)
 
+    def rebuilt(self, label: WPoint, children: tuple["BEntry", ...]) -> BNode:
+        """The vertex, its height kept, with this label and these children."""
+        return BNode(label, self.height, children)
+
 
 BEntry = Union[int, BNode]
 
 
-class BPoint(Record):
+class BPoint(TreePoint):
     """A normal-form point. Build these with bpoint / b_unit / b_corolla.
 
     Normal by construction, labels included: every function here that
@@ -68,41 +73,9 @@ class BPoint(Record):
     in turn. A point assembled by hand is checked with
     `bimodules.BBimodule(op).validate`."""
 
-    operad: EffectiveOperad
-    root: Union[int, BNode]
-
-    def __init__(self, operad: EffectiveOperad, root: Union[int, BNode]) -> None:
-        set_field(self, "operad", operad)
-        set_field(self, "root", root)
-
     @cached_property
     def text(self) -> str:
         return b_entry_text(self.operad, self.root)
-
-    @property
-    def is_trivial(self) -> bool:
-        return isinstance(self.root, int)
-
-    @property
-    def arity(self) -> int:
-        return len(self.leaf_word)
-
-    @cached_property
-    def leaf_word(self) -> tuple[int, ...]:
-        out: list[int] = []
-        _collect_b_leaves(self.root, out)
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return f"BPoint({self.operad.name}: {self.text})"
-
-
-def _collect_b_leaves(entry: BEntry, out: list[int]) -> None:
-    if isinstance(entry, int):
-        out.append(entry)
-    else:
-        for child in entry.children:
-            _collect_b_leaves(child, out)
 
 
 def b_entry_text(op: EffectiveOperad, entry: BEntry) -> str:
@@ -113,8 +86,8 @@ def b_entry_text(op: EffectiveOperad, entry: BEntry) -> str:
 
 
 def _b_vertex_text(label_text: str, height: Fraction, child_texts: list[str]) -> str:
-    label = label_text.replace("\\", "\\\\").replace('"', '\\"')
-    return " ".join([f'(v :h={format_fraction(height)} "{label}"', *child_texts]) + ")"
+    head = f'(v :h={format_fraction(height)} "{escaped(label_text)}"'
+    return " ".join([head, *child_texts]) + ")"
 
 
 def b_text(b: BPoint) -> str:
@@ -227,10 +200,7 @@ def bpoint(op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
         if root != 1:
             raise DomainError("a bare strand must be numbered 1")
         return BPoint(op, 1)
-    word: list[int] = []
-    _collect_b_leaves(root, word)
-    if sorted(word) != list(range(1, len(word) + 1)):
-        raise DomainError(f"leaf numbers {shown(word)} are not a bijection onto 1..{len(word)}")
+    check_leaf_word(root)
     return _normal_b(op, root)
 
 
@@ -247,13 +217,6 @@ def b_corolla(op: EffectiveOperad, label: WPoint, height) -> BPoint:
 # structure maps
 # ---------------------------------------------------------------------------
 
-def _shift_b_leaves(entry: BEntry, move: Callable[[int], int]) -> BEntry:
-    if isinstance(entry, int):
-        return move(entry)
-    return BNode(entry.label, entry.height,
-                 tuple(_shift_b_leaves(c, move) for c in entry.children))
-
-
 def b_left_act(p: WPoint, bs: tuple[BPoint, ...]) -> BPoint:
     """Put a resolution point at a fresh root of height 0, feeding each of
     its slots one of the given points; leaves are numbered through in
@@ -268,11 +231,7 @@ def b_left_act(p: WPoint, bs: tuple[BPoint, ...]) -> BPoint:
         require(b, BPoint, "each point acted on")
         if b.operad != op:
             raise DomainError("points live over different operads")
-        if b.is_trivial:
-            children.append(offset + 1)
-        else:
-            shift = offset
-            children.append(_shift_b_leaves(b.root, lambda k, s=shift: k + s))
+        children.append(map_leaves(b.root, lambda k: k + offset))
         offset += b.arity
     return _normal_b(op, BNode(p, Fraction(0), tuple(children)))
 
@@ -290,20 +249,10 @@ def b_right_act(b: BPoint, i: int, p: WPoint) -> BPoint:
         raise DomainError(f"slot {i} out of range 1..{n}")
     if p.is_trivial:
         return b
+    # the new vertex at leaf i; later leaves move up by m - 1
     new_vertex = BNode(p, Fraction(1), tuple(range(i, i + m)))
-    if b.is_trivial:
-        return _normal_b(op, new_vertex)
-    return _normal_b(op, _graft_b(b.root, i, m, new_vertex))
-
-
-def _graft_b(entry: BEntry, i: int, m: int, new_vertex: BNode) -> BEntry:
-    """Put new_vertex at leaf i; later leaves move up by m - 1."""
-    if isinstance(entry, int):
-        if entry == i:
-            return new_vertex
-        return entry if entry < i else entry + m - 1
-    return BNode(entry.label, entry.height,
-                 tuple(_graft_b(c, i, m, new_vertex) for c in entry.children))
+    root = map_leaves(b.root, lambda k: new_vertex if k == i else k if k < i else k + m - 1)
+    return _normal_b(op, root)
 
 
 def b_lambda(u: InjectiveMap, b: BPoint) -> BPoint:
@@ -318,33 +267,7 @@ def b_lambda(u: InjectiveMap, b: BPoint) -> BPoint:
         return b
     op = b.operad
     renumber = {u(j): j for j in range(1, u.m + 1)}
-    new_root = _restrict_b_node(b.root, renumber)
-    assert new_root is not None
-    return _normal_b(op, new_root)
-
-
-def _restrict_b_node(node: BNode, renumber: dict[int, int]) -> Optional[BNode]:
-    """The subtree keeping the leaves `renumber` maps, or None if none is kept."""
-    entries: list[BEntry] = []
-    slots: list[int] = []
-    for position, child in enumerate(node.children, start=1):
-        if isinstance(child, int):
-            j = renumber.get(child)
-            if j is not None:
-                entries.append(j)
-                slots.append(position)
-        else:
-            sub = _restrict_b_node(child, renumber)
-            if sub is not None:
-                entries.append(sub)
-                slots.append(position)
-    if not entries:
-        return None
-    kept = InjectiveMap(len(slots), len(node.children), tuple(slots))
-    return BNode(w_lambda(kept, node.label), node.height, tuple(entries))
-
-
-_open_b_node = attrgetter("label", "children")
+    return _normal_b(op, keep_leaves(b.root, renumber, w_lambda))
 
 
 def mu_prime(b: BPoint) -> WPoint:
@@ -352,7 +275,7 @@ def mu_prime(b: BPoint) -> WPoint:
     op = b.operad
     if b.is_trivial:
         return w_unit(op)
-    return fold(b.root.label, b.root.children, _open_b_node, w_compose, w_lambda)
+    return fold(b.root.label, b.root.children, open_entry, w_compose, w_lambda)
 
 
 def b_map_heights(b: BPoint, fn: Callable[[Fraction], Fraction]) -> BPoint:
@@ -431,7 +354,7 @@ def _slice(op: EffectiveOperad, node: BNode, cuts: tuple[Cut, ...],
     """The piece holding node, with the pieces above it as its exits."""
     layer = layer_of(node.height, cuts)
     exits: list = []
-    piece_root = BNode(node.label, node.height, tuple(
+    piece_root = node.rebuilt(node.label, tuple(
         _slice_entry(op, c, layer, cuts, trivial_chains, exits) for c in node.children))
     return SlicePiece(_normal_b(op, piece_root), layer, tuple(exits))
 
@@ -444,7 +367,7 @@ def _slice_entry(op: EffectiveOperad, entry: BEntry, layer: int, cuts: tuple[Cut
         return len(exits)
     child_layer = layer_of(entry.height, cuts)
     if child_layer == layer:
-        return BNode(entry.label, entry.height, tuple(
+        return entry.rebuilt(entry.label, tuple(
             _slice_entry(op, c, layer, cuts, trivial_chains, exits) for c in entry.children))
     exits.append(_chain(op, _slice(op, entry, cuts, trivial_chains), layer + 1, child_layer,
                         trivial_chains))

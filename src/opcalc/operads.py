@@ -39,6 +39,11 @@ def format_fraction(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def escaped(text: str) -> str:
+    """text for the inside of a double-quoted string: backslashes first, then quotes."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def parse_int(text: str, signed: bool = True) -> int:
     """An integer in ASCII digits: `-?[0-9]+` when signed, else `[0-9]+`.
 

@@ -22,40 +22,36 @@ from fractions import Fraction
 from typing import Callable, Hashable, Union
 
 from .bconstruction import BEntry, BNode, BPoint, _canonical_point, _validate_b_raw
-from .operads import EffectiveOperad, parse_int
+from .operads import EffectiveOperad, escaped, parse_int
 from .trees import DomainError, InjectiveMap, Record, fold, shown
-from .wconstruction import (
-    WEdge,
-    WEntry,
-    WNode,
-    _canonical_node,
-    _least_twist,
-    _validate_root,
-    w_compose,
-)
+from .wconstruction import WEdge, WNode, _canonical_node, _least_twist, _validate_root, w_compose
+
+
+# ---------------------------------------------------------------------------
+# addresses in a W or B tree: the sequence of 0-based child indices from the
+# root; in W the entry at a nonempty address is an inner edge
+# ---------------------------------------------------------------------------
+
+def _entry_at(root, path: tuple[int, ...]):
+    entry = root
+    for index in path:
+        entry = entry.children[index]
+    return entry
+
+
+def _with_entry(root, path: tuple[int, ...], new):
+    """root with the entry at path replaced by new."""
+    if not path:
+        return new
+    index, children = path[0], root.children
+    replaced = _with_entry(children[index], path[1:], new)
+    return root.rebuilt(root.label, children[:index] + (replaced,) + children[index + 1:])
 
 
 # ---------------------------------------------------------------------------
 # an independent W reducer, used to check that normal forms do not depend on
 # the order reductions are applied in
 # ---------------------------------------------------------------------------
-
-def _node_at_path(node: WNode, path: tuple[int, ...]) -> WNode:
-    for index in path:
-        child = node.children[index]
-        assert isinstance(child, WEdge)
-        node = child.node
-    return node
-
-
-def _with_node(node: WNode, path: tuple[int, ...], new: WNode) -> WNode:
-    if not path:
-        return new
-    index = path[0]
-    edge = node.children[index]
-    assert isinstance(edge, WEdge)
-    replaced = WEdge(edge.length, _with_node(edge.node, path[1:], new))
-    return WNode(node.label, node.children[:index] + (replaced,) + node.children[index + 1:])
 
 
 def _applicable_steps(op: EffectiveOperad, root: WNode) -> list[tuple]:
@@ -78,31 +74,23 @@ def _collect_steps(op: EffectiveOperad, node: WNode, path: tuple[int, ...],
 def _apply_step(op: EffectiveOperad, root: WNode, step: tuple) -> Union[int, WNode]:
     if step[0] == "contract":
         _, path, position = step
-        node = _node_at_path(root, path)
+        node = _entry_at(root, path)
         edge = node.children[position]
         assert isinstance(edge, WEdge)
-        merged = WNode(
-            op.compose(node.label, position + 1, edge.node.label),
-            node.children[:position] + edge.node.children + node.children[position + 1:])
-        return _with_node(root, path, merged)
+        merged = node.rebuilt(
+            op.compose(node.label, position + 1, edge.label),
+            node.children[:position] + edge.children + node.children[position + 1:])
+        return _with_entry(root, path, merged)
     _, path = step
-    node = _node_at_path(root, path)
-    only = node.children[0]
+    edge = _entry_at(root, path)   # the root vertex when path is empty
+    only = edge.children[0]
     if not path:
         if isinstance(only, int):
             return 1
         return only.node
-    parent = _node_at_path(root, path[:-1])
-    position = path[-1]
-    edge = parent.children[position]
-    assert isinstance(edge, WEdge)
-    if isinstance(only, int):
-        new_entry: WEntry = only
-    else:
-        new_entry = WEdge(max(edge.length, only.length), only.node)
-    rebuilt = WNode(parent.label,
-                    parent.children[:position] + (new_entry,) + parent.children[position + 1:])
-    return _with_node(root, path[:-1], rebuilt)
+    if not isinstance(only, int):
+        only = WEdge(max(edge.length, only.length), only.node)
+    return _with_entry(root, path, only)
 
 
 def normalize_random_order(rng, op: EffectiveOperad, root: Union[int, WNode]) -> Union[int, WNode]:
@@ -140,26 +128,6 @@ def _canonical_node_search(op: EffectiveOperad, node: WNode) -> WNode:
 # random-order reduction of height trees, the oracle for B confluence
 # ---------------------------------------------------------------------------
 
-def _b_node_at(root: BNode, path: tuple[int, ...]) -> BNode:
-    node = root
-    for index in path:
-        child = node.children[index]
-        assert isinstance(child, BNode)
-        node = child
-    return node
-
-
-def _b_with_node(root: BNode, path: tuple[int, ...], new: BEntry) -> BEntry:
-    if not path:
-        return new
-    index = path[0]
-    child = root.children[index]
-    assert isinstance(child, BNode)
-    replaced = _b_with_node(child, path[1:], new)
-    children = root.children[:index] + (replaced,) + root.children[index + 1:]
-    return BNode(root.label, root.height, children)
-
-
 def _b_applicable_steps(root: BNode) -> list[tuple]:
     steps: list[tuple] = []
     _collect_b_steps(root, (), steps)
@@ -179,15 +147,14 @@ def _collect_b_steps(node: BNode, path: tuple[int, ...], steps: list[tuple]) -> 
 def _b_apply_step(root: BNode, step: tuple) -> BEntry:
     if step[0] == "splice":
         _, path = step
-        node = _b_node_at(root, path)
-        return _b_with_node(root, path, node.children[0])
+        return _with_entry(root, path, _entry_at(root, path).children[0])
     _, path, index = step
-    node = _b_node_at(root, path)
+    node = _entry_at(root, path)
     child = node.children[index]
     assert isinstance(child, BNode)
     label = w_compose(node.label, index + 1, child.label)
     children = node.children[:index] + child.children + node.children[index + 1:]
-    return _b_with_node(root, path, BNode(label, node.height, children))
+    return _with_entry(root, path, node.rebuilt(label, children))
 
 
 def b_normalize_random_order(rng, op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
@@ -269,8 +236,7 @@ def _fexpr_text(e: FExpr) -> str:
     head = e.name
     if e.payload is not None:
         text = e.payload if isinstance(e.payload, str) else repr(e.payload)
-        quoted = text.replace("\\", "\\\\").replace('"', '\\"')
-        head = f'{e.name}#"{quoted}"'
+        head = f'{e.name}#"{escaped(text)}"'
     return "(" + " ".join([head] + [_fexpr_text(c) for c in e.children]) + ")"
 
 

@@ -91,16 +91,20 @@ def random_wpoint(rng, op: EffectiveOperad, n: int) -> WPoint:
 
 def random_vertex_twists(rng, op: EffectiveOperad, node: WNode) -> WNode:
     """Rewrite along the vertexwise symmetry relation; the point is unchanged."""
-    children = tuple(
-        child if isinstance(child, int)
-        else WEdge(child.length, random_vertex_twists(rng, op, child.node))
-        for child in node.children)
+    return _random_twists(rng, node, op.restrict)
+
+
+def _random_twists(rng, entry, restrict):
+    """entry with its vertices twisted at random, the ones above first; a
+    twist permutes the children and restricts the label by `restrict`."""
+    children = tuple(child if isinstance(child, int) else _random_twists(rng, child, restrict)
+                     for child in entry.children)
     k = len(children)
     if k > 1 and rng.random() < 0.6:
         sigma = random_permutation(rng, k)
-        return WNode(op.restrict(sigma, node.label),
-                     tuple(children[sigma(j) - 1] for j in range(1, k + 1)))
-    return WNode(node.label, children)
+        return entry.rebuilt(restrict(sigma, entry.label),
+                             tuple(children[sigma(j) - 1] for j in range(1, k + 1)))
+    return entry.rebuilt(entry.label, children)
 
 
 # ------------------------------------------------------------- height trees
@@ -150,13 +154,4 @@ def random_bpoint(rng, op: EffectiveOperad, n: int) -> BPoint:
 
 def random_b_twists(rng, op: EffectiveOperad, node: BNode) -> BNode:
     """Rewrite along the vertexwise symmetry relation; the point is unchanged."""
-    children = tuple(
-        child if isinstance(child, int)
-        else random_b_twists(rng, op, child)
-        for child in node.children)
-    k = len(children)
-    if k > 1 and rng.random() < 0.6:
-        sigma = random_permutation(rng, k)
-        return BNode(w_lambda(sigma, node.label), node.height,
-                     tuple(children[sigma(j) - 1] for j in range(1, k + 1)))
-    return BNode(node.label, node.height, children)
+    return _random_twists(rng, node, w_lambda)

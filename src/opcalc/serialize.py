@@ -13,17 +13,18 @@ read: label arity, edge lengths in [0,1], an edge onto a vertex, leaf
 numbers at least 1. They end where `wpoint` ends, in the leaf-number check
 and the normalizer, so a parsed point compares equal to the point that
 produced the text. The B readers go through `bpoint`. Every reader stops at
-MAX_DEPTH nested vertices with a DomainError.
+MAX_DEPTH nested vertices with a DomainError. W and B texts share the root
+reader and the child loop; one DOT writer walks both kinds of tree.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Union
 
 from .bconstruction import BNode, BPoint, bpoint
-from .operads import EffectiveOperad, format_fraction, parse_fraction, parse_int
+from .operads import EffectiveOperad, escaped, format_fraction, parse_fraction, parse_int
 from .trees import DomainError, check_depth, shown
-from .wconstruction import WEdge, WNode, WPoint, _checked_point, _edge, _vertex, w_text
+from .wconstruction import WEdge, WNode, WPoint, _checked_point, _edge, _vertex
 
 Token = tuple[str, str]
 
@@ -97,51 +98,71 @@ def _leaf_number(number: int) -> int:
     return number
 
 
-def _read_w_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> WNode:
-    check_depth(depth)
-    r.take("lp")
-    head = r.take("atom")
-    if head[1] != "v":
-        raise DomainError(f"expected a vertex, got {shown(head[1])}")
-    label = op.parse_element(r.take("quote")[1])
-    children: list = []
-    while r.peek()[0] != "rp":
-        children.append(_read_w_entry(op, r, depth + 1))
-    r.take("rp")
-    return _vertex(op, label, tuple(children))
-
-
-def _read_w_entry(op: EffectiveOperad, r: _Reader, depth: int):
-    tok = r.peek()
-    if tok[0] == "atom" and tok[1].startswith("l"):
-        r.take()
-        return _leaf_token(tok[1])
-    if tok[0] == "lp":
-        mark = r.pos
-        r.take("lp")
-        head = r.take("atom")
-        if head[1] == "e":
-            length = parse_fraction(r.take("atom")[1])
-            node = _read_w_node(op, r, depth)
-            r.take("rp")
-            return _edge(length, node)
-        r.pos = mark
-        return _read_w_node(op, r, depth)
-    raise DomainError(f"unexpected token {shown(tok)}")
-
-
-def parse_w_text(op: EffectiveOperad, text: str) -> WPoint:
+def _read_root(text: str, read_node: Callable[[_Reader], object]):
+    """The root a point's text spells: the leaf 1 for the trivial point, or
+    what `read_node` reads, with nothing after it."""
     r = _Reader(_tokenize(text))
     first = r.peek()
     if first[0] == "atom" and first[1] == "l1":
         r.take()
         if not r.done():
             raise DomainError("trailing input after trivial point")
-        return _checked_point(op, 1)
-    entry = _read_w_node(op, r)
+        return 1
+    root = read_node(r)
     if not r.done():
         raise DomainError("trailing input after point")
-    return _checked_point(op, entry)
+    return root
+
+
+def _open_vertex(r: _Reader, depth: int) -> None:
+    """Read the "(v" that opens a vertex below `depth` others."""
+    check_depth(depth)
+    r.take("lp")
+    head = r.take("atom")
+    if head[1] != "v":
+        raise DomainError(f"expected a vertex, got {shown(head[1])}")
+
+
+def _read_children(r: _Reader, read_inner: Callable[[], object]) -> tuple:
+    """A vertex's children up to its ")": leaf tokens, and what `read_inner`
+    reads at any other token."""
+    children: list = []
+    while r.peek()[0] != "rp":
+        tok = r.peek()
+        if tok[0] == "atom" and tok[1].startswith("l"):
+            r.take()
+            children.append(_leaf_token(tok[1]))
+        else:
+            children.append(read_inner())
+    r.take("rp")
+    return tuple(children)
+
+
+def _read_w_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> WNode:
+    _open_vertex(r, depth)
+    label = op.parse_element(r.take("quote")[1])
+    return _vertex(op, label, _read_children(r, lambda: _read_w_edge(op, r, depth + 1)))
+
+
+def _read_w_edge(op: EffectiveOperad, r: _Reader, depth: int):
+    """An inner edge; a vertex standing directly in a slot is read for
+    `_vertex` to refuse."""
+    tok = r.peek()
+    if tok[0] != "lp":
+        raise DomainError(f"unexpected token {shown(tok)}")
+    mark = r.pos
+    r.take("lp")
+    if r.take("atom")[1] != "e":
+        r.pos = mark
+        return _read_w_node(op, r, depth)
+    length = parse_fraction(r.take("atom")[1])
+    node = _read_w_node(op, r, depth)
+    r.take("rp")
+    return _edge(length, node)
+
+
+def parse_w_text(op: EffectiveOperad, text: str) -> WPoint:
+    return _checked_point(op, _read_root(text, lambda r: _read_w_node(op, r)))
 
 
 # ----------------------------------------------------------------- JSON
@@ -220,41 +241,33 @@ def _w_dec(op: EffectiveOperad, blob, depth: int):
 
 def w_dot(a: WPoint) -> str:
     """A graphviz rendering; vertices show their labels, edges their lengths."""
+    op = a.operad
+    return _dot(a.root, lambda entry: (
+        escaped(op.format_element(entry.label)),
+        f' [label="{format_fraction(entry.length)}"]' if isinstance(entry, WEdge) else ""))
+
+
+def _dot(root, describe: Callable) -> str:
+    """The DOT text of a tree; `describe(entry)` gives an entry's vertex
+    label, escaped, and the attributes of the edge down from it."""
     lines = ["digraph point {", '  rankdir=BT;', '  node [fontsize=10];']
-    if isinstance(a.root, int):
-        lines.append('  leaf1 [shape=box label="1"];')
-    else:
-        _w_dot_entry(a.operad, a.root, None, lines, [0])
+    _dot_entry(root, None, describe, lines, [0])
     lines.append("}")
     return "\n".join(lines)
 
 
-def _dot_name(prefix: str, counter: list[int]) -> str:
+def _dot_entry(entry, parent, describe: Callable, lines: list[str], counter: list[int]) -> None:
+    """The lines of entry and what sits above it: its node, numbered from
+    `counter`, then its edge down to `parent`, then its children."""
     counter[0] += 1
-    return f"{prefix}{counter[0]}"
-
-
-def _dot_escaped(text: str) -> str:
-    """text for the inside of a DOT quoted string: backslashes first, then quotes."""
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _w_dot_entry(op: EffectiveOperad, entry, parent, lines: list[str], counter: list[int]) -> None:
-    if isinstance(entry, int):
-        name = _dot_name("leaf", counter)
-        lines.append(f'  {name} [shape=box label="{entry}"];')
-        lines.append(f'  {name} -> {parent};')
-        return
-    node = entry.node if isinstance(entry, WEdge) else entry
-    edge_len = entry.length if isinstance(entry, WEdge) else None
-    name = _dot_name("v", counter)
-    label = _dot_escaped(op.format_element(node.label))
-    lines.append(f'  {name} [shape=ellipse label="{label}"];')
+    leaf = isinstance(entry, int)
+    name, shape = (f"leaf{counter[0]}", "box") if leaf else (f"v{counter[0]}", "ellipse")
+    label, edge = (entry, "") if leaf else describe(entry)
+    lines.append(f'  {name} [shape={shape} label="{label}"];')
     if parent is not None:
-        text = "" if edge_len is None else f' [label="{format_fraction(edge_len)}"]'
-        lines.append(f'  {name} -> {parent}{text};')
-    for child in node.children:
-        _w_dot_entry(op, child, name, lines, counter)
+        lines.append(f'  {name} -> {parent}{edge};')
+    for child in () if leaf else entry.children:
+        _dot_entry(child, name, describe, lines, counter)
 
 
 # ---------------------------------------------------- height trees (text)
@@ -266,40 +279,17 @@ def _w_dot_entry(op: EffectiveOperad, entry, parent, lines: list[str], counter: 
 # The quoted payload is the resolution point's own text form.
 
 def _read_b_node(op: EffectiveOperad, r: _Reader, depth: int = 0) -> BNode:
-    check_depth(depth)
-    r.take("lp")
-    head = r.take("atom")
-    if head[1] != "v":
-        raise DomainError(f"expected a vertex, got {shown(head[1])}")
+    _open_vertex(r, depth)
     height_tok = r.take("atom")[1]
     if not height_tok.startswith(":h="):
         raise DomainError(f"expected a height, got {shown(height_tok)}")
     height = parse_fraction(height_tok[3:])
     label = parse_w_text(op, r.take("quote")[1])
-    children: list = []
-    while r.peek()[0] != "rp":
-        tok = r.peek()
-        if tok[0] == "atom" and tok[1].startswith("l"):
-            r.take()
-            children.append(_leaf_token(tok[1]))
-        else:
-            children.append(_read_b_node(op, r, depth + 1))
-    r.take("rp")
-    return BNode(label, height, tuple(children))
+    return BNode(label, height, _read_children(r, lambda: _read_b_node(op, r, depth + 1)))
 
 
 def parse_b_text(op: EffectiveOperad, text: str) -> BPoint:
-    r = _Reader(_tokenize(text))
-    first = r.peek()
-    if first[0] == "atom" and first[1] == "l1":
-        r.take()
-        if not r.done():
-            raise DomainError("trailing input after trivial point")
-        return bpoint(op, 1)
-    entry = _read_b_node(op, r)
-    if not r.done():
-        raise DomainError("trailing input after point")
-    return bpoint(op, entry)
+    return bpoint(op, _read_root(text, lambda r: _read_b_node(op, r)))
 
 
 def b_to_jsonable(b: BPoint) -> dict:
@@ -330,24 +320,5 @@ def _b_dec(op: EffectiveOperad, blob, depth: int):
 
 def b_dot(b: BPoint) -> str:
     """A graphviz rendering; vertices show height over label text."""
-    lines = ["digraph point {", '  rankdir=BT;', '  node [fontsize=10];']
-    _b_dot_entry(b.root, None, lines, [0])
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _b_dot_entry(entry, parent, lines: list[str], counter: list[int]) -> None:
-    if isinstance(entry, int):
-        name = _dot_name("leaf", counter)
-        lines.append(f'  {name} [shape=box label="{entry}"];')
-        if parent is not None:
-            lines.append(f'  {name} -> {parent};')
-        return
-    name = _dot_name("v", counter)
-    label = _dot_escaped(w_text(entry.label))
-    height = format_fraction(entry.height)
-    lines.append(f'  {name} [shape=ellipse label="h={height}\\n{label}"];')
-    if parent is not None:
-        lines.append(f'  {name} -> {parent};')
-    for child in entry.children:
-        _b_dot_entry(child, name, lines, counter)
+    return _dot(b.root, lambda entry: (
+        f"h={format_fraction(entry.height)}\\n{escaped(entry.label.text)}", ""))

@@ -9,6 +9,19 @@ Injections between the sets {1..m} and {1..n} are first-class values here
 because every symmetric or cosimplicial structure downstream is phrased in
 terms of them: restriction of labels and block substitution of slots.
 
+W and B points are decorated trees written with one protocol. A child is a
+bare leaf number (an int) or an entry, and an entry has a `label`, a tuple
+of `children` and `rebuilt(label, children)`, which returns the entry with
+the same decoration (an edge length, a height) over a new label and new
+children. Three walks serve both resolutions:
+
+  * `leaf_word(entry)`: the leaf numbers in planar order;
+  * `map_leaves(entry, move)`: each leaf k replaced by `move(k)`, a number
+    or a subtree, which renumbers, shifts and grafts;
+  * `keep_leaves(entry, renumber, restrict)`: the leaves `renumber` maps,
+    renumbered, each surviving label restricted along its kept slots, and
+    None when no leaf is kept.
+
 Every evaluation of a decorated tree is one `fold`: compose the vertex values
 down the tree, then relabel the inputs by the leaf word.
 
@@ -19,8 +32,12 @@ the `dataclasses` and `inspect` imports and the `exec` per class it would cost.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Union
+
+if TYPE_CHECKING:
+    from .operads import EffectiveOperad
 
 
 class DomainError(ValueError):
@@ -60,6 +77,9 @@ def fold(value, children, open_child: Callable, compose: Callable, restrict: Cal
     word.reverse()
     n = len(word)
     return restrict(InjectiveMap(n, n, tuple(word)).inverse(), value)
+
+
+open_entry = attrgetter("label", "children")   # fold's `open_child` on an entry
 
 
 def _fold_slots(value, children, open_child: Callable, compose: Callable, word: list[int]):
@@ -124,6 +144,82 @@ class Record:
         raise AttributeError(f"cannot assign or delete the field {name!r}")
 
     __delattr__ = __setattr__
+
+
+def leaf_word(entry) -> tuple[int, ...]:
+    """The leaf numbers below entry (entry itself if it is one) in planar order."""
+    if isinstance(entry, int):
+        return (entry,)
+    word: list[int] = []
+    _append_leaf_word(entry, word)
+    return tuple(word)
+
+
+def _append_leaf_word(entry, word: list[int]) -> None:
+    for child in entry.children:
+        if isinstance(child, int):
+            word.append(child)
+        else:
+            _append_leaf_word(child, word)
+
+
+def check_leaf_word(entry) -> None:
+    """DomainError unless the leaves below entry are numbered 1..n."""
+    word = list(leaf_word(entry))
+    if sorted(word) != list(range(1, len(word) + 1)):
+        raise DomainError(f"leaf numbers {shown(word)} are not a bijection onto 1..{len(word)}")
+
+
+def map_leaves(entry, move: Callable):
+    """entry with each leaf k replaced by move(k), a leaf number or a subtree."""
+    if isinstance(entry, int):
+        return move(entry)
+    return entry.rebuilt(entry.label, tuple([map_leaves(child, move) for child in entry.children]))
+
+
+def keep_leaves(entry, renumber: dict[int, int], restrict: Callable):
+    """entry keeping the leaves `renumber` maps, renumbered by it, with each
+    surviving label restricted along its kept slots by `restrict(kept,
+    label)`; None when no leaf is kept."""
+    children: list = []
+    slots: list[int] = []
+    for position, child in enumerate(entry.children, start=1):
+        kept = (renumber.get(child) if isinstance(child, int)
+                else keep_leaves(child, renumber, restrict))
+        if kept is not None:
+            children.append(kept)
+            slots.append(position)
+    if not children:
+        return None
+    kept_slots = InjectiveMap(len(slots), len(entry.children), tuple(slots))
+    return entry.rebuilt(restrict(kept_slots, entry.label), tuple(children))
+
+
+class TreePoint(Record):
+    """A point of a resolution: a root entry, or the leaf 1 for the trivial
+    point, over a base operad. A subclass supplies `text`."""
+
+    operad: EffectiveOperad
+    root: Union[int, Record]
+
+    def __init__(self, operad: EffectiveOperad, root: Union[int, Record]) -> None:
+        set_field(self, "operad", operad)
+        set_field(self, "root", root)
+
+    @property
+    def is_trivial(self) -> bool:
+        return isinstance(self.root, int)
+
+    @property
+    def arity(self) -> int:
+        return len(self.leaf_word)
+
+    @cached_property
+    def leaf_word(self) -> tuple[int, ...]:
+        return leaf_word(self.root)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({self.operad.name}: {self.text})"
 
 
 def require(value, kind: type, what: str) -> None:

@@ -5,7 +5,8 @@ elements (one input per child), whose inner edges carry exact lengths in
 [0,1], and whose leaves carry the input labels 1..n of the point. Children
 of a vertex are stored as either a bare leaf number or an inner edge; leaf
 numbers therefore live directly at the slots they decorate and composition
-of labels during edge contraction never renumbers anything.
+of labels during edge contraction never renumbers anything. An edge and the
+vertex above it are one entry of `trees`' protocol, for its shared walks.
 
 Normal form, computed by `_normal_w`:
 
@@ -51,12 +52,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import attrgetter
 from typing import Callable, Hashable, Optional, Union
 
-from .operads import EffectiveOperad, format_fraction
-from .trees import (DomainError, InjectiveMap, Leaf, Record, Tree, Vertex, check_depth, fold,
-                    require, set_field, shown)
+from .operads import EffectiveOperad, escaped, format_fraction
+from .trees import (DomainError, InjectiveMap, Leaf, Record, Tree, TreePoint, Vertex, check_depth,
+                    check_leaf_word, fold, keep_leaves, map_leaves, open_entry, require, set_field,
+                    shown)
 
 
 class WNode(Record):
@@ -67,8 +68,14 @@ class WNode(Record):
         set_field(self, "label", label)
         set_field(self, "children", children)
 
+    def rebuilt(self, label: Hashable, children: tuple["WEntry", ...]) -> WNode:
+        return WNode(label, children)
+
 
 class WEdge(Record):
+    """An inner edge and the vertex above it, one entry of the tree
+    protocol (see `trees`): its label and children are the vertex's."""
+
     length: Fraction
     node: WNode
 
@@ -76,11 +83,23 @@ class WEdge(Record):
         set_field(self, "length", length)
         set_field(self, "node", node)
 
+    @property
+    def label(self) -> Hashable:
+        return self.node.label
+
+    @property
+    def children(self) -> tuple["WEntry", ...]:
+        return self.node.children
+
+    def rebuilt(self, label: Hashable, children: tuple["WEntry", ...]) -> WEdge:
+        """The edge, its length kept, onto a vertex with this label and children."""
+        return WEdge(self.length, WNode(label, children))
+
 
 WEntry = Union[int, WEdge]   # a bare leaf number, or an inner edge
 
 
-class WPoint(Record):
+class WPoint(TreePoint):
     """A normal-form point. Build these with wpoint / w_unit / w_corolla.
 
     Normal by construction: every function here that returns one has
@@ -88,56 +107,21 @@ class WPoint(Record):
     assembled by hand is checked with `WOperad(op).validate`. `_hooked` is
     set by `_normal_w` alone (see the module docstring)."""
 
-    operad: EffectiveOperad
-    root: Union[int, WNode]
     _hooked = False   # not a field: outside __init__, equality, hash and repr
-
-    def __init__(self, operad: EffectiveOperad, root: Union[int, WNode]) -> None:
-        set_field(self, "operad", operad)
-        set_field(self, "root", root)
 
     @cached_property
     def text(self) -> str:
         return entry_text(self.operad, self.root)
 
     @property
-    def is_trivial(self) -> bool:
-        return isinstance(self.root, int)
-
-    @property
-    def arity(self) -> int:
-        return len(self.leaf_word)
-
-    @cached_property
-    def leaf_word(self) -> tuple[int, ...]:
-        out: list[int] = []
-        _collect_leaves(self.root, out)
-        return tuple(out)
-
-    @property
     def depth(self) -> int:
         """Vertices on the longest path from the root to a leaf."""
         return _depth(self.root)
-
-    def __repr__(self) -> str:
-        return f"WPoint({self.operad.name}: {self.text})"
-
-
-def _collect_leaves(entry: Union[WEntry, WNode], out: list[int]) -> None:
-    if isinstance(entry, int):
-        out.append(entry)
-    elif isinstance(entry, WEdge):
-        _collect_leaves(entry.node, out)
-    else:
-        for child in entry.children:
-            _collect_leaves(child, out)
 
 
 def _depth(entry: Union[WEntry, WNode]) -> int:
     if isinstance(entry, int):
         return 0
-    if isinstance(entry, WEdge):
-        return _depth(entry.node)
     return 1 + max(_depth(child) for child in entry.children)
 
 
@@ -147,8 +131,7 @@ def entry_text(op: EffectiveOperad, entry: Union[WEntry, WNode]) -> str:
         return f"l{entry}"
     if isinstance(entry, WEdge):
         return f"(e {format_fraction(entry.length)} {entry_text(op, entry.node)})"
-    label = op.format_element(entry.label).replace("\\", "\\\\").replace('"', '\\"')
-    parts = [f'(v "{label}"']
+    parts = [f'(v "{escaped(op.format_element(entry.label))}"']
     parts.extend(entry_text(op, child) for child in entry.children)
     return " ".join(parts) + ")"
 
@@ -330,10 +313,7 @@ def _checked_point(op: EffectiveOperad, root: Union[int, WNode]) -> WPoint:
         if root != 1:
             raise DomainError("a bare leaf point must be numbered 1")
         return WPoint(op, 1)
-    word: list[int] = []
-    _collect_leaves(root, word)
-    if sorted(word) != list(range(1, len(word) + 1)):
-        raise DomainError(f"leaf numbers {shown(word)} are not a bijection onto 1..{len(word)}")
+    check_leaf_word(root)
     return _normal_w(op, root)
 
 
@@ -350,14 +330,6 @@ def w_corolla(op: EffectiveOperad, label) -> WPoint:
 # structure maps
 # ---------------------------------------------------------------------------
 
-def _shift_leaves(entry: Union[WEntry, WNode], move: Callable[[int], int]):
-    if isinstance(entry, int):
-        return move(entry)
-    if isinstance(entry, WEdge):
-        return WEdge(entry.length, _shift_leaves(entry.node, move))
-    return WNode(entry.label, tuple(_shift_leaves(c, move) for c in entry.children))
-
-
 def w_compose(a: WPoint, i: int, b: WPoint) -> WPoint:
     """Graft b onto leaf i of a along a fresh inner edge of length 1."""
     require(a, WPoint, "the outer point")
@@ -372,20 +344,11 @@ def w_compose(a: WPoint, i: int, b: WPoint) -> WPoint:
         return b
     if b.is_trivial:
         return a
-    guest = _shift_leaves(b.root, lambda k: i + k - 1)
+    # b on an edge of length 1 at leaf i; later leaves move up by m - 1
+    edge = WEdge(Fraction(1), map_leaves(b.root, lambda k: i + k - 1))
+    root = map_leaves(a.root, lambda k: edge if k == i else k if k < i else k + m - 1)
     finish = _normal_point if a._hooked and b._hooked else _normal_w
-    return finish(a.operad, _graft(a.root, i, m, guest))
-
-
-def _graft(entry: Union[WEntry, WNode], i: int, m: int, guest: WNode):
-    """Put guest on an edge of length 1 at leaf i; later leaves move up by m - 1."""
-    if isinstance(entry, int):
-        if entry == i:
-            return WEdge(Fraction(1), guest)
-        return entry if entry < i else entry + m - 1
-    if isinstance(entry, WEdge):
-        return WEdge(entry.length, _graft(entry.node, i, m, guest))
-    return WNode(entry.label, tuple(_graft(c, i, m, guest) for c in entry.children))
+    return finish(a.operad, root)
 
 
 def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
@@ -406,35 +369,8 @@ def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
     op = a.operad
     renumber = {u(j): j for j in range(1, u.m + 1)}
     if a._hooked and u.m == u.n:
-        return _normal_point(op, _shift_leaves(a.root, renumber.__getitem__))
-    new_root = _restrict_node(op, a.root, renumber)
-    assert new_root is not None
-    return _normal_w(op, new_root)
-
-
-def _restrict_node(op: EffectiveOperad, node: WNode,
-                   renumber: dict[int, int]) -> Optional[WNode]:
-    """The subtree keeping the leaves `renumber` maps, or None if none is kept."""
-    entries: list[WEntry] = []
-    slots: list[int] = []
-    for position, child in enumerate(node.children, start=1):
-        if isinstance(child, int):
-            j = renumber.get(child)
-            if j is not None:
-                entries.append(j)
-                slots.append(position)
-        else:
-            sub = _restrict_node(op, child.node, renumber)
-            if sub is not None:
-                entries.append(WEdge(child.length, sub))
-                slots.append(position)
-    if not entries:
-        return None
-    kept = InjectiveMap(len(slots), len(node.children), tuple(slots))
-    return WNode(op.restrict(kept, node.label), tuple(entries))
-
-
-_open_edge = attrgetter("node.label", "node.children")   # an inner edge's (label, children)
+        return _normal_point(op, map_leaves(a.root, renumber.__getitem__))
+    return _normal_w(op, keep_leaves(a.root, renumber, op.restrict))
 
 
 def mu(a: WPoint):
@@ -442,7 +378,7 @@ def mu(a: WPoint):
     op = a.operad
     if a.is_trivial:
         return op.unit()
-    return fold(a.root.label, a.root.children, _open_edge, op.compose, op.restrict)
+    return fold(a.root.label, a.root.children, open_entry, op.compose, op.restrict)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +434,8 @@ def _carve_entry(finish: Callable[[WNode], WPoint], entry: WEntry, exits: list,
     if entry.length == 1:
         exits.append(_carve(finish, entry.node, components))
         return len(exits)
-    return WEdge(entry.length, WNode(
-        entry.node.label,
-        tuple(_carve_entry(finish, c, exits, components) for c in entry.node.children)))
+    return entry.rebuilt(entry.label,
+                         tuple(_carve_entry(finish, c, exits, components) for c in entry.children))
 
 
 def reassemble(op: EffectiveOperad, dec: WDecomposition) -> WPoint:

@@ -29,9 +29,9 @@ from opcalc.sampling import (
     random_raw_bnode,
     random_wpoint,
 )
-from opcalc.serialize import b_from_jsonable, b_dot, b_to_jsonable, parse_b_text
+from opcalc.serialize import b_from_jsonable, b_dot, b_to_jsonable, parse_b_text, w_dot
 from opcalc.trees import DomainError, InjectiveMap, block_injection
-from opcalc.wconstruction import w_compose, w_corolla, w_lambda, w_unit
+from opcalc.wconstruction import WEdge, WNode, w_compose, w_corolla, w_lambda, w_unit, wpoint
 
 D1 = LittleIntervals()
 ASSOC = Associative()
@@ -554,3 +554,36 @@ def test_dot_smoke():
     b = bpoint(D1, BNode(LA2, F(0), (BNode(LU1, F(1, 2), (1,)), 2)))
     text = b_dot(b)
     assert text.startswith("digraph") and "h=1/2" in text
+
+
+_DOT_HEAD = ["digraph point {", "  rankdir=BT;", "  node [fontsize=10];"]
+
+
+def test_dot_texts_are_pinned():
+    trivial = "\n".join([*_DOT_HEAD, '  leaf1 [shape=box label="1"];', "}"])
+    assert w_dot(w_unit(D1)) == trivial and b_dot(b_unit(D1)) == trivial
+    halves = ((F(0), F(1, 2)), (F(1, 2), F(1)))
+    a = wpoint(D1, WNode(halves, (WEdge(F(1, 3), WNode(halves, (2, 3))), 1)))
+    assert w_dot(a) == "\n".join([
+        *_DOT_HEAD,
+        '  v1 [shape=ellipse label="<[0/1,1/2] [1/2,1/1]>"];',
+        '  v2 [shape=ellipse label="<[0/1,1/2] [1/2,1/1]>"];',
+        '  v2 -> v1 [label="1/3"];',
+        '  leaf3 [shape=box label="2"];',
+        "  leaf3 -> v2;",
+        '  leaf4 [shape=box label="3"];',
+        "  leaf4 -> v2;",
+        '  leaf5 [shape=box label="1"];',
+        "  leaf5 -> v1;",
+        "}"])
+    b = bpoint(D1, BNode(LA2, F(0), (BNode(LU1, F(1, 2), (1,)), 2)))
+    assert b_dot(b) == "\n".join([
+        *_DOT_HEAD,
+        '  v1 [shape=ellipse label="h=0/1\\n(v \\"<[0/1,1/2] [1/2,1/1]>\\" l1 l2)"];',
+        '  v2 [shape=ellipse label="h=1/2\\n(v \\"<[0/1,1/2]>\\" l1)"];',
+        "  v2 -> v1;",
+        '  leaf3 [shape=box label="1"];',
+        "  leaf3 -> v2;",
+        '  leaf4 [shape=box label="2"];',
+        "  leaf4 -> v1;",
+        "}"])

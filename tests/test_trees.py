@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opcalc.bconstruction import BNode
 from opcalc.oracles import FormalOperad
 from opcalc.trees import (
     DomainError,
@@ -14,6 +15,9 @@ from opcalc.trees import (
     Vertex,
     block_injection,
     drop_block,
+    keep_leaves,
+    leaf_word,
+    map_leaves,
     tree_text,
 )
 from opcalc.wconstruction import WEdge, WNode, WPoint, w_compose, w_lambda, wpoint
@@ -264,3 +268,88 @@ def test_drop_block():
     assert drop_block(w, 2, 3) == InjectiveMap(2, 3, (1, 3))
     with pytest.raises(DomainError):
         drop_block(InjectiveMap(2, 5, (1, 3)), 2, 3)
+
+
+# ------------------------------------------------ the shared W and B walks
+#
+# The same tree, x(l3, y(l1, l4), l2), as a W tree, as the inner edge onto
+# it, and as a B tree; the walks see only labels and children.
+
+HALF = Fraction(1, 2)
+
+
+def _w_tree(y=("y", (1, 4)), leaves=(3, 2)):
+    return WNode("x", (leaves[0], WEdge(HALF, WNode(*y)), leaves[1]))
+
+
+def _b_tree(y=("y", (1, 4)), leaves=(3, 2)):
+    return BNode("x", Fraction(0), (leaves[0], BNode(y[0], HALF, y[1]), leaves[1]))
+
+
+def _edge_tree(y=("y", (1, 4)), leaves=(3, 2)):
+    return WEdge(Fraction(1, 3), _w_tree(y, leaves))
+
+
+WALKED = [_w_tree, _edge_tree, _b_tree]
+
+
+def _slots_kept(u, label):
+    """A restriction that records the slots it keeps."""
+    return (label, u.values)
+
+
+@pytest.mark.parametrize("tree", WALKED, ids=lambda f: f.__name__)
+def test_leaf_word_is_the_planar_order(tree):
+    assert leaf_word(tree()) == (3, 1, 4, 2)
+    assert leaf_word(5) == (5,)
+
+
+@pytest.mark.parametrize("tree", WALKED, ids=lambda f: f.__name__)
+def test_map_leaves_renumbers(tree):
+    renumber = {3: 1, 1: 2, 4: 3, 2: 4}
+    assert map_leaves(tree(), renumber.__getitem__) == tree(("y", (2, 3)), (1, 4))
+
+
+@pytest.mark.parametrize("tree, guest", [
+    (_w_tree, WEdge(Fraction(1), WNode("z", (4, 5)))),
+    (_edge_tree, WEdge(Fraction(1), WNode("z", (4, 5)))),
+    (_b_tree, BNode("z", Fraction(1), (4, 5))),
+], ids=["w", "edge", "b"])
+def test_map_leaves_grafts_a_subtree(tree, guest):
+    grafted = map_leaves(tree(), lambda k: guest if k == 4 else k)
+    assert grafted == tree(("y", (1, guest)))
+    assert leaf_word(grafted) == (3, 1, 4, 5, 2)
+
+
+@pytest.mark.parametrize("tree", WALKED, ids=lambda f: f.__name__)
+def test_keep_leaves_is_none_when_no_leaf_is_kept(tree):
+    assert keep_leaves(tree(), {}, _slots_kept) is None
+    assert keep_leaves(tree(), {7: 1}, _slots_kept) is None
+
+
+def test_keep_leaves_restricts_along_the_kept_slots_and_keeps_decorations():
+    renumber = {1: 1, 2: 2}   # leaf 1 under y, leaf 2 in x's third slot
+    x = ("x", (2, 3))         # x keeps its slots 2 and 3
+    y = ("y", (1,))           # y keeps its slot 1, over leaf 1
+    assert keep_leaves(_w_tree(), renumber, _slots_kept) == WNode(
+        x, (WEdge(HALF, WNode(y, (1,))), 2))
+    assert keep_leaves(_edge_tree(), renumber, _slots_kept) == WEdge(
+        Fraction(1, 3), WNode(x, (WEdge(HALF, WNode(y, (1,))), 2)))
+    assert keep_leaves(_b_tree(), renumber, _slots_kept) == BNode(
+        x, Fraction(0), (BNode(y, HALF, (1,)), 2))
+    # a vertex that keeps every slot is restricted along the identity
+    assert keep_leaves(_w_tree(), {3: 1, 1: 2, 4: 3, 2: 4}, _slots_kept).label == (
+        "x", (1, 2, 3))
+
+
+def test_an_edge_reads_label_and_children_through_its_node():
+    edge = _edge_tree()
+    assert edge.label == edge.node.label == "x"
+    assert edge.children is edge.node.children
+    assert WEdge._fields == ("length", "node")
+
+
+def test_rebuilt_keeps_the_length_or_the_height():
+    assert WNode("y", (1,)).rebuilt("z", (2,)) == WNode("z", (2,))
+    assert WEdge(HALF, WNode("y", (1,))).rebuilt("z", (2,)) == WEdge(HALF, WNode("z", (2,)))
+    assert BNode("y", HALF, (1,)).rebuilt("z", (2,)) == BNode("z", HALF, (2,))

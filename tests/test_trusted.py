@@ -20,7 +20,6 @@ from opcalc.bconstruction import (
     BNode,
     BPoint,
     SlicePiece,
-    _collect_b_leaves,
     b_corolla,
     b_entry_text,
     b_lambda,
@@ -51,7 +50,7 @@ from opcalc.serialize import (
     w_from_jsonable,
     w_to_jsonable,
 )
-from opcalc.trees import MAX_DEPTH, DomainError, InjectiveMap
+from opcalc.trees import MAX_DEPTH, DomainError, InjectiveMap, leaf_word
 from opcalc.wconstruction import (
     WEdge,
     WNode,
@@ -216,13 +215,11 @@ def test_cached_leaf_words_equal_a_fresh_walk(name):
         w_points = (a, w_compose(a, rng.randint(1, n), other),
                     w_lambda(random_permutation(rng, n), a), *_labels(b.root))
         for point in w_points:
-            fresh: list = []
-            wc._collect_leaves(point.root, fresh)
+            fresh = leaf_word(point.root)
             assert point.leaf_word == tuple(fresh) and point.leaf_word is point.leaf_word
             assert point.arity == len(fresh)
         for point in (b, b_right_act(b, 1, other), b_lambda(random_permutation(rng, n), b)):
-            fresh = []
-            _collect_b_leaves(point.root, fresh)
+            fresh = leaf_word(point.root)
             assert point.leaf_word == tuple(fresh) and point.leaf_word is point.leaf_word
             assert point.arity == len(fresh)
 
