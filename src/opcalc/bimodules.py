@@ -8,7 +8,10 @@ through `bpoint` or `wpoint` and compares.
 
 `eval_truncated_operad_map` and `eval_truncated_bimodule_map` evaluate a
 map that is given only on the prime pieces of at most `level` inputs, by
-contracting the decomposition's edges or caps in a chosen order.
+contracting the decomposition's edges or caps in a chosen order. A W
+decomposition's skeleton is a tree of `trees`' protocol whose vertices are
+labelled by the pieces; its vertices are numbered in preorder, the order
+of `components`, and its edges listed as their upper vertices are numbered.
 
 The check suites, the evaluators (`mapping`) and `mu --truncate` load this
 module; the W and B commands do not.
@@ -29,8 +32,8 @@ from .bconstruction import (
     bpoint,
 )
 from .operads import EffectiveOperad
-from .trees import DomainError, InjectiveMap, Leaf, Vertex, fold
-from .wconstruction import WOperad, WPoint, w_compose, w_lambda, w_prime_decompose, w_unit
+from .trees import DomainError, InjectiveMap, fold
+from .wconstruction import WNode, WOperad, WPoint, w_compose, w_lambda, w_prime_decompose, w_unit
 
 
 class Bimodule(ABC):
@@ -174,33 +177,16 @@ def eval_truncated_operad_map(
     if not dec.components:
         return target.unit()
 
-    paths = dec.skeleton.vertex_ids()
-    index_of = {path: k for k, path in enumerate(paths)}
     values: list = []
     exits: list[list] = []
-    for path in paths:
-        piece = dec.components[index_of[path]]
-        value = assign(piece)
-        if target.arity_of(value) != piece.arity:
-            raise DomainError("assigned value has the wrong arity")
-        values.append(value)
-        vertex = dec.skeleton.node_at(path)
-        assert isinstance(vertex, Vertex)
-        row: list = []
-        for position, child in enumerate(vertex.children):
-            if isinstance(child, Leaf):
-                row.append(("leaf", child.number))
-            else:
-                row.append(("piece", index_of[path + (position,)]))
-        exits.append(row)
-
-    edges = [(index_of[path[:-1]], index_of[path]) for path in paths if path]
+    edges: list[tuple[int, int]] = []
+    _number_pieces(dec.skeleton, assign, target, values, exits, edges)
     if order is None:
         order = list(range(len(edges)))
     if sorted(order) != list(range(len(edges))):
         raise DomainError("order must be a permutation of the edge indices")
 
-    owner = list(range(len(paths)))
+    owner = list(range(len(values)))
 
     def find(k: int) -> int:
         while owner[k] != k:
@@ -221,6 +207,29 @@ def eval_truncated_operad_map(
     # every slot holds a leaf number now, so the fold only relabels
     return fold(values[root], tuple(number for _, number in exits[root]), None, None,
                 target.restrict)
+
+
+def _number_pieces(vertex: WNode, assign: Callable[[WPoint], Hashable], target: EffectiveOperad,
+                   values: list, exits: list, edges: list) -> int:
+    """Number vertex and the skeleton vertices above it in preorder from
+    len(values) on, appending each one's assigned value and its row of
+    exits (a leaf number, or the number of the piece above), and each edge
+    (parent, child) as its child is numbered; vertex's number."""
+    k = len(values)
+    piece = vertex.label
+    value = assign(piece)
+    if target.arity_of(value) != piece.arity:
+        raise DomainError("assigned value has the wrong arity")
+    values.append(value)
+    row: list = []
+    exits.append(row)
+    for child in vertex.children:
+        if isinstance(child, int):
+            row.append(("leaf", child))
+        else:
+            edges.append((k, len(values)))
+            row.append(("piece", _number_pieces(child, assign, target, values, exits, edges)))
+    return k
 
 
 def eval_truncated_bimodule_map(

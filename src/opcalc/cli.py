@@ -53,7 +53,7 @@ from .serialize import (
     w_from_jsonable,
     w_to_jsonable,
 )
-from .trees import DomainError, shown, tree_text
+from .trees import DomainError, shown
 from .wconstruction import WOperad, mu, w_prime_decompose, w_text
 
 if TYPE_CHECKING:
@@ -209,6 +209,14 @@ def cmd_mu(ws: Workspace, args) -> int:
     return 0
 
 
+def skeleton_text(entry) -> str:
+    """A W decomposition's skeleton in one line: a leaf as its number, a
+    vertex as its children's texts in parentheses."""
+    if isinstance(entry, int):
+        return str(entry)
+    return "(" + " ".join(skeleton_text(child) for child in entry.children) + ")"
+
+
 def cmd_decompose(ws: Workspace, args) -> int:
     op = ws.operad(args.operad)
     point = read_point(op, args.kind, args.point)
@@ -216,11 +224,11 @@ def cmd_decompose(ws: Workspace, args) -> int:
         dec = w_prime_decompose(point)
         data = {
             "filtration": dec.filtration_level,
-            "skeleton": tree_text(dec.skeleton),
+            "skeleton": skeleton_text(dec.skeleton),
             "components": [w_to_jsonable(c) for c in dec.components],
         }
         lines = [f"filtration {dec.filtration_level}",
-                 f"skeleton {tree_text(dec.skeleton)}"]
+                 f"skeleton {skeleton_text(dec.skeleton)}"]
         lines += [f"component {k}: {w_text(c)}"
                   for k, c in enumerate(dec.components, start=1)]
         emit(args, "\n".join(lines), data)

@@ -1,19 +1,20 @@
 """Planar rooted trees with numbered leaves, and injections of finite sets.
 
-Trees are immutable. A tree with n leaves carries a bijective numbering of
-its leaves by 1..n; the numbering need not agree with the planar
-left-to-right order. Every vertex has at least one child. The tree that is
-a single bare leaf is allowed.
+A tree with n leaves numbers them bijectively by 1..n; the numbering need
+not agree with the planar left-to-right order. Every vertex has at least one
+child. The tree that is a single bare leaf is the leaf number 1. Trees are
+immutable, and written with the one protocol below.
 
 Injections between the sets {1..m} and {1..n} are first-class values here
 because every symmetric or cosimplicial structure downstream is phrased in
 terms of them: restriction of labels and block substitution of slots.
 
-W and B points are decorated trees written with one protocol. A child is a
-bare leaf number (an int) or an entry, and an entry has a `label`, a tuple
-of `children` and `rebuilt(label, children)`, which returns the entry with
-the same decoration (an edge length, a height) over a new label and new
-children. Three walks serve both resolutions:
+W and B points, and the skeleton of a W point's prime decomposition, are
+decorated trees written with one protocol. A child is a bare leaf number
+(an int) or an entry, and an entry has a `label`, a tuple of `children` and
+`rebuilt(label, children)`, which returns the entry with the same
+decoration (an edge length, a height) over a new label and new children.
+Three walks serve both resolutions:
 
   * `leaf_word(entry)`: the leaf numbers in planar order;
   * `map_leaves(entry, move)`: each leaf k replaced by `move(k)`, a number
@@ -228,91 +229,6 @@ def require(value, kind: type, what: str) -> None:
         raise DomainError(f"{what} must be a {kind.__name__}, got a {type(value).__name__}")
 
 
-class Leaf(Record):
-    number: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.number, int) or self.number < 1:
-            raise DomainError(f"leaf number must be a positive integer, got {self.number!r}")
-
-    def __repr__(self) -> str:
-        return f"Leaf({self.number})"
-
-
-class Vertex(Record):
-    children: tuple["Node", ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.children, tuple) or not self.children:
-            raise DomainError("a vertex needs a nonempty tuple of children")
-        for child in self.children:
-            if not isinstance(child, (Leaf, Vertex)):
-                raise DomainError(f"bad child node {child!r}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.children)
-
-
-Node = Union[Leaf, Vertex]
-
-# A vertex is addressed by the sequence of 0-based child indices leading to
-# it from the root; () is the root itself.
-VertexId = tuple[int, ...]
-
-
-def _collect_leaf_numbers(node: Node, out: list[int]) -> None:
-    if isinstance(node, Leaf):
-        out.append(node.number)
-    else:
-        for child in node.children:
-            _collect_leaf_numbers(child, out)
-
-
-class Tree(Record):
-    """A planar rooted tree whose n leaves are numbered bijectively by 1..n."""
-
-    root: Node
-
-    def __post_init__(self) -> None:
-        word = []
-        _collect_leaf_numbers(self.root, word)
-        if sorted(word) != list(range(1, len(word) + 1)):
-            raise DomainError(f"leaf numbers {word} are not a bijection onto 1..{len(word)}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.leaf_word)
-
-    @property
-    def leaf_word(self) -> tuple[int, ...]:
-        """Leaf numbers in planar left-to-right order."""
-        word: list[int] = []
-        _collect_leaf_numbers(self.root, word)
-        return tuple(word)
-
-    def vertex_ids(self) -> tuple[VertexId, ...]:
-        """All vertex addresses in depth-first preorder."""
-        found: list[VertexId] = []
-        _collect_vertex_ids(self.root, (), found)
-        return tuple(found)
-
-    def node_at(self, path: VertexId) -> Node:
-        node: Node = self.root
-        for idx in path:
-            if isinstance(node, Leaf) or not 0 <= idx < len(node.children):
-                raise DomainError(f"no node at path {path}")
-            node = node.children[idx]
-        return node
-
-
-def _collect_vertex_ids(node: Node, path: VertexId, found: list[VertexId]) -> None:
-    if isinstance(node, Vertex):
-        found.append(path)
-        for idx, child in enumerate(node.children):
-            _collect_vertex_ids(child, path + (idx,), found)
-
-
 class InjectiveMap(Record):
     """An injection u: {1..m} -> {1..n}, stored by its tuple of values."""
 
@@ -411,14 +327,3 @@ def drop_block(w: InjectiveMap, i: int, m: int) -> InjectiveMap:
         if i <= x <= i + m - 1:
             raise DomainError(f"image value {x} lies in the block {i}..{i + m - 1}")
     return InjectiveMap(w.m, w.n - m + 1, tuple(x if x < i else x - m + 1 for x in w.values))
-
-
-def tree_text(t: Tree) -> str:
-    """Compact one-line rendering: leaves as numbers, vertices as (...)."""
-    return _node_text(t.root)
-
-
-def _node_text(node: Node) -> str:
-    if isinstance(node, Leaf):
-        return str(node.number)
-    return "(" + " ".join(_node_text(c) for c in node.children) + ")"

@@ -55,9 +55,8 @@ from functools import cached_property, partial
 from typing import Callable, Hashable, Optional, Union
 
 from .operads import EffectiveOperad, escaped, format_fraction
-from .trees import (DomainError, InjectiveMap, Leaf, Record, Tree, TreePoint, Vertex, check_depth,
-                    check_leaf_word, fold, keep_leaves, map_leaves, open_entry, require, set_field,
-                    shown)
+from .trees import (DomainError, InjectiveMap, Record, TreePoint, check_depth, check_leaf_word,
+                    fold, keep_leaves, map_leaves, open_entry, require, set_field, shown)
 
 
 class WNode(Record):
@@ -208,18 +207,11 @@ def _reduce_vertex(op: EffectiveOperad, node: WNode) -> Union[int, WNode]:
             entries.append(reduced)
             continue
         length = child.length
-        while len(reduced.children) == 1 and op.is_unit(reduced.label):
+        # reduced, so a unary unit here sits on an edge to a vertex that is not one
+        if len(reduced.children) == 1 and op.is_unit(reduced.label):
             only = reduced.children[0]
-            if isinstance(only, int):
-                length = None
-                break
-            length = max(length, only.length)
-            reduced = only.node
-        if length is None:
-            # the unit chain ends directly on a leaf
-            entries.append(reduced.children[0])
-        else:
-            entries.append(WEdge(length, reduced))
+            length, reduced = max(length, only.length), only.node
+        entries.append(WEdge(length, reduced))
 
     label = node.label
     # contract length-0 edges; positions shift as blocks are spliced in
@@ -284,12 +276,10 @@ def _normal_w(op: EffectiveOperad, root: WNode) -> WPoint:
     reduced = _reduce_vertex(op, root)
     if isinstance(reduced, int):
         return WPoint(op, 1)
-    # root side is external: a unit chain at the root absorbs its edge
-    while len(reduced.children) == 1 and op.is_unit(reduced.label):
-        only = reduced.children[0]
-        if isinstance(only, int):
-            return WPoint(op, 1)
-        reduced = only.node
+    # root side is external: a unit vertex at the root absorbs its edge; it
+    # sits on an edge to a vertex that is not one, as in `_reduce_vertex`
+    if len(reduced.children) == 1 and op.is_unit(reduced.label):
+        reduced = reduced.children[0].node
     return _normal_point(op, *_canonical_node(op, reduced))
 
 
@@ -388,31 +378,33 @@ def mu(a: WPoint):
 class WDecomposition(Record):
     """Components obtained by cutting every inner edge of length 1.
 
-    components are listed in depth-first preorder of the skeleton's
-    vertices; component slots are numbered 1..k in planar order, and slot j
-    of a component corresponds to child j of its skeleton vertex. The
-    skeleton keeps the original leaf numbers. The trivial point has no
-    components and sits at filtration level 0.
+    The skeleton is a tree of `trees`' protocol. Each of its vertices is a
+    `WNode` labelled by its component; its children are, in slot order, the
+    original leaf numbers and the skeleton vertices of the components above
+    it, so slot j of a component is child j of its vertex. components lists
+    the components in depth-first preorder of the skeleton's vertices. The
+    trivial point's skeleton is the bare leaf 1; it has no components and
+    sits at filtration level 0.
     """
 
     components: tuple[WPoint, ...]
-    skeleton: Tree
+    skeleton: Union[int, WNode]
     filtration_level: int
 
 
 def w_prime_decompose(a: WPoint) -> WDecomposition:
     op = a.operad
     if a.is_trivial:
-        return WDecomposition((), Tree(Leaf(1)), 0)
+        return WDecomposition((), 1, 0)
     # the pieces of a marked point are normal as cut
     finish = partial(_normal_point if a._hooked else _normal_w, op)
     components: list[WPoint] = []
-    skeleton = Tree(_carve(finish, a.root, components))
+    skeleton = _carve(finish, a.root, components)
     level = max(piece.arity for piece in components)
     return WDecomposition(tuple(components), skeleton, level)
 
 
-def _carve(finish: Callable[[WNode], WPoint], node: WNode, components: list) -> Vertex:
+def _carve(finish: Callable[[WNode], WPoint], node: WNode, components: list) -> WNode:
     """The skeleton vertex of the piece at node, whose component is
     components[index], reserved before the pieces above it are appended;
     `finish` makes a piece's tree a point."""
@@ -421,15 +413,15 @@ def _carve(finish: Callable[[WNode], WPoint], node: WNode, components: list) -> 
     exits: list = []
     piece_root = WNode(node.label,
                        tuple(_carve_entry(finish, c, exits, components) for c in node.children))
-    components[index] = finish(piece_root)
-    return Vertex(tuple(exits))
+    components[index] = component = finish(piece_root)
+    return WNode(component, tuple(exits))
 
 
 def _carve_entry(finish: Callable[[WNode], WPoint], entry: WEntry, exits: list,
                  components: list) -> WEntry:
     """Keep entry in the current piece, or cut it off as exit len(exits)."""
     if isinstance(entry, int):
-        exits.append(Leaf(entry))
+        exits.append(entry)
         return len(exits)
     if entry.length == 1:
         exits.append(_carve(finish, entry.node, components))
@@ -441,17 +433,7 @@ def _carve_entry(finish: Callable[[WNode], WPoint], entry: WEntry, exits: list,
 def reassemble(op: EffectiveOperad, dec: WDecomposition) -> WPoint:
     if not dec.components:
         return w_unit(op)
-    index_of = {path: k for k, path in enumerate(dec.skeleton.vertex_ids())}
-
-    def open_vertex(path: tuple[int, ...]) -> tuple[WPoint, tuple]:
-        """The component at a skeleton vertex, and its slots: a leaf number
-        or the path of the vertex above."""
-        vertex = dec.skeleton.node_at(path)
-        return dec.components[index_of[path]], tuple(
-            child.number if isinstance(child, Leaf) else path + (position,)
-            for position, child in enumerate(vertex.children))
-
-    return fold(*open_vertex(()), open_vertex, w_compose, w_lambda)
+    return fold(dec.skeleton.label, dec.skeleton.children, open_entry, w_compose, w_lambda)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,51 @@ def test_decompose_reports_the_filtration(capsys):
     assert data["root"] is None
 
 
+# Points with several components: leaves directly at the root, and leaves
+# out of planar order below a chain of pieces.
+W_FAN = ('(v "<[1/6,1/2] [13/18,7/9] [5/9,2/3]>" l2 (e 1/1 (v "<[1/2,5/8]>" l1)) '
+         '(e 1/1 (v "<[2/5,7/10]>" l3)))')
+W_CHAIN = ('(v "<[10/19,16/19] [2/19,8/19]>" l3 (e 1/1 (v "<[0/1,3/4]>" '
+           '(e 1/1 (v "<[2/13,4/13] [8/13,1/1]>" l1 l2)))))')
+
+
+def _w_json(label, arity):
+    return {"kind": "w", "operad": "intervals",
+            "root": {"children": [{"leaf": k} for k in range(1, arity + 1)], "label": label}}
+
+
+@pytest.mark.parametrize("point, text, data", [
+    (W_FAN, [
+        "filtration 3",
+        "skeleton (2 (1) (3))",
+        'component 1: (v "<[1/6,1/2] [13/18,7/9] [5/9,2/3]>" l1 l2 l3)',
+        'component 2: (v "<[1/2,5/8]>" l1)',
+        'component 3: (v "<[2/5,7/10]>" l1)',
+    ], {"components": [_w_json("<[1/6,1/2] [13/18,7/9] [5/9,2/3]>", 3),
+                       _w_json("<[1/2,5/8]>", 1), _w_json("<[2/5,7/10]>", 1)],
+        "filtration": 3, "skeleton": "(2 (1) (3))"}),
+    (W_CHAIN, [
+        "filtration 2",
+        "skeleton (3 ((1 2)))",
+        'component 1: (v "<[10/19,16/19] [2/19,8/19]>" l1 l2)',
+        'component 2: (v "<[0/1,3/4]>" l1)',
+        'component 3: (v "<[2/13,4/13] [8/13,1/1]>" l1 l2)',
+    ], {"components": [_w_json("<[10/19,16/19] [2/19,8/19]>", 2), _w_json("<[0/1,3/4]>", 1),
+                       _w_json("<[2/13,4/13] [8/13,1/1]>", 2)],
+        "filtration": 2, "skeleton": "(3 ((1 2)))"}),
+    ("l1", ["filtration 0", "skeleton 1"],
+     {"components": [], "filtration": 0, "skeleton": "1"}),
+], ids=["fan", "chain", "trivial"])
+def test_decompose_w_golden(capsys, point, text, data):
+    code, out = run(capsys, "decompose", "--kind", "w", point)
+    assert code == 0
+    assert out == "\n".join(text) + "\n"
+    code, out = run(capsys, "decompose", "--kind", "w", "--format", "json", point)
+    assert code == 0
+    assert json.loads(out) == data
+    assert out == json.dumps(data, sort_keys=True) + "\n"
+
+
 # --------------------------------------------------------------- evaluation
 
 def test_eval_xi_constant_loop_is_the_inclusion(capsys):

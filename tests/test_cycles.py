@@ -26,7 +26,7 @@ from opcalc.bconstruction import (
     slice_point,
 )
 from opcalc.bimodules import WSelfBimodule, eval_truncated_bimodule_map, eval_truncated_operad_map
-from opcalc.cli import Workspace
+from opcalc.cli import Workspace, skeleton_text
 from opcalc.mapping import XPath, lift_path, psi_prime_eval, xi_eval
 from opcalc.operads import Associative, LittleDiscs, LittleIntervals, PointedSet, framed_intervals
 from opcalc.oracles import (
@@ -48,7 +48,7 @@ from opcalc.serialize import (
 )
 from opcalc.suites import suite_matching
 from opcalc.swisscheese import alpha_eval, d1_action_eval, extract_subpoints, parse_sc
-from opcalc.trees import InjectiveMap, tree_text
+from opcalc.trees import InjectiveMap
 from opcalc.wconstruction import (
     mu,
     reassemble,
@@ -93,7 +93,7 @@ def core_calls(op):
         "w_prime_decompose": lambda: w_prime_decompose(a),
         "reassemble": lambda: reassemble(op, w_prime_decompose(a)),
         "eval_truncated_operad_map": lambda: eval_truncated_operad_map(mu, 4, a, op),
-        "tree_text": lambda: tree_text(w_prime_decompose(a).skeleton),
+        "tree_text": lambda: skeleton_text(w_prime_decompose(a).skeleton),
         "bpoint": lambda: bpoint(op, raw_b),
         "b_corolla": lambda: b_corolla(op, p, F(1, 2)),
         "b_normalize_random_order": lambda: b_normalize_random_order(random.Random(0), op, raw_b),

@@ -1,0 +1,91 @@
+"""Each `DomainError` an argument out of range raises, with its message.
+
+These raises guard the structure maps, the injections, the slicer, the
+text readers and the truncated evaluator against arguments the callers
+inside the package never pass, so no law suite reaches them.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from opcalc.bconstruction import BNode, b_left_act, b_right_act, bpoint, slice_point
+from opcalc.bimodules import WSelfBimodule, eval_truncated_operad_map
+from opcalc.operads import LittleIntervals
+from opcalc.serialize import parse_b_text, parse_w_text
+from opcalc.trees import DomainError, InjectiveMap, block_injection
+from opcalc.wconstruction import WEdge, WNode, mu, w_compose, wpoint
+
+D1 = LittleIntervals()
+HALVES = ((F(0), F(1, 2)), (F(1, 2), F(1)))
+CUP_TEXT = '(v "<[0/1,1/2] [1/2,1/1]>" l1 l2)'
+
+
+def _cup():
+    return wpoint(D1, WNode(HALVES, (1, 2)))
+
+
+def _b_cup():
+    return bpoint(D1, BNode(_cup(), F(1, 2), (1, 2)))
+
+
+def _two_pieces():
+    """A cup with a second cup on an edge of length 1: two components."""
+    return wpoint(D1, WNode(HALVES, (WEdge(F(1), WNode(HALVES, (1, 2))), 3)))
+
+
+CASES = {
+    "w_compose slot 0": (lambda: w_compose(_cup(), 0, _cup()), r"slot 0 out of range 1\.\.2"),
+    "w_compose slot 3": (lambda: w_compose(_cup(), 3, _cup()), r"slot 3 out of range 1\.\.2"),
+    "b_right_act slot 0": (lambda: b_right_act(_b_cup(), 0, _cup()),
+                           r"slot 0 out of range 1\.\.2"),
+    "b_right_act slot 3": (lambda: b_right_act(_b_cup(), 3, _cup()),
+                           r"slot 3 out of range 1\.\.2"),
+    "block_injection slot 0": (
+        lambda: block_injection(InjectiveMap.identity(2), 0, InjectiveMap.identity(1)),
+        r"slot 0 out of range 1\.\.2"),
+    "block_injection slot 3": (
+        lambda: block_injection(InjectiveMap.identity(2), 3, InjectiveMap.identity(1)),
+        r"slot 3 out of range 1\.\.2"),
+    "injection at 0": (lambda: InjectiveMap(2, 3, (1, 3))(0), r"argument 0 outside 1\.\.2"),
+    "injection at 3": (lambda: InjectiveMap(2, 3, (1, 3))(3), r"argument 3 outside 1\.\.2"),
+    "b_left_act too few": (lambda: b_left_act(_cup(), (_b_cup(),)), "need 2 points, got 1"),
+    "b_left_act too many": (lambda: b_left_act(_cup(), (_b_cup(),) * 3),
+                            "need 2 points, got 3"),
+    "wself left_act too few": (lambda: WSelfBimodule(D1).left_act(_cup(), (_cup(),)),
+                               "need 2 points, got 1"),
+    "slice_point unsorted cuts": (
+        lambda: slice_point(_b_cup(), ((F(2, 3), True), (F(1, 3), False))),
+        "cuts must be listed in increasing order"),
+    "w text after point": (lambda: parse_w_text(D1, CUP_TEXT + " l1"),
+                           "^trailing input after point$"),
+    "w text after trivial point": (lambda: parse_w_text(D1, "l1 l2"),
+                                   "^trailing input after trivial point$"),
+    "b text after point": (lambda: parse_b_text(D1, _b_cup().text + " l1"),
+                           "^trailing input after point$"),
+    "b text after trivial point": (lambda: parse_b_text(D1, "l1 l1"),
+                                   "^trailing input after trivial point$"),
+    "assigned value of the wrong arity": (
+        lambda: eval_truncated_operad_map(lambda piece: D1.unit(), 2, _cup(), D1),
+        "assigned value has the wrong arity"),
+    "order too short": (lambda: eval_truncated_operad_map(mu, 2, _two_pieces(), D1, order=[]),
+                        "order must be a permutation"),
+    "order out of range": (
+        lambda: eval_truncated_operad_map(mu, 2, _two_pieces(), D1, order=[1]),
+        "order must be a permutation"),
+    "order repeating an edge": (
+        lambda: eval_truncated_operad_map(mu, 2, _two_pieces(), D1, order=[0, 0]),
+        "order must be a permutation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_out_of_range_arguments_raise_domain_error(case):
+    call, message = CASES[case]
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_a_valid_order_of_the_two_piece_point_evaluates():
+    # the order the guard cases get wrong, given right
+    assert eval_truncated_operad_map(mu, 2, _two_pieces(), D1, order=[0]) == mu(_two_pieces())

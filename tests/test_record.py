@@ -18,11 +18,49 @@ from opcalc.bconstruction import BNode, BPoint, bpoint
 from opcalc.mapping import CheckResult
 from opcalc.operads import LittleIntervals, PointedSet
 from opcalc.oracles import FLeaf, FNode
-from opcalc.trees import DomainError, InjectiveMap, Leaf, Record, Tree, Vertex
+from opcalc.trees import DomainError, InjectiveMap, Record
 from opcalc.wconstruction import WEdge, WNode, WPoint, wpoint
 
 D1 = LittleIntervals()
 HALVES = ((F(0), F(1, 2)), (F(1, 2), F(1)))
+
+
+# A planar tree as records of every shape the samples need: one int field
+# with a repr of its own, a tuple of records, a record of records. Each
+# checks its fields in `__post_init__`, through the generic __init__.
+
+class Leaf(Record):
+    number: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.number, int) or self.number < 1:
+            raise DomainError(f"leaf number must be a positive integer, got {self.number!r}")
+
+    def __repr__(self) -> str:
+        return f"Leaf({self.number})"
+
+
+class Vertex(Record):
+    children: tuple
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.children, tuple) or not self.children:
+            raise DomainError("a vertex needs a nonempty tuple of children")
+
+
+def _leaf_numbers(node) -> list:
+    if isinstance(node, Leaf):
+        return [node.number]
+    return [number for child in node.children for number in _leaf_numbers(child)]
+
+
+class Tree(Record):
+    root: Record
+
+    def __post_init__(self) -> None:
+        word = _leaf_numbers(self.root)
+        if sorted(word) != list(range(1, len(word) + 1)):
+            raise DomainError(f"leaf numbers {word} are not a bijection onto 1..{len(word)}")
 
 
 def _cup() -> WPoint:

@@ -10,15 +10,11 @@ from opcalc.oracles import FormalOperad
 from opcalc.trees import (
     DomainError,
     InjectiveMap,
-    Leaf,
-    Tree,
-    Vertex,
     block_injection,
     drop_block,
     keep_leaves,
     leaf_word,
     map_leaves,
-    tree_text,
 )
 from opcalc.wconstruction import WEdge, WNode, WPoint, w_compose, w_lambda, wpoint
 
@@ -42,17 +38,23 @@ def shapes(draw, depth=3):
     return tuple(draw(shapes(depth=depth - 1)) for _ in range(width))
 
 
+# A numbered tree is a leaf number or a tuple of the vertex's children.
+
 def _build(shape, counter):
     if shape == "leaf":
         counter[0] += 1
-        return Leaf(counter[0])
-    return Vertex(tuple(_build(s, counter) for s in shape))
+        return counter[0]
+    return tuple(_build(s, counter) for s in shape)
 
 
 def _renumbered(node, perm):
-    if isinstance(node, Leaf):
-        return Leaf(perm[node.number - 1])
-    return Vertex(tuple(_renumbered(c, perm) for c in node.children))
+    if isinstance(node, int):
+        return perm[node - 1]
+    return tuple(_renumbered(c, perm) for c in node)
+
+
+def _vertex_count(node):
+    return 0 if isinstance(node, int) else 1 + sum(_vertex_count(c) for c in node)
 
 
 @st.composite
@@ -60,7 +62,7 @@ def numbered_trees(draw, depth=3):
     counter = [0]
     root = _build(draw(shapes(depth=depth)), counter)
     perm = draw(st.permutations(list(range(1, counter[0] + 1))))
-    return Tree(_renumbered(root, perm))
+    return _renumbered(root, perm)
 
 
 @st.composite
@@ -79,51 +81,27 @@ def injections(draw, n):
 FREE = FormalOperad()
 
 
-def _w_of(t: Tree) -> WPoint:
+def _w_of(t) -> WPoint:
     names = itertools.count()
 
     def entry(node):
-        if isinstance(node, Leaf):
-            return node.number
-        label = FREE.atom(f"v{next(names)}", node.arity)
+        if isinstance(node, int):
+            return node
+        label = FREE.atom(f"v{next(names)}", len(node))
         return WNode(label, tuple(
-            c.number if isinstance(c, Leaf) else WEdge(Fraction(1, 2), entry(c))
-            for c in node.children))
+            c if isinstance(c, int) else WEdge(Fraction(1, 2), entry(c)) for c in node))
 
-    return wpoint(FREE, entry(t.root))
+    return wpoint(FREE, entry(t))
 
 
 def _shape(entry):
-    """The tree of a W point or entry, forgetting labels and edge lengths."""
+    """The numbered tree of a W point or entry, forgetting labels and edge
+    lengths (an edge's children are the vertex's above it)."""
     if isinstance(entry, WPoint):
-        return Tree(_shape(entry.root))
+        return _shape(entry.root)
     if isinstance(entry, int):
-        return Leaf(entry)
-    if isinstance(entry, WEdge):
-        return _shape(entry.node)
-    return Vertex(tuple(_shape(c) for c in entry.children))
-
-
-# ------------------------------------------------------------- construction
-
-def test_tree_rejects_bad_numbering():
-    with pytest.raises(DomainError):
-        Tree(Vertex((Leaf(1), Leaf(3))))
-    with pytest.raises(DomainError):
-        Tree(Vertex((Leaf(1), Leaf(1))))
-    with pytest.raises(DomainError):
-        Leaf(0)
-    with pytest.raises(DomainError):
-        Vertex(())
-
-
-def test_node_at_and_vertex_ids():
-    t = Tree(Vertex((Vertex((Leaf(2), Leaf(1))), Leaf(3))))
-    assert t.vertex_ids() == ((), (0,))
-    assert tree_text(t) == "((2 1) 3)"
-    assert t.node_at((0, 1)) == Leaf(1)
-    with pytest.raises(DomainError):
-        t.node_at((1, 0))
+        return entry
+    return tuple(_shape(c) for c in entry.children)
 
 
 # -------------------------------------------------------------------- graft
@@ -150,7 +128,7 @@ def test_graft_matches_leafword_oracle(tx, ty, data):
     i = data.draw(st.integers(1, x.arity))
     out = w_compose(x, i, y)
     assert out.leaf_word == _oracle_graft_word(x.leaf_word, i, y.leaf_word)
-    assert len(_shape(out).vertex_ids()) == len(tx.vertex_ids()) + len(ty.vertex_ids())
+    assert _vertex_count(_shape(out)) == _vertex_count(tx) + _vertex_count(ty)
 
 
 @settings(max_examples=100)
@@ -181,7 +159,7 @@ def test_graft_disjoint_slots_commute(tx, ty, tz, data):
 # ------------------------------------------------------------ leaf deletion
 
 def test_delete_leaves_identity():
-    t = Tree(Vertex((Leaf(2), Vertex((Leaf(3), Leaf(1))))))
+    t = (2, (3, 1))
     a = _w_of(t)
     out = w_lambda(InjectiveMap.identity(3), a)
     assert out == a
@@ -192,12 +170,11 @@ def test_delete_leaves_identity():
 @given(numbered_trees(), st.data())
 def test_delete_leaves_functorial(t, data):
     a = _w_of(t)
-    u = data.draw(injections(t.arity))
+    u = data.draw(injections(a.arity))
     v = data.draw(injections(u.m))
-    one_step = _shape(w_lambda(u.after(v), a))
-    two_step = _shape(w_lambda(v, w_lambda(u, a)))
-    assert one_step == two_step
-    assert one_step.arity == v.m
+    restricted = w_lambda(u.after(v), a)
+    assert _shape(restricted) == _shape(w_lambda(v, w_lambda(u, a)))
+    assert restricted.arity == v.m
 
 
 # --------------------------------------------------------------- injections

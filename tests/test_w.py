@@ -13,7 +13,7 @@ from opcalc.sampling import (
     random_wpoint,
 )
 from opcalc.serialize import w_dot
-from opcalc.trees import DomainError, InjectiveMap, block_injection
+from opcalc.trees import DomainError, InjectiveMap, block_injection, leaf_word
 from opcalc.wconstruction import (
     WEdge,
     WNode,
@@ -243,7 +243,7 @@ def test_decompose_composite_of_corollas():
     dec = w_prime_decompose(out)
     assert len(dec.components) == 2
     assert dec.filtration_level == 2
-    assert dec.skeleton.arity == 3
+    assert len(leaf_word(dec.skeleton)) == 3
     assert reassemble(D1, dec) == out
 
 
@@ -257,7 +257,7 @@ def test_decompose_roundtrip(op):
         assert reassemble(op, dec) == a
         if not a.is_trivial:
             assert dec.filtration_level == max(p.arity for p in dec.components)
-            assert dec.skeleton.arity == n
+            assert len(leaf_word(dec.skeleton)) == n
             for piece in dec.components:
                 assert len(w_prime_decompose(piece).components) == 1
 
