@@ -9,19 +9,19 @@ seeded, so identical invocations print identical bytes.
 Exit codes: 0 on success, 1 when a check suite reports a failure, 2 on
 usage or parse errors.
 
-A process loads only the modules its command runs. This module imports
-the core: `operads`, `trees`, `wconstruction`, `bconstruction` and
+A process loads only the modules its command runs. This module imports the
+core: `operads`, `trees`, `wconstruction`, `bconstruction` and
 `serialize`, which is all that `normalize`, `compose`, `mu`, `decompose`
 and `dot` use. The core holds the points, their normal forms, the
 structure maps, the decompositions and the readers and writers; the slow
-oracles and the recording operad (`oracles`), the bimodule classes and the
-truncated evaluators (`bimodules`) and the matching families (`suites`)
-are outside it. The other commands import the rest inside their handlers:
-`mu --truncate` loads `bimodules`, `eval-xi`, `eval-psi` and `lift` load
-`mapping` (and through it `bimodules`), `alpha` loads `mapping` and
-`swisscheese`, and `check` loads `mapping` and `suites` (and through them
-`bimodules`, `oracles` and `sampling`). `Workspace` builds its tag family
-and the product bimodule over it on first use, not when it is created.
+oracles (`oracles`), the bimodule classes and the truncated evaluators
+(`bimodules`) and the matching families (`suites`) are outside it. The
+other commands import the rest inside their handlers: `mu --truncate`
+loads `bimodules`, `eval-xi`, `eval-psi` and `lift` load `mapping` (and
+through it `bimodules`), `alpha` loads `mapping` and `swisscheese`, and
+`check` loads `mapping` and `suites` (and through them `bimodules`,
+`oracles` and `sampling`). `Workspace` builds its tag family and the
+product bimodule over it on first use, not when it is created.
 """
 
 from __future__ import annotations
@@ -61,12 +61,48 @@ if TYPE_CHECKING:
 
 PATH_NAMES = ("const", "loop-a", "loop-b")
 MAX_SAMPLES = 10_000   # the most samples `check` runs, far above the default 200
-SUITE_NAMES = (
-    "operad-axioms", "w-operad-axioms", "w-confluence", "b-confluence",
-    "b-bimodule-axioms", "wself-bimodule-axioms", "qx-bimodule-axioms",
-    "qx-product-bimodule-axioms", "mu", "mu-prime", "eta", "eta-mu",
-    "path", "xi", "psi-prime", "psi-double-prime", "matching",
-)
+# Each suite's report builder, build(ws, a, b, m, s): the workspace, the
+# parsed arguments (`a.samples`, `a.seed` and the suite's own options) and the
+# modules `bimodules`, `mapping` and `suites`, which `run_suite` imports only
+# when a suite runs, so that the parser and its help stay inside the core.
+SUITES = {
+    "operad-axioms": lambda ws, a, b, m, s: s.suite_operad_axioms(
+        ws.operad(a.operad), a.samples, a.seed),
+    "w-operad-axioms": lambda ws, a, b, m, s: s.suite_operad_axioms(
+        WOperad(ws.operad(a.operad)), a.samples, a.seed),
+    "w-confluence": lambda ws, a, b, m, s: s.suite_w_confluence(
+        ws.operad(a.operad), a.samples, a.seed),
+    "b-confluence": lambda ws, a, b, m, s: s.suite_b_confluence(
+        ws.operad(a.operad), a.samples, a.seed),
+    "b-bimodule-axioms": lambda ws, a, b, m, s: s.suite_bimodule_axioms(
+        b.BBimodule(ws.operad(a.operad)), a.samples, a.seed),
+    "wself-bimodule-axioms": lambda ws, a, b, m, s: s.suite_bimodule_axioms(
+        b.WSelfBimodule(ws.operad(a.operad)), a.samples, a.seed),
+    "qx-bimodule-axioms": lambda ws, a, b, m, s: s.suite_bimodule_axioms(
+        m.QxBimodule(ws.family, ws.tag(a.x)), a.samples, a.seed),
+    "qx-product-bimodule-axioms": lambda ws, a, b, m, s: s.suite_bimodule_axioms(
+        ws.qxprod, a.samples, a.seed),
+    "mu": lambda ws, a, b, m, s: m.check_operad_map(
+        m.mu_map(ws.operad(a.operad)), a.samples, a.seed),
+    "mu-prime": lambda ws, a, b, m, s: m.check_bimodule_map(
+        m.BimoduleMap("mu'", b.BBimodule(ws.operad(a.operad)),
+                      b.WSelfBimodule(ws.operad(a.operad)), mu_prime), a.samples, a.seed),
+    "eta": lambda ws, a, b, m, s: m.check_operad_map(
+        m.eta_map(ws.d1, ws.d2), a.samples, a.seed),
+    "eta-mu": lambda ws, a, b, m, s: m.check_operad_map(
+        m.eta_mu_map(ws.d1, ws.d2), a.samples, a.seed),
+    "path": lambda ws, a, b, m, s: m.check_path(ws.path(a.path), a.samples, a.seed),
+    "xi": lambda ws, a, b, m, s: m.check_bimodule_map(
+        m.xi_as_map(ws.path(a.path), b.BBimodule(ws.d1),
+                    m.QxBimodule(ws.family, ws.space.basepoint)), a.samples, a.seed),
+    "psi-prime": lambda ws, a, b, m, s: m.check_bimodule_map(
+        m.psi_prime_as_map(ws.hofiber(a.x), b.BBimodule(ws.d1), ws.family),
+        a.samples, a.seed),
+    "psi-double-prime": lambda ws, a, b, m, s: m.check_bimodule_map(
+        ws.section_map(a.x), a.samples, a.seed),
+    "matching": lambda ws, a, b, m, s: s.suite_matching(ws.space, max_n=4),
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 class Workspace:
@@ -326,69 +362,12 @@ def cmd_alpha(ws: Workspace, args) -> int:
 
 
 def run_suite(ws: Workspace, args):
-    from .bimodules import BBimodule, WSelfBimodule
-    from .mapping import (
-        BimoduleMap,
-        QxBimodule,
-        check_bimodule_map,
-        check_operad_map,
-        check_path,
-        eta_map,
-        eta_mu_map,
-        mu_map,
-        psi_prime_as_map,
-        xi_as_map,
-    )
-    from .suites import (
-        suite_b_confluence,
-        suite_bimodule_axioms,
-        suite_matching,
-        suite_operad_axioms,
-        suite_w_confluence,
-    )
-    name, samples, seed = args.suite, args.samples, args.seed
-    if not 0 <= samples <= MAX_SAMPLES:
-        raise DomainError(f"--samples must be between 0 and {MAX_SAMPLES}, got {samples}")
-    if name == "operad-axioms":
-        return suite_operad_axioms(ws.operad(args.operad), samples, seed)
-    if name == "w-operad-axioms":
-        return suite_operad_axioms(WOperad(ws.operad(args.operad)), samples, seed)
-    if name == "w-confluence":
-        return suite_w_confluence(ws.operad(args.operad), samples, seed)
-    if name == "b-confluence":
-        return suite_b_confluence(ws.operad(args.operad), samples, seed)
-    if name == "b-bimodule-axioms":
-        return suite_bimodule_axioms(BBimodule(ws.operad(args.operad)), samples, seed)
-    if name == "wself-bimodule-axioms":
-        return suite_bimodule_axioms(WSelfBimodule(ws.operad(args.operad)), samples, seed)
-    if name == "qx-bimodule-axioms":
-        return suite_bimodule_axioms(QxBimodule(ws.family, ws.tag(args.x)), samples, seed)
-    if name == "qx-product-bimodule-axioms":
-        return suite_bimodule_axioms(ws.qxprod, samples, seed)
-    if name == "mu":
-        return check_operad_map(mu_map(ws.operad(args.operad)), samples, seed)
-    if name == "mu-prime":
-        op = ws.operad(args.operad)
-        f = BimoduleMap("mu'", BBimodule(op), WSelfBimodule(op), mu_prime)
-        return check_bimodule_map(f, samples, seed)
-    if name == "eta":
-        return check_operad_map(eta_map(ws.d1, ws.d2), samples, seed)
-    if name == "eta-mu":
-        return check_operad_map(eta_mu_map(ws.d1, ws.d2), samples, seed)
-    if name == "path":
-        return check_path(ws.path(args.path), samples, seed)
-    if name == "xi":
-        f = xi_as_map(ws.path(args.path), BBimodule(ws.d1),
-                      QxBimodule(ws.family, ws.space.basepoint))
-        return check_bimodule_map(f, samples, seed)
-    if name == "psi-prime":
-        f = psi_prime_as_map(ws.hofiber(args.x), BBimodule(ws.d1), ws.family)
-        return check_bimodule_map(f, samples, seed)
-    if name == "psi-double-prime":
-        return check_bimodule_map(ws.section_map(args.x), samples, seed)
-    if name == "matching":
-        return suite_matching(ws.space, max_n=4)
-    raise DomainError(f"unknown suite {shown(name)}; have {', '.join(SUITE_NAMES)}")
+    from . import bimodules, mapping, suites
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        raise DomainError(f"--samples must be between 0 and {MAX_SAMPLES}, got {args.samples}")
+    if args.suite not in SUITES:
+        raise DomainError(f"unknown suite {shown(args.suite)}; have {', '.join(SUITE_NAMES)}")
+    return SUITES[args.suite](ws, args, bimodules, mapping, suites)
 
 
 def cmd_check(ws: Workspace, args) -> int:
@@ -433,15 +412,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         dest="command", required=True,
         metavar=None if command is None else "{" + ",".join(HANDLERS) + "}")
 
-    def add(name, summary, point=True, kind=None):
-        """The subparser of name with the common options, or None."""
+    def add(name, summary, point=True, kind=None, operad=True):
+        """The subparser of name with the common options, or None. Only the
+        commands that read an option declare it: the evaluators work over d1
+        alone, and only `check` samples."""
         if command not in (None, name):
             return None
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--operad", default="d1",
-                       help="workspace operad name (default d1)")
+        if operad:
+            p.add_argument("--operad", default="d1",
+                           help="workspace operad name (default d1)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
         if kind is not None:
             p.add_argument("--kind", choices=kind, default=kind[0])
         if point:
@@ -461,26 +442,27 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     add("decompose", "split into prime components", kind=("w", "b"))
 
-    if p := add("eval-xi", "evaluate a height tree through a loop"):
+    if p := add("eval-xi", "evaluate a height tree through a loop", operad=False):
         p.add_argument("--path", default="loop-a", help=f"one of {', '.join(PATH_NAMES)}")
 
-    if p := add("eval-psi", "evaluate a height tree at a tag's sweep"):
+    if p := add("eval-psi", "evaluate a height tree at a tag's sweep", operad=False):
         p.add_argument("--x", default="a", help="tag (default a)")
         p.add_argument("--truncate", type=int, default=None)
 
-    if p := add("lift", "evaluate the lifted path at a time"):
+    if p := add("lift", "evaluate the lifted path at a time", operad=False):
         p.add_argument("--x", default="a", help="starting tag (default a)")
         p.add_argument("--to", default=None, help="tag switched to along the way")
         p.add_argument("--switch", default="1/2", help="switch time (default 1/2)")
         p.add_argument("--t", required=True, help="evaluation time, a fraction")
 
-    if p := add("alpha", "act by an open interval configuration"):
+    if p := add("alpha", "act by an open interval configuration", operad=False):
         p.add_argument("--config", required=True, help='e.g. "o<[1/8,3/8] [5/8,1/1]>"')
         p.add_argument("--x", default="a", help="tag for the open disc (default a)")
         p.add_argument("--loops", default=None,
                        help="comma-separated loop names for the closed discs")
 
     if p := add("check", "run a named randomized law suite", point=False):
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--x", default="a")

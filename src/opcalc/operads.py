@@ -17,9 +17,9 @@ Conventions shared by every instance:
     shift up by m - 1.
 
 Here are the interval, disc, associative and framed operads and the pointed
-sets the CLI's workspace names. The recording operad `FormalOperad` lives in
-`oracles`, power sequences and matching families in `suites`: no W or B
-command runs them.
+sets the CLI's workspace names. Power sequences and matching families live
+in `suites`: no W or B command runs them. The free recording operad on named
+atoms is a test helper (`tests/formal.py`), outside the package.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ Finding the least twist does not need all k! of them when the operad's
 `canonical_twist` names the one with the strictly least label text: for
 the interval, disc, associative and framed operads one sort of the
 inputs' tokens does, and no tie is left for the children to break. Other
-operads (the resolution itself, the recording operad) keep the search,
+operads (the resolution itself, the tests' recording operad) keep the search,
 `_least_twist`; `oracles._canonical_node_search` applies it at every
 vertex and is the oracle the shortcut is tested against.
 

@@ -47,7 +47,6 @@ from opcalc.operads import (
     format_fraction,
     framed_intervals,
 )
-from opcalc.oracles import FormalOperad, eval_formal
 from opcalc.sampling import random_bpoint, random_wpoint
 from opcalc.suites import (
     suite_b_confluence,
@@ -57,6 +56,8 @@ from opcalc.suites import (
 )
 from opcalc.swisscheese import alpha_eval, compose_sc, d1_action_eval, sample_sc1
 from opcalc.wconstruction import WOperad, mu, w_corolla, w_prime_decompose
+
+from formal import FormalOperad, eval_formal
 
 D1 = LittleIntervals()
 D2 = LittleDiscs(2)

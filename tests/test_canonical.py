@@ -20,7 +20,7 @@ from opcalc.operads import (
     _sorting_twist,
     framed_intervals,
 )
-from opcalc.oracles import FormalOperad, _canonical_node_search
+from opcalc.oracles import _canonical_node_search
 from opcalc.sampling import random_permutation, random_raw_bnode, random_raw_wnode
 from opcalc.trees import InjectiveMap
 from opcalc.wconstruction import (
@@ -33,6 +33,8 @@ from opcalc.wconstruction import (
     w_lambda,
     wpoint,
 )
+
+from formal import FormalOperad
 
 HOOKED = {
     "d1": LittleIntervals(),

@@ -449,12 +449,23 @@ def _parse(parser, argv, capsys):
     return outcome, captured.out, captured.err
 
 
+# a valid argv of each command but `check`, after its name
+VALID = {"normalize": ["l1"], "compose": ["-i", "1", "l1", "l1"], "mu": ["l1"],
+         "decompose": ["l1"], "eval-xi": [B_CUP], "eval-psi": [B_CUP], "lift": ["--t", "1/2", "l1"],
+         "alpha": ["--config", "o<[0/1,1/1]>", B_CUP], "dot": ["l1"]}
+# options a command would accept and ignore: only `check` samples, and the
+# evaluators work over d1 alone
+UNREAD_OPTIONS = [
+    ["lift", "--operad", "d2", "--seed", "9", "--t", "1/2", "l1"],
+    *([name, "--operad", "d2", *VALID[name]] for name in ("eval-xi", "eval-psi", "lift", "alpha")),
+    *([name, "--seed", "3", *VALID[name]] for name in VALID),
+]
 PARSER_EXITS = [
     [], ["--help"], ["-h"], ["bogus"], ["bogus", "l1"], ["--bogus", "normalize", "l1"],
     ["-h", "normalize"], ["normalize"], ["normalize", "--bogus", "l1"],
     ["normalize", "l1", "l2"], ["compose", "-i", "x", "l1", "l1"], ["lift", B_CUP],
     ["check", "mu", "--format", "xml"], ["mu", "--kind", "base", "l1"],
-    *([name, "--help"] for name in HANDLERS),
+    *([name, "--help"] for name in HANDLERS), *UNREAD_OPTIONS,
 ]
 
 
@@ -466,6 +477,21 @@ def test_main_prints_what_the_full_parser_prints(capsys, argv):
         main(argv)
     captured = capsys.readouterr()
     assert (chosen.value.code, captured.out, captured.err) == full
+
+
+def test_the_valid_argvs_run(capsys):
+    assert sorted(VALID) == sorted(set(HANDLERS) - {"check"})
+    for name, rest in VALID.items():
+        assert main([name, *rest]) == 0, name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
+def test_options_no_handler_reads_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

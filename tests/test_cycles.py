@@ -29,12 +29,7 @@ from opcalc.bimodules import WSelfBimodule, eval_truncated_bimodule_map, eval_tr
 from opcalc.cli import Workspace, skeleton_text
 from opcalc.mapping import XPath, lift_path, psi_prime_eval, xi_eval
 from opcalc.operads import Associative, LittleDiscs, LittleIntervals, PointedSet, framed_intervals
-from opcalc.oracles import (
-    FormalOperad,
-    b_normalize_random_order,
-    eval_formal,
-    normalize_random_order,
-)
+from opcalc.oracles import b_normalize_random_order, normalize_random_order
 from opcalc.sampling import random_bpoint, random_raw_bnode, random_raw_wnode, random_wpoint
 from opcalc.serialize import (
     b_dot,
@@ -59,6 +54,8 @@ from opcalc.wconstruction import (
     w_text,
     wpoint,
 )
+
+from formal import FormalOperad, eval_formal
 
 OPERADS = {"d1": LittleIntervals(), "d2": LittleDiscs(2)}
 

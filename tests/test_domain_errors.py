@@ -1,7 +1,7 @@
 """Each `DomainError` an argument out of range raises, with its message.
 
 These raises guard the structure maps, the injections, the slicer, the
-text readers and the truncated evaluator against arguments the callers
+text readers and the truncated evaluators against arguments the callers
 inside the package never pass, so no law suite reaches them.
 """
 
@@ -9,12 +9,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from opcalc.bconstruction import BNode, b_left_act, b_right_act, bpoint, slice_point
-from opcalc.bimodules import WSelfBimodule, eval_truncated_operad_map
+from opcalc.bconstruction import BNode, b_lambda, b_left_act, b_right_act, bpoint, slice_point
+from opcalc.bimodules import (BBimodule, WSelfBimodule, eval_truncated_bimodule_map,
+                              eval_truncated_operad_map)
 from opcalc.operads import LittleIntervals
 from opcalc.serialize import parse_b_text, parse_w_text
-from opcalc.trees import DomainError, InjectiveMap, block_injection
-from opcalc.wconstruction import WEdge, WNode, mu, w_compose, wpoint
+from opcalc.trees import DomainError, InjectiveMap, block_injection, drop_block
+from opcalc.wconstruction import WEdge, WNode, mu, w_compose, w_lambda, wpoint
 
 D1 = LittleIntervals()
 HALVES = ((F(0), F(1, 2)), (F(1, 2), F(1)))
@@ -32,6 +33,16 @@ def _b_cup():
 def _two_pieces():
     """A cup with a second cup on an edge of length 1: two components."""
     return wpoint(D1, WNode(HALVES, (WEdge(F(1), WNode(HALVES, (1, 2))), 3)))
+
+
+def _capped():
+    """A cup with a cup at height 1 above it: one piece with one cap."""
+    return bpoint(D1, BNode(_cup(), F(1, 2), (1, BNode(_cup(), F(1), (2, 3)))))
+
+
+def _pieces_as_they_are(order):
+    """The capped point through the truncated evaluator, its caps applied in `order`."""
+    return eval_truncated_bimodule_map(lambda piece: piece, 3, _capped(), BBimodule(D1), order=order)
 
 
 CASES = {
@@ -76,6 +87,28 @@ CASES = {
     "order repeating an edge": (
         lambda: eval_truncated_operad_map(mu, 2, _two_pieces(), D1, order=[0, 0]),
         "order must be a permutation"),
+    "assigned piece of the wrong arity": (
+        lambda: eval_truncated_bimodule_map(lambda piece: bpoint(D1, 1), 2, _b_cup(), BBimodule(D1)),
+        "^assigned value has the wrong arity$"),
+    "cap order too short": (lambda: _pieces_as_they_are([]),
+                            "^order must be a permutation of the cap indices$"),
+    "cap order out of range": (lambda: _pieces_as_they_are([1]),
+                               "^order must be a permutation of the cap indices$"),
+    "w_lambda into the wrong arity": (lambda: w_lambda(InjectiveMap(1, 3, (1,)), _cup()),
+                                      r"^injection into \[3\] against arity 2$"),
+    "w_lambda keeping no input": (lambda: w_lambda(InjectiveMap(0, 2, ()), _cup()),
+                                  "^a restriction must keep at least one input$"),
+    "b_lambda into the wrong arity": (lambda: b_lambda(InjectiveMap(1, 3, (1,)), _b_cup()),
+                                      r"^injection into \[3\] against arity 2$"),
+    "b_lambda keeping no input": (lambda: b_lambda(InjectiveMap(0, 2, ()), _b_cup()),
+                                  "^a restriction must keep at least one input$"),
+    "injections that do not compose": (
+        lambda: InjectiveMap(2, 3, (1, 3)).after(InjectiveMap(1, 3, (2,))),
+        r"^cannot compose \[1\]->\[3\] with \[2\]->\[3\]$"),
+    "drop_block past the end": (lambda: drop_block(InjectiveMap(1, 3, (1,)), 3, 2),
+                                r"^block 3\.\.4 does not fit inside \[3\]$"),
+    "drop_block of an empty block": (lambda: drop_block(InjectiveMap(1, 3, (1,)), 1, 0),
+                                     r"^block 1\.\.0 does not fit inside \[3\]$"),
 }
 
 
@@ -89,3 +122,7 @@ def test_out_of_range_arguments_raise_domain_error(case):
 def test_a_valid_order_of_the_two_piece_point_evaluates():
     # the order the guard cases get wrong, given right
     assert eval_truncated_operad_map(mu, 2, _two_pieces(), D1, order=[0]) == mu(_two_pieces())
+
+
+def test_a_valid_cap_order_rebuilds_the_capped_point():
+    assert _pieces_as_they_are([0]) == _capped()

@@ -29,7 +29,6 @@ from opcalc.operads import (
     framed_intervals,
     parse_fraction,
 )
-from opcalc.oracles import FormalOperad
 from opcalc.sampling import random_bpoint, random_wpoint
 from opcalc.serialize import (
     b_from_jsonable,
@@ -41,6 +40,8 @@ from opcalc.serialize import (
 )
 from opcalc.swisscheese import sample_sc1, sc_from_jsonable, sc_to_jsonable
 from opcalc.wconstruction import w_text
+
+from formal import FormalOperad
 
 OPERADS = {"d1": LittleIntervals(), "d2": LittleDiscs(2), "assoc": Associative(),
            "d1_z2": framed_intervals()}

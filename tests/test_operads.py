@@ -17,7 +17,6 @@ from opcalc.operads import (
     reflect_intervals,
     z2,
 )
-from opcalc.oracles import FLeaf, FNode, FormalOperad, eval_formal
 from opcalc.suites import (
     PowerSequence,
     enumerate_matching_families,
@@ -25,6 +24,8 @@ from opcalc.suites import (
     is_matching_compatible,
 )
 from opcalc.trees import InjectiveMap, block_injection, drop_block
+
+from formal import FNode, FormalOperad, eval_formal
 
 
 def random_injection(rng, m, n):
@@ -177,7 +178,7 @@ def test_formal_basics():
     assert op.compose(p, 1, op.unit()) == p
     assert op.compose(op.unit(), 1, p) == p
     pq = op.compose(p, 2, q)
-    assert pq == FNode("p", None, (FLeaf(1), FNode("q", "tag with spaces", (FLeaf(2), FLeaf(3)))))
+    assert pq == FNode("p", None, (1, FNode("q", "tag with spaces", (2, 3))))
     assert op.parse_element(op.format_element(pq)) == pq
 
 
@@ -187,16 +188,23 @@ def test_formal_parse_errors_are_domain_errors(text):
         FormalOperad().parse_element(text)
 
 
+@pytest.mark.parametrize("x", [FNode("p", None, (1, "2")), FNode("p", None, (True,)),
+                               FNode("p", None, (FNode("q", None, (2, 1.0)), 1)), True, "L1",
+                               FNode("p", None, ())], ids=repr)
+def test_formal_validate_refuses_what_is_not_an_expression(x):
+    with pytest.raises(DomainError):
+        FormalOperad().validate(x)
+
+
 def test_formal_restrict():
     op = FormalOperad()
     pq = op.compose(op.atom("p", 2), 2, op.atom("q", 2))
     sigma = InjectiveMap(3, 3, (3, 1, 2))
     # leaf sigma(j) is renumbered j
-    assert op.restrict(sigma, pq) == FNode(
-        "p", None, (FLeaf(2), FNode("q", None, (FLeaf(3), FLeaf(1)))))
+    assert op.restrict(sigma, pq) == FNode("p", None, (2, FNode("q", None, (3, 1))))
     u = InjectiveMap(1, 3, (1,))
     out = op.restrict(u, pq)
-    assert out == FNode("p", ("restricted", (1,), None), (FLeaf(1),))
+    assert out == FNode("p", ("restricted", (1,), None), (1,))
 
 
 def test_eval_formal_against_direct_composition():

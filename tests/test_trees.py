@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcalc.bconstruction import BNode
-from opcalc.oracles import FormalOperad
 from opcalc.trees import (
     DomainError,
     InjectiveMap,
@@ -17,6 +16,8 @@ from opcalc.trees import (
     map_leaves,
 )
 from opcalc.wconstruction import WEdge, WNode, WPoint, w_compose, w_lambda, wpoint
+
+from formal import FormalOperad
 
 
 def _injections(m, n):

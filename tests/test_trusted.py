@@ -40,7 +40,6 @@ from opcalc.operads import (
     framed_intervals,
     z2,
 )
-from opcalc.oracles import FormalOperad
 from opcalc.sampling import random_bpoint, random_injection, random_permutation, random_wpoint
 from opcalc.serialize import (
     b_from_jsonable,
@@ -65,6 +64,8 @@ from opcalc.wconstruction import (
     w_unit,
     wpoint,
 )
+
+from formal import FormalOperad
 
 D1 = LittleIntervals()
 D2 = LittleDiscs(2)

@@ -5,7 +5,7 @@ import pytest
 
 from opcalc.bimodules import eval_truncated_operad_map
 from opcalc.operads import Associative, LittleDiscs, LittleIntervals, framed_intervals
-from opcalc.oracles import FormalOperad, normalize_random_order
+from opcalc.oracles import normalize_random_order
 from opcalc.sampling import (
     random_injection,
     random_raw_wnode,
@@ -27,6 +27,8 @@ from opcalc.wconstruction import (
     w_unit,
     wpoint,
 )
+
+from formal import FormalOperad
 
 D1 = LittleIntervals()
 BASES = [LittleIntervals(), Associative(), LittleDiscs(2), framed_intervals()]
