@@ -379,16 +379,19 @@ def _slice_entry(op: EffectiveOperad, entry: BEntry, layer: int, cuts: tuple[Cut
 # ---------------------------------------------------------------------------
 
 class BDecomposition(Record):
-    """The canonical two-sided splitting of a point.
+    """The canonical two-sided splitting of a point: its slice at the cuts
+    ((0, True), (1, False)), with crossing strands as trivial pieces.
 
     root_label is the label of the height-0 vertex when there is one.
-    pieces lists the middle parts in planar order, each with exit records
-    ("ext", number) for a bare strand or ("cap", label, numbers) for a
-    height-1 vertex; crossing strands appear as trivial pieces. filtration
-    is (max piece arity, max vertex count among pieces of that arity)."""
+    pieces lists the layer-1 slice pieces in planar order, one per input of
+    that vertex, or the one piece when there is none. The exits of a piece
+    are layer-2 pieces, one per input: a trivial piece whose one exit is the
+    number of a bare strand, or a cap, one height-1 vertex whose exits are
+    the numbers of its leaves. filtration is (max piece arity, max vertex
+    count among pieces of that arity)."""
 
     root_label: Optional[WPoint]
-    pieces: tuple[tuple[BPoint, tuple], ...]
+    pieces: tuple[SlicePiece, ...]
     filtration: tuple[int, int]
 
 
@@ -399,37 +402,12 @@ def _vertex_count(entry: BEntry) -> int:
 
 
 def b_prime_decompose(b: BPoint) -> BDecomposition:
-    cuts = ((Fraction(0), True), (Fraction(1), False))
-    bottom = slice_point(b, cuts, trivial_chains=True)
-
-    if bottom.point.is_trivial:
-        root_label = None
-        middles = bottom.exits
-    else:
-        node = bottom.point.root
-        assert isinstance(node, BNode) and node.height == 0
-        assert all(isinstance(c, int) for c in node.children)
-        root_label = node.label
-        middles = bottom.exits
-
-    pieces: list[tuple[BPoint, tuple]] = []
-    for middle in middles:
-        assert isinstance(middle, SlicePiece) and middle.layer == 1
-        records: list = []
-        for exit_entry in middle.exits:
-            assert isinstance(exit_entry, SlicePiece) and exit_entry.layer == 2
-            if exit_entry.point.is_trivial:
-                records.append(("ext", exit_entry.exits[0]))
-            else:
-                cap = exit_entry.point.root
-                assert isinstance(cap, BNode) and cap.height == 1
-                assert all(isinstance(c, int) for c in cap.children)
-                records.append(("cap", cap.label, tuple(exit_entry.exits)))
-        pieces.append((middle.point, tuple(records)))
-
-    level = max(piece.arity for piece, _ in pieces)
-    aux = max(_vertex_count(piece.root) for piece, _ in pieces if piece.arity == level)
-    return BDecomposition(root_label, tuple(pieces), (level, aux))
+    bottom = slice_point(b, ((Fraction(0), True), (Fraction(1), False)))
+    points = [piece.point for piece in bottom.exits]
+    level = max(point.arity for point in points)
+    aux = max(_vertex_count(point.root) for point in points if point.arity == level)
+    root_label = None if bottom.point.is_trivial else bottom.point.root.label
+    return BDecomposition(root_label, bottom.exits, (level, aux))
 
 
 def __getattr__(name: str):

@@ -12,6 +12,11 @@ contracting the decomposition's edges or caps in a chosen order. A W
 decomposition's skeleton is a tree of `trees`' protocol whose vertices are
 labelled by the pieces; its vertices are numbered in preorder, the order
 of `components`, and its edges listed as their upper vertices are numbered.
+A B decomposition's pieces are slice pieces, whose exits are trivial
+pieces over one strand or caps; the caps are numbered in planar order.
+Each piece or vertex keeps a row with one slot per input: a leaf number,
+or the skeleton vertex or cap above it, found by identity, until it is
+contracted into the row.
 
 The check suites, the evaluators (`mapping`) and `mu --truncate` load this
 module; the W and B commands do not.
@@ -177,16 +182,22 @@ def eval_truncated_operad_map(
     if not dec.components:
         return target.unit()
 
-    values: list = []
-    exits: list[list] = []
+    vertices: list[WNode] = []
     edges: list[tuple[int, int]] = []
-    _number_pieces(dec.skeleton, assign, target, values, exits, edges)
+    _preorder(dec.skeleton, vertices, edges)
+    values: list = []
+    for vertex in vertices:
+        value = assign(vertex.label)
+        if target.arity_of(value) != vertex.label.arity:
+            raise DomainError("assigned value has the wrong arity")
+        values.append(value)
     if order is None:
         order = list(range(len(edges)))
     if sorted(order) != list(range(len(edges))):
         raise DomainError("order must be a permutation of the edge indices")
 
-    owner = list(range(len(values)))
+    rows = [list(vertex.children) for vertex in vertices]
+    owner = list(range(len(vertices)))
 
     def find(k: int) -> int:
         while owner[k] != k:
@@ -197,39 +208,27 @@ def eval_truncated_operad_map(
     for edge_index in order:
         parent, child = edges[edge_index]
         parent = find(parent)
-        position = exits[parent].index(("piece", child)) + 1
-        values[parent] = target.compose(values[parent], position, values[child])
-        exits[parent][position - 1: position] = exits[child]
+        row = rows[parent]
+        at = next(j for j, slot in enumerate(row) if slot is vertices[child])
+        values[parent] = target.compose(values[parent], at + 1, values[child])
+        row[at: at + 1] = rows[child]
         owner[child] = parent
 
     root = find(0)
-    assert all(kind == "leaf" for kind, _ in exits[root])
     # every slot holds a leaf number now, so the fold only relabels
-    return fold(values[root], tuple(number for _, number in exits[root]), None, None,
-                target.restrict)
+    return fold(values[root], tuple(rows[root]), None, None, target.restrict)
 
 
-def _number_pieces(vertex: WNode, assign: Callable[[WPoint], Hashable], target: EffectiveOperad,
-                   values: list, exits: list, edges: list) -> int:
-    """Number vertex and the skeleton vertices above it in preorder from
-    len(values) on, appending each one's assigned value and its row of
-    exits (a leaf number, or the number of the piece above), and each edge
-    (parent, child) as its child is numbered; vertex's number."""
-    k = len(values)
-    piece = vertex.label
-    value = assign(piece)
-    if target.arity_of(value) != piece.arity:
-        raise DomainError("assigned value has the wrong arity")
-    values.append(value)
-    row: list = []
-    exits.append(row)
+def _preorder(vertex: WNode, vertices: list[WNode], edges: list[tuple[int, int]]) -> None:
+    """Append vertex and the skeleton vertices above it to `vertices` in
+    preorder, and each edge as the numbers (lower, upper) of its vertices
+    when its upper vertex is appended."""
+    k = len(vertices)
+    vertices.append(vertex)
     for child in vertex.children:
-        if isinstance(child, int):
-            row.append(("leaf", child))
-        else:
-            edges.append((k, len(values)))
-            row.append(("piece", _number_pieces(child, assign, target, values, exits, edges)))
-    return k
+        if isinstance(child, WNode):
+            edges.append((k, len(vertices)))
+            _preorder(child, vertices, edges)
 
 
 def eval_truncated_bimodule_map(
@@ -253,20 +252,14 @@ def eval_truncated_bimodule_map(
 
     values = []
     rows = []
-    caps = []
-    for piece_index, (piece, records) in enumerate(dec.pieces):
-        value = assign(piece)
-        if target.arity_of(value) != piece.arity:
+    caps = []   # (piece index, cap)
+    for k, piece in enumerate(dec.pieces):
+        value = assign(piece.point)
+        if target.arity_of(value) != piece.point.arity:
             raise DomainError("assigned value has the wrong arity")
         values.append(value)
-        row: list = []
-        for record in records:
-            if record[0] == "ext":
-                row.append(("ext", record[1]))
-            else:
-                caps.append((piece_index, len(row)))
-                row.append(("cap", record[1], record[2], len(caps) - 1))
-        rows.append(row)
+        rows.append([up.exits[0] if up.point.is_trivial else up for up in piece.exits])
+        caps += [(k, up) for up in piece.exits if not up.point.is_trivial]
 
     if order is None:
         order = list(range(len(caps)))
@@ -274,12 +267,10 @@ def eval_truncated_bimodule_map(
         raise DomainError("order must be a permutation of the cap indices")
 
     for cap_id in order:
-        piece_index, _ = caps[cap_id]
-        row = rows[piece_index]
-        at = next(k for k, entry in enumerate(row) if entry[0] == "cap" and entry[3] == cap_id)
-        _, label, numbers, _ = row[at]
-        values[piece_index] = target.right_act(values[piece_index], at + 1, label)
-        row[at: at + 1] = [("ext", number) for number in numbers]
+        k, cap = caps[cap_id]
+        at = next(j for j, slot in enumerate(rows[k]) if slot is cap)
+        values[k] = target.right_act(values[k], at + 1, cap.point.root.label)
+        rows[k][at: at + 1] = cap.exits
 
     if dec.root_label is not None:
         value = target.left_act(dec.root_label, tuple(values))
@@ -287,5 +278,5 @@ def eval_truncated_bimodule_map(
         assert len(values) == 1
         value = values[0]
     # every slot holds a leaf number now, so the fold only relabels
-    return fold(value, tuple(number for row in rows for _, number in row), None, None,
+    return fold(value, tuple(number for row in rows for number in row), None, None,
                 target.restrict)

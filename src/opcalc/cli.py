@@ -271,29 +271,28 @@ def cmd_decompose(ws: Workspace, args) -> int:
         return 0
     dec = b_prime_decompose(point)
 
-    def exit_json(record):
-        if record[0] == "ext":
-            return {"kind": "ext", "leaf": record[1]}
-        return {"kind": "cap", "label": w_text(record[1]),
-                "leaves": list(record[2])}
+    def exit_json(up):
+        if up.point.is_trivial:
+            return {"kind": "ext", "leaf": up.exits[0]}
+        return {"kind": "cap", "label": w_text(up.point.root.label), "leaves": list(up.exits)}
 
-    def exit_text(record):
-        if record[0] == "ext":
-            return f"l{record[1]}"
-        return f"cap({w_text(record[1])}; {','.join(map(str, record[2]))})"
+    def exit_text(up):
+        if up.point.is_trivial:
+            return f"l{up.exits[0]}"
+        return f"cap({w_text(up.point.root.label)}; {','.join(map(str, up.exits))})"
 
     data = {
         "filtration": list(dec.filtration),
         "root": None if dec.root_label is None else w_text(dec.root_label),
-        "pieces": [{"point": b_to_jsonable(piece),
-                    "exits": [exit_json(r) for r in exits]}
-                   for piece, exits in dec.pieces],
+        "pieces": [{"point": b_to_jsonable(piece.point),
+                    "exits": [exit_json(up) for up in piece.exits]}
+                   for piece in dec.pieces],
     }
     lines = [f"filtration {dec.filtration[0]},{dec.filtration[1]}",
              "root " + ("-" if dec.root_label is None else w_text(dec.root_label))]
-    for k, (piece, exits) in enumerate(dec.pieces, start=1):
-        lines.append(f"piece {k}: {b_text(piece)}")
-        lines.append(f"  exits: {' '.join(exit_text(r) for r in exits)}")
+    for k, piece in enumerate(dec.pieces, start=1):
+        lines.append(f"piece {k}: {b_text(piece.point)}")
+        lines.append(f"  exits: {' '.join(exit_text(up) for up in piece.exits)}")
     emit(args, "\n".join(lines), data)
     return 0
 
@@ -373,13 +372,13 @@ def run_suite(ws: Workspace, args):
 def cmd_check(ws: Workspace, args) -> int:
     report = run_suite(ws, args)
     data = report.to_jsonable()
-    if args.samples == 0:
+    if report.samples == 0:
         data["flag"] = "no-samples"
     if args.format == "json":
         print(json.dumps(data, sort_keys=True))
     else:
         status = "ok" if report.ok else "FAIL"
-        flag = " [no-samples]" if args.samples == 0 else ""
+        flag = " [no-samples]" if report.samples == 0 else ""
         print(f"{status} {report.name} (samples={report.samples} "
               f"seed={report.seed}){flag}")
         for r in report.results:

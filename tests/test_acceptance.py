@@ -330,8 +330,8 @@ def test_08_truncation_bracketing():
         dec = b_prime_decompose(b)
         assert dec.filtration[0] <= 4
         assert eval_truncated_bimodule_map(lambda p: p, 4, b, bimod) == b
-        cap_count = sum(1 for _, records in dec.pieces
-                        for r in records if r[0] == "cap")
+        cap_count = sum(1 for piece in dec.pieces
+                        for up in piece.exits if not up.point.is_trivial)
         for _ in range(3):
             order = list(range(cap_count))
             rng.shuffle(order)

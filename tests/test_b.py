@@ -20,7 +20,7 @@ from opcalc.bconstruction import (
     slice_point,
 )
 from opcalc.bimodules import BBimodule, WSelfBimodule, eval_truncated_bimodule_map
-from opcalc.operads import Associative, LittleDiscs, LittleIntervals
+from opcalc.operads import Associative, LittleDiscs, LittleIntervals, framed_intervals
 from opcalc.oracles import b_normalize_random_order
 from opcalc.sampling import (
     random_b_twists,
@@ -420,7 +420,7 @@ def test_map_heights_rescale():
 def test_decompose_trivial():
     dec = b_prime_decompose(b_unit(D1))
     assert dec.root_label is None
-    assert dec.pieces == ((b_unit(D1), (("ext", 1),)),)
+    assert dec.pieces == (SlicePiece(b_unit(D1), 1, (SlicePiece(b_unit(D1), 2, (1,)),)),)
     assert dec.filtration == (1, 0)
 
 
@@ -429,14 +429,15 @@ def test_decompose_fixture_with_root_and_cap():
     dec = b_prime_decompose(b)
     assert dec.root_label is None
     assert dec.filtration == (2, 1)
-    ((piece, records),) = dec.pieces
-    assert piece.arity == 2
-    kinds = sorted(r[0] for r in records)
+    (piece,) = dec.pieces
+    assert piece.layer == 1 and piece.point.arity == 2
+    kinds = sorted("ext" if up.point.is_trivial else "cap" for up in piece.exits)
     assert kinds == ["cap", "ext"]
-    cap = next(r for r in records if r[0] == "cap")
-    ext = next(r for r in records if r[0] == "ext")
-    assert cap[1] == LB2 and cap[2] == (1, 2)
-    assert ext[1] == 3
+    cap = next(up for up in piece.exits if not up.point.is_trivial)
+    ext = next(up for up in piece.exits if up.point.is_trivial)
+    assert cap.layer == 2 and cap.point == b_corolla(D1, LB2, 1)
+    assert cap.point.root.label == LB2 and cap.exits == (1, 2)
+    assert ext.layer == 2 and ext.exits == (3,)
 
 
 def test_decompose_left_act_fixture():
@@ -444,9 +445,43 @@ def test_decompose_left_act_fixture():
     dec = b_prime_decompose(b)
     assert dec.root_label is not None
     assert len(dec.pieces) == 2
-    points = sorted((piece.arity, piece.is_trivial) for piece, _ in dec.pieces)
+    points = sorted((piece.point.arity, piece.point.is_trivial) for piece in dec.pieces)
     assert points == [(1, False), (1, True)]
     assert dec.filtration == (1, 1)
+
+
+def test_decompose_is_the_slice_at_heights_zero_and_one():
+    rng = random.Random(55)
+    for op in (D1, LittleDiscs(2), ASSOC, framed_intervals()):
+        for _ in range(25):
+            b = random_bpoint(rng, op, rng.randint(1, 5))
+            dec = b_prime_decompose(b)
+            bottom = slice_point(b, ((F(0), True), (F(1), False)))
+            pieces = bottom.exits
+            if not any(v.height == 0 for v in vertices(b.root)):
+                assert dec.root_label is None and len(pieces) == 1
+            else:
+                assert dec.root_label == bottom.point.root.label
+                assert dec.root_label.arity == len(pieces)
+            assert len(dec.pieces) == len(pieces)
+            numbers = []
+            for piece in pieces:
+                assert piece.layer == 1
+                for up in piece.exits:
+                    assert up.layer == 2
+                    assert all(isinstance(k, int) for k in up.exits)
+                    if up.point.is_trivial:
+                        assert len(up.exits) == 1
+                    else:
+                        cap = up.point.root
+                        assert cap.height == 1 and len(up.exits) == cap.label.arity
+                        assert all(isinstance(c, int) for c in cap.children)
+                    numbers += up.exits
+            assert sorted(numbers) == list(range(1, b.arity + 1))
+            level = max(piece.point.arity for piece in pieces)
+            aux = max(len(vertices(piece.point.root)) for piece in pieces
+                      if piece.point.arity == level)
+            assert dec.filtration == (level, aux)
 
 
 def test_truncated_identity_recovers_the_point():
@@ -476,8 +511,8 @@ def test_truncated_cap_order_independence():
         bimod = BBimodule(op)
         b = random_bpoint(rng, op, rng.randint(2, 5))
         cap_count = sum(
-            1 for _, records in b_prime_decompose(b).pieces
-            for r in records if r[0] == "cap")
+            1 for piece in b_prime_decompose(b).pieces
+            for up in piece.exits if not up.point.is_trivial)
         base = eval_truncated_bimodule_map(lambda piece: piece, 6, b, bimod)
         for _ in range(3):
             order = list(range(cap_count))

@@ -139,6 +139,46 @@ def test_decompose_w_golden(capsys, point, text, data):
     assert out == json.dumps(data, sort_keys=True) + "\n"
 
 
+# A root of height 0, a middle piece with a cap before a bare strand, and a
+# trivial middle piece.
+CUP_LABEL = W_CUP.replace('"', '\\"')
+B_ROOT_CAP = (f'(v :h=0/1 "{CUP_LABEL}" (v :h=1/2 "{CUP_LABEL}" l1 '
+              f'(v :h=1/1 "{CUP_LABEL}" l2 l3)) l4)')
+
+
+def _b_json(root):
+    return {"kind": "b", "operad": "intervals", "root": root}
+
+
+@pytest.mark.parametrize("point, text, data", [
+    (B_ROOT_CAP, [
+        "filtration 2,1",
+        f"root {W_CUP}",
+        f'piece 1: (v :h=1/2 "(v \\"{HALVES}\\" l2 l1)" l1 l2)',
+        f"  exits: cap({W_CUP}; 2,3) l1",
+        "piece 2: l1",
+        "  exits: l4",
+    ], {"filtration": [2, 1], "root": W_CUP, "pieces": [
+        {"point": _b_json({"height": "1/2", "children": [{"leaf": 1}, {"leaf": 2}], "label": {
+            "kind": "w", "operad": "intervals",
+            "root": {"children": [{"leaf": 2}, {"leaf": 1}], "label": HALVES}}}),
+         "exits": [{"kind": "cap", "label": W_CUP, "leaves": [2, 3]},
+                   {"kind": "ext", "leaf": 1}]},
+        {"point": _b_json({"leaf": 1}), "exits": [{"kind": "ext", "leaf": 4}]}]}),
+    ("l1", ["filtration 1,0", "root -", "piece 1: l1", "  exits: l1"],
+     {"filtration": [1, 0], "root": None,
+      "pieces": [{"point": _b_json({"leaf": 1}), "exits": [{"kind": "ext", "leaf": 1}]}]}),
+], ids=["root-cap", "trivial"])
+def test_decompose_b_golden(capsys, point, text, data):
+    code, out = run(capsys, "decompose", "--kind", "b", point)
+    assert code == 0
+    assert out == "\n".join(text) + "\n"
+    code, out = run(capsys, "decompose", "--kind", "b", "--format", "json", point)
+    assert code == 0
+    assert json.loads(out) == data
+    assert out == json.dumps(data, sort_keys=True) + "\n"
+
+
 # --------------------------------------------------------------- evaluation
 
 def test_eval_xi_constant_loop_is_the_inclusion(capsys):
@@ -219,6 +259,17 @@ def test_check_zero_samples_is_flagged(capsys):
     assert json.loads(out)["flag"] == "no-samples"
     assert [(c["check"], c.get("vacuous")) for c in json.loads(out)["checks"]] == [
         ("confluence", True), ("twist-invariance", True)]
+
+
+def test_check_of_a_fixed_table_is_not_flagged_at_zero_samples(capsys):
+    # the matching suite evaluates its whole table whatever --samples says
+    code, out = run(capsys, "check", "matching", "--samples", "0", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["samples"] == 4 and "flag" not in data
+    code, out = run(capsys, "check", "matching", "--samples", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "ok matching:X (samples=4 seed=0)"
 
 
 def test_check_lists_laws_no_sample_reached_as_vacuous(capsys):

@@ -1,10 +1,12 @@
 """Each `DomainError` an argument out of range raises, with its message.
 
 These raises guard the structure maps, the injections, the slicer, the
-text readers and the truncated evaluators against arguments the callers
-inside the package never pass, so no law suite reaches them.
+raw-tree validators, the base operads' checks, the text and JSON readers
+and the truncated evaluators against arguments the callers inside the
+package never pass, so no law suite reaches them.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,12 +14,13 @@ import pytest
 from opcalc.bconstruction import BNode, b_lambda, b_left_act, b_right_act, bpoint, slice_point
 from opcalc.bimodules import (BBimodule, WSelfBimodule, eval_truncated_bimodule_map,
                               eval_truncated_operad_map)
-from opcalc.operads import LittleIntervals
-from opcalc.serialize import parse_b_text, parse_w_text
+from opcalc.operads import LittleDiscs, LittleIntervals
+from opcalc.serialize import parse_b_text, parse_w_text, w_from_jsonable
 from opcalc.trees import DomainError, InjectiveMap, block_injection, drop_block
-from opcalc.wconstruction import WEdge, WNode, mu, w_compose, w_lambda, wpoint
+from opcalc.wconstruction import WEdge, WNode, WOperad, mu, w_compose, w_lambda, wpoint
 
 D1 = LittleIntervals()
+D2 = LittleDiscs(2)
 HALVES = ((F(0), F(1, 2)), (F(1, 2), F(1)))
 CUP_TEXT = '(v "<[0/1,1/2] [1/2,1/1]>" l1 l2)'
 
@@ -38,6 +41,10 @@ def _two_pieces():
 def _capped():
     """A cup with a cup at height 1 above it: one piece with one cap."""
     return bpoint(D1, BNode(_cup(), F(1, 2), (1, BNode(_cup(), F(1), (2, 3)))))
+
+
+def _w_point_over_d2():
+    return wpoint(D2, WNode(D2.sample(random.Random(0), 2), (1, 2)))
 
 
 def _pieces_as_they_are(order):
@@ -109,6 +116,38 @@ CASES = {
                                 r"^block 3\.\.4 does not fit inside \[3\]$"),
     "drop_block of an empty block": (lambda: drop_block(InjectiveMap(1, 3, (1,)), 1, 0),
                                      r"^block 1\.\.0 does not fit inside \[3\]$"),
+    "raw W leaf 0": (lambda: wpoint(D1, 0), "^bad leaf number 0$"),
+    "raw W leaf True": (lambda: wpoint(D1, WNode(HALVES, (True, 2))), "^bad leaf number True$"),
+    "raw W leaf text": (lambda: wpoint(D1, WNode(HALVES, (1, "l1"))), "^bad tree entry 'l1'$"),
+    "raw W root an edge": (lambda: wpoint(D1, WEdge(F(1), WNode(HALVES, (1, 2)))),
+                           "^a point's root must be a vertex or a leaf, not an edge$"),
+    "W point over d2 as a W(d1) point": (lambda: WOperad(D1).validate(_w_point_over_d2()),
+                                         "^expected a point over intervals$"),
+    "W point text as a W(d1) point": (lambda: WOperad(D1).validate(CUP_TEXT),
+                                      "^expected a point over intervals$"),
+    "raw B leaf 0": (lambda: bpoint(D1, BNode(_cup(), F(1, 2), (0, 2))),
+                     "^bad leaf number 0$"),
+    "raw B leaf text": (lambda: bpoint(D1, BNode(_cup(), F(1, 2), (1, "l1"))),
+                        "^bad tree entry 'l1'$"),
+    "B point over d2 as a B(d1) point": (
+        lambda: BBimodule(D1).validate(bpoint(D2, BNode(_w_point_over_d2(), F(1, 2), (1, 2)))),
+        "^expected a point over intervals$"),
+    "element from a number": (lambda: D1.from_jsonable(5),
+                              "^expected a formatted element string, got 5$"),
+    "base compose slot 3": (lambda: D1.compose(HALVES, 3, HALVES), r"^slot 3 out of range 1\.\.2$"),
+    "base restrict into the wrong arity": (
+        lambda: D1.restrict(InjectiveMap(1, 3, (1,)), HALVES),
+        r"^injection into \[3\] against arity 2$"),
+    "base restrict keeping no input": (lambda: D1.restrict(InjectiveMap(0, 2, ()), HALVES),
+                                       "^a restriction must keep at least one input$"),
+    "w text leaf l0": (lambda: parse_w_text(D1, CUP_TEXT.replace("l1", "l0")),
+                       "^bad leaf number 0$"),
+    "w json leaf 0": (lambda: w_from_jsonable(D1, {"kind": "w", "operad": "intervals",
+                                                   "root": {"leaf": 0}}),
+                      "^bad leaf number 0$"),
+    "w json over discs2 read over intervals": (
+        lambda: w_from_jsonable(D1, {"kind": "w", "operad": "discs2", "root": {"leaf": 1}}),
+        "^point is over 'discs2', not 'intervals'$"),
 }
 
 
