@@ -7,7 +7,8 @@ inclusion, and loops and sweeps assembled from those. All sampling is
 seeded, so identical invocations print identical bytes.
 
 Exit codes: 0 on success, 1 when a check suite reports a failure, 2 on
-usage or parse errors.
+usage or parse errors, 130 when interrupted and 141 when the reader closed
+stdout early, both without a traceback.
 
 A process loads only the modules its command runs. This module imports the
 core: `operads`, `trees`, `wconstruction`, `bconstruction` and
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -161,11 +163,17 @@ class Workspace:
         return HofiberPoint(self.tag(x), self.family.path_to(self.tag(x)))
 
     def section_map(self, x: str) -> BimoduleMap:
-        """The tagged bimodule map the lift and alpha commands start from."""
+        """The tagged bimodule map the lift and alpha commands start from.
+
+        It is trusted, not checked: psi' of the workspace's own hofiber
+        point is a bimodule map by construction, and the tag is one of
+        three fixed ones, so the law check `psi_double_prime` would run
+        here has the same result in every process. That check is pinned
+        instead by `tests/test_mapping.py::test_workspace_section_maps_pass_the_guard`."""
         from .bimodules import BBimodule
-        from .mapping import psi_double_prime, psi_prime_as_map
+        from .mapping import psi_prime_as_map, tagged_map
         f = psi_prime_as_map(self.hofiber(x), BBimodule(self.d1), self.family)
-        return psi_double_prime(f, self.qxprod, samples=20, seed=0)
+        return tagged_map(f, self.qxprod)
 
 
 # ------------------------------------------------------------------ io helpers
@@ -493,10 +501,20 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     ws = Workspace()
     try:
-        return HANDLERS[args.command](ws, args)
+        code = HANDLERS[args.command](ws, args)
+        sys.stdout.flush()
+        return code
     except (DomainError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head -1` does. What is still
+        # buffered goes to devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -664,18 +664,10 @@ def psi_prime_as_map(h: HofiberPoint, source: Bimodule, family: PointedMapFamily
                        lambda b: psi_prime_eval(h, b)[1])
 
 
-def psi_double_prime(f: BimoduleMap, qxprod: QXProductBimodule,
-                     samples: int = 40, seed: int = 0) -> BimoduleMap:
-    """Extend a map into a fixed-tag target by tagging every input with
-    that tag. The input must actually be a bimodule map; on failure the
-    offending law and witness are raised."""
-    if not isinstance(f.target, QxBimodule):
-        raise DomainError("expected a map into a fixed-tag target")
-    report = check_bimodule_map(f, samples=samples, seed=seed)
-    if not report.ok:
-        bad = next(r for r in report.results if not r.passed)
-        raise DomainError(
-            f"not a bimodule map: {bad.check} fails at {bad.witness}")
+def tagged_map(f: BimoduleMap, qxprod: QXProductBimodule) -> BimoduleMap:
+    """psi'' of a map into a fixed-tag target: every value carries that tag
+    on each of its inputs. No law is checked here, so f must already be a
+    bimodule map; `psi_double_prime` checks one of unknown origin first."""
     x = f.target.x
 
     def fn(b: BPoint) -> QXElem:
@@ -683,6 +675,23 @@ def psi_double_prime(f: BimoduleMap, qxprod: QXProductBimodule,
         return QXElem(q, (x,) * qxprod.q_operad.arity_of(q))
 
     return BimoduleMap(f"psi''({f.name})", f.source, qxprod, fn)
+
+
+def psi_double_prime(f: BimoduleMap, qxprod: QXProductBimodule,
+                     samples: int = 40, seed: int = 0) -> BimoduleMap:
+    """Extend a map into a fixed-tag target by tagging every input with
+    that tag. This is the guard for maps of unknown origin: the input must
+    actually be a bimodule map, and on failure the offending law and
+    witness are raised. A map that is one by construction goes straight to
+    `tagged_map`."""
+    if not isinstance(f.target, QxBimodule):
+        raise DomainError("expected a map into a fixed-tag target")
+    report = check_bimodule_map(f, samples=samples, seed=seed)
+    if not report.ok:
+        bad = next(r for r in report.results if not r.passed)
+        raise DomainError(
+            f"not a bimodule map: {bad.check} fails at {bad.witness}")
+    return tagged_map(f, qxprod)
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,39 @@ def test_alpha_command_matches_the_library(capsys):
     assert ws.d2.parse_element(data["q"]) == expected.q
 
 
+# lift and alpha stdout as recorded while every process still checked the
+# laws of its section map: trusting the map must not move a byte
+@pytest.mark.parametrize("argv, q, tags", [
+    (("lift", "--t", "1/2", "l1"),
+     "<ball((0/1,0/1);1/1)>", "a"),
+    (("lift", "--x", "a", "--to", "b", "--t", "1/1", B_TWO),
+     "<ball((-15/34,-4/17);1/2) ball((41/170,-8/255);1/6) ball((109/170,128/255);1/6)>", "aaa"),
+    (("lift", "--x", "b", "--t", "0/1", B_CUP),
+     "<ball((-35/74,6/37);1/2) ball((35/74,-6/37);1/2)>", "bb"),
+    (("lift", "--x", "*", "--to", "a", "--switch", "1/3", "--t", "2/3", B_TWO),
+     "<ball((-1/2,0/1);1/2) ball((1/6,0/1);1/6) ball((5/6,0/1);1/6)>", "***"),
+    (("lift", "--x", "a", "--to", "*", "--switch", "3/4", "--t", "1/4", B_CUP),
+     "<ball((-45/106,-14/53);1/2) ball((45/106,14/53);1/2)>", "aa"),
+    (("alpha", "--config", "o<[1/8,3/8] [5/8,1/1]>", "--x", "a", "--loops", "loop-b", B_TWO),
+     "<ball((-2/5,3/10);1/2) ball((31/435,-103/290);1/6) ball((317/435,-71/290);1/6)>", "aaa"),
+    (("alpha", "--config", "o<[1/4,1/1]>", "--x", "b", B_CUP),
+     "<ball((-20/41,9/82);1/2) ball((20/41,-9/82);1/2)>", "bb"),
+    (("alpha", "--config", "o<[1/8,3/8] [5/8,1/1]>", "--x", "*", B_CUP),
+     "<ball((-1/2,0/1);1/2) ball((1/2,0/1);1/2)>", "**"),
+    (("alpha", "--config", "o<[0/1,1/4] [3/8,1/2] [3/4,1/1]>", "--x", "b",
+      "--loops", "loop-b,const", B_TWO),
+     "<ball((-1/2,0/1);1/2) ball((1/6,0/1);1/6) ball((5/6,0/1);1/6)>", "bbb"),
+], ids=["lift-default", "lift-a-to-b", "lift-b", "lift-star-to-a", "lift-a-to-star",
+        "alpha-a-loop-b", "alpha-b", "alpha-star", "alpha-b-two-loops"])
+def test_lift_and_alpha_golden(capsys, argv, q, tags):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == f"{q} ; tags=({','.join(tags)})\n"
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"q": q, "tags": list(tags)}, sort_keys=True) + "\n"
+
+
 def test_alpha_rejects_closed_configurations(capsys):
     code, _ = run(capsys, "alpha", "--config", "c<[1/8,3/8]>", B_CUP)
     assert code == 2
@@ -250,6 +283,23 @@ def test_check_json_is_deterministic(capsys):
     _, second = run(capsys, *args)
     assert first == second
     assert json.loads(first)["ok"] is True
+
+
+@pytest.mark.parametrize("x", ["a", "b"])
+def test_check_psi_double_prime_golden(capsys, x):
+    name = f"bimodule-map:psi''(psi'({x}))"
+    code, out = run(capsys, "check", "psi-double-prime", "--samples", "5", "--x", x)
+    assert code == 0
+    assert out == (f"ok {name} (samples=5 seed=0)\n"
+                   "  pass left-action\n  pass right-action\n  pass restriction\n")
+    code, out = run(capsys, "check", "psi-double-prime", "--samples", "5", "--x", x,
+                    "--format", "json")
+    assert code == 0
+    assert out == json.dumps({
+        "checks": [{"check": "left-action", "pass": True},
+                   {"check": "right-action", "pass": True},
+                   {"check": "restriction", "pass": True}],
+        "name": name, "ok": True, "samples": 5, "seed": 0}, sort_keys=True) + "\n"
 
 
 def test_check_zero_samples_is_flagged(capsys):
@@ -486,6 +536,35 @@ def test_malformed_json_records_exit_two_without_a_traceback():
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the read end is closed before the process writes, so its first write
+    # fails: what `| head -1` does when the reader wins the race
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opcalc.cli", "check", "operad-axioms", "--samples", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 141
+    assert "Traceback" not in err
+
+
+def test_an_interrupted_handler_exits_130_without_a_traceback(capsys, monkeypatch):
+    def interrupted(ws, args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(HANDLERS, "normalize", interrupted)
+    try:
+        code = main(["normalize", "l1"])
+    except KeyboardInterrupt:   # not re-raised: it would end the whole test run
+        pytest.fail("main let the interrupt through")
+    assert code == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "interrupted\n"
 
 
 # ------------------------------------------------- one subparser per process

@@ -6,6 +6,7 @@ import pytest
 
 from opcalc.bconstruction import BNode, BPoint, b_corolla, bpoint, mu_prime
 from opcalc.bimodules import BBimodule
+from opcalc.cli import Workspace
 from opcalc.mapping import (
     BimoduleMap,
     OperadMap,
@@ -407,6 +408,33 @@ def test_psi_double_prime_rejects_a_non_map():
     with pytest.raises(DomainError) as err:
         psi_double_prime(fake, QXP, samples=10, seed=41)
     assert "fails at" in str(err.value)
+
+
+@pytest.mark.parametrize("x", Workspace().space.elements)
+def test_workspace_section_maps_pass_the_guard(x):
+    # the check `Workspace.section_map` once ran in every process: its
+    # inputs are all fixed, so its result is pinned here instead
+    ws = Workspace()
+    f = psi_prime_as_map(ws.hofiber(x), BBimodule(ws.d1), ws.family)
+    report = check_bimodule_map(f, samples=20, seed=0)
+    assert report.ok, report.to_jsonable()
+
+
+def test_the_trusted_section_map_is_the_checked_one():
+    ws = Workspace()
+    rng = random.Random(44)
+    points = [random_bpoint(rng, D1, rng.randint(1, 5)) for _ in range(25)]
+    for x in ws.space.elements:
+        trusted = ws.section_map(x)
+        checked = psi_double_prime(
+            psi_prime_as_map(ws.hofiber(x), BBimodule(ws.d1), ws.family),
+            ws.qxprod, samples=20, seed=0)
+        assert trusted.name == checked.name == f"psi''(psi'({x}))"
+        assert trusted.target is checked.target is ws.qxprod
+        for b in points:
+            got, want = trusted(b), checked(b)
+            assert got.tags == want.tags == (x,) * BB.arity_of(b)
+            assert ws.d2.key(got.q) == ws.d2.key(want.q)
 
 
 # -- path lifting -------------------------------------------------------------
