@@ -116,7 +116,7 @@ def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
         raise DomainError(f"height {height} below the parent height {floor}")
     if not isinstance(entry.label, WPoint) or entry.label.operad != op:
         raise DomainError(f"label must be a resolution point over {op.name}")
-    label = entry.label if entry.label._hooked else wpoint(op, entry.label.root)
+    label = entry.label if entry.label._marked else wpoint(op, entry.label.root)
     if label.arity != len(entry.children):
         raise DomainError(
             f"label arity {label.arity} against {len(entry.children)} children")

@@ -332,11 +332,11 @@ def cmd_eval_psi(ws: Workspace, args) -> int:
 
 
 def cmd_lift(ws: Workspace, args) -> int:
-    from .mapping import XPath, lift_path
+    from .mapping import XPath, constant_xpath, lift_path
     x = ws.tag(args.x)
     f0 = ws.section_map(x)
     if args.to is None:
-        g = XPath(ws.space, ((Fraction(0), x),))
+        g = constant_xpath(ws.space, x)
     else:
         g = XPath(ws.space, ((Fraction(0), x),
                              (parse_fraction(args.switch), ws.tag(args.to))))

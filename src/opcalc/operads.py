@@ -73,19 +73,34 @@ def parse_fraction(text: str) -> Fraction:
         raise DomainError(f"bad fraction {shown(text)}") from exc
 
 
-def _sorting_twist(tokens: list[str]) -> InjectiveMap | None:
+def _sorting_twist(tokens: list[str]) -> InjectiveMap:
     """The permutation listing inputs in the string order of their tokens.
 
     Input j's token is the text its entry contributes to a formatted
     element. When the tokens are distinct and none is a proper prefix of
     another, the text of a twist is least exactly when its tokens appear
-    sorted, so this permutation is the strictly least twist. Only the
-    distinctness is checked here; returns None when two tokens agree.
+    sorted, so this permutation is the strictly least twist. The callers'
+    elements are valid, and `validate` refuses two equal entries.
     """
     order = sorted(range(len(tokens)), key=tokens.__getitem__)
-    if any(tokens[a] == tokens[b] for a, b in zip(order, order[1:])):
-        return None
     return InjectiveMap(len(tokens), len(tokens), tuple(j + 1 for j in order))
+
+
+def least_word_twist(word) -> InjectiveMap:
+    """The strictly least twist of an element whose twists only renumber
+    the letters of its `word`, which lists 1..k, in a text that writes each
+    letter in decimal followed by " " or ")".
+
+    The least text reads 1..k in string order ("1 10 11 ... 2 3 ..."): a
+    letter that is a prefix of another ("1" of "10") is followed by a
+    character below every digit. sigma sends that word's letter at
+    position p to `word`'s letter at p.
+    """
+    least = sorted(range(1, len(word) + 1), key=str)
+    values = [0] * len(word)
+    for letter, target in zip(least, word):
+        values[letter - 1] = target
+    return InjectiveMap(len(word), len(word), tuple(values))
 
 
 def _well_formed_prefix(x: tuple, shape_error: Callable) -> tuple[tuple, str | None]:
@@ -116,18 +131,15 @@ def _on_common_denominator(values: list[Fraction]) -> tuple[int, list[int]]:
 class EffectiveOperad(ABC):
     """A reduced operad whose elements can be computed with exactly.
 
-    Besides the abstract structure, an instance may offer
-    `canonical_twist(x)`, the shortcut normal forms take for its vertices.
-    It returns the permutation sigma of 1..arity_of(x) whose twist
-    restrict(sigma, x) has the least `format_element` text, and it may do
-    so only when that sigma is strictly least: every other permutation
-    must give a different, larger text. The order is the one on texts
-    (Python's string order), not on the underlying numbers, so 1/10
-    comes before 1/2. Returning None means "no such promise": callers then
-    search all arity_of(x)! twists, as they do for every operad that keeps
-    the default. A W point whose every vertex got a permutation is marked
-    and trusted to stay normal when its leaves are renumbered, grafted or
-    cut (see `wconstruction`), so the answer must depend on x alone.
+    `canonical_twist(x)` gives normal forms their vertex twists. It returns
+    the permutation sigma of 1..arity_of(x) whose twist restrict(sigma, x)
+    has the least `format_element` text, and that sigma must be strictly
+    least: every other permutation gives a different, larger text. The
+    order is the one on texts (Python's string order), not on the
+    underlying numbers, so 1/10 comes before 1/2. A W point's vertex
+    twists then depend on its labels alone, so the point stays normal
+    when its leaves are renumbered, grafted or cut (see `wconstruction`);
+    the answer must depend on x alone.
     """
 
     name: str
@@ -163,9 +175,9 @@ class EffectiveOperad(ABC):
     def is_unit(self, x) -> bool:
         return self.arity_of(x) == 1 and self.eq(x, self.unit())
 
-    def canonical_twist(self, x) -> InjectiveMap | None:
-        """The unique permutation with the least twisted text, or None."""
-        return None
+    @abstractmethod
+    def canonical_twist(self, x) -> InjectiveMap:
+        """The unique permutation with the least twisted text."""
 
     # -- io -------------------------------------------------------------------
 
@@ -284,7 +296,7 @@ class LittleIntervals(EffectiveOperad):
     def format_element(self, x) -> str:
         return "<" + " ".join(_interval_tokens(x)) + ">"
 
-    def canonical_twist(self, x) -> InjectiveMap | None:
+    def canonical_twist(self, x) -> InjectiveMap:
         # a token ends in its only "]", so none is a prefix of another
         return _sorting_twist(_interval_tokens(x))
 
@@ -398,7 +410,7 @@ class LittleDiscs(EffectiveOperad):
     def format_element(self, x) -> str:
         return "<" + " ".join(_ball_tokens(x)) + ">"
 
-    def canonical_twist(self, x) -> InjectiveMap | None:
+    def canonical_twist(self, x) -> InjectiveMap:
         # "ball((c);r)" holds exactly two ")", one of them at its end, so no
         # token is a proper prefix of another
         return _sorting_twist(_ball_tokens(x))
@@ -487,19 +499,9 @@ class Associative(EffectiveOperad):
     def format_element(self, x) -> str:
         return "word(" + " ".join(str(t) for t in x) + ")"
 
-    def canonical_twist(self, x) -> InjectiveMap | None:
-        # The action relabels letters and leaves positions alone, and it is
-        # free and transitive, so the least text is the one word whose
-        # letters read 1..k in string order ("1 10 11 ... 2 3 ..."). A
-        # letter that is a prefix of another ("1" of "10") is followed by
-        # " " or ")", both below every digit, so string order of the
-        # letters is the order of the texts. sigma sends that word's
-        # letter at position p to x's letter at p.
-        least = sorted(range(1, len(x) + 1), key=str)
-        values = [0] * len(x)
-        for letter, target in zip(least, x):
-            values[letter - 1] = target
-        return InjectiveMap(len(x), len(x), tuple(values))
+    def canonical_twist(self, x) -> InjectiveMap:
+        # the action relabels letters and leaves positions alone
+        return least_word_twist(x)
 
     def parse_element(self, text: str):
         body = text.strip()
@@ -633,10 +635,11 @@ class FramedOperad(EffectiveOperad):
         frames = " ".join(str(g) for g in x.frames)
         return f"({self.base.format_element(x.point)} ; {frames})"
 
-    def canonical_twist(self, x) -> InjectiveMap | None:
-        # The base text comes first, and a shipped base's text ends in a
-        # character found nowhere else in it, so no twist's base text is a
-        # proper prefix of another's: twists are ordered by their base texts.
+    def canonical_twist(self, x) -> InjectiveMap:
+        # The base text comes first, and the twists of one base element
+        # only reorder or renumber its entries, so their base texts have
+        # one length and none is a proper prefix of another: twists are
+        # ordered by their base texts, which the base's sigma makes least.
         return self.base.canonical_twist(x.point)
 
     def parse_element(self, text: str):

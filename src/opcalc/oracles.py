@@ -7,8 +7,8 @@ harness and the tests load it.
     chosen contraction or unit splice until none applies; agreement with
     `wpoint` across many draws is the confluence check.
     `b_normalize_random_order` is its height-tree twin, against `bpoint`.
-  * `_canonical_node_search` tries all k! twists at every vertex; the
-    sorting shortcut `canonical_twist` is tested against it.
+  * `_canonical_node_search` tries all k! twists at every vertex, through
+    `_least_twist`; every operad's `canonical_twist` is tested against it.
 
 `opcalc.wconstruction` and `opcalc.bconstruction` still answer for the two
 random-order reducers by name, loading this module on first access.
@@ -16,12 +16,15 @@ random-order reducers by name, loading this module on first access.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Union
+from typing import Hashable, Optional, Union
 
 from .bconstruction import BEntry, BNode, BPoint, _canonical_point, _validate_b_raw
 from .operads import EffectiveOperad
-from .wconstruction import WEdge, WNode, _canonical_node, _least_twist, _validate_root, w_compose
+from .trees import InjectiveMap
+from .wconstruction import (WEdge, WEntry, WNode, _canonical_node, _validate_root, entry_text,
+                            w_compose)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +109,12 @@ def normalize_random_order(rng, op: EffectiveOperad, root: Union[int, WNode]) ->
         root = _apply_step(op, root, rng.choice(steps))
         if isinstance(root, int):
             return 1
-    return _canonical_node(op, root)[0]
+    return _canonical_node(op, root)
 
 
 def _canonical_node_search(op: EffectiveOperad, node: WNode) -> WNode:
     """The same normal form by trying all k! twists at every vertex; the
-    oracle the sorting shortcut is tested against."""
+    oracle `canonical_twist` is tested against."""
     entries = tuple(
         child if isinstance(child, int)
         else WEdge(child.length, _canonical_node_search(op, child.node))
@@ -119,6 +122,23 @@ def _canonical_node_search(op: EffectiveOperad, node: WNode) -> WNode:
     if len(entries) == 1:
         return WNode(node.label, entries)
     return _least_twist(op, node.label, entries)
+
+
+def _least_twist(op: EffectiveOperad, label: Hashable, entries: tuple[WEntry, ...]) -> WNode:
+    """The twist with the least (label text, children's texts) key."""
+    k = len(entries)
+    texts = [entry_text(op, e) for e in entries]
+    best: Optional[WNode] = None
+    best_key = None
+    for values in itertools.permutations(range(1, k + 1)):
+        sigma = InjectiveMap(k, k, values)
+        twisted = op.restrict(sigma, label)
+        key = (op.format_element(twisted), tuple(texts[values[j] - 1] for j in range(k)))
+        if best_key is None or key < best_key:
+            best = WNode(twisted, tuple(entries[values[j] - 1] for j in range(k)))
+            best_key = key
+    assert best is not None
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ def random_injection(rng, m: int, n: int) -> InjectiveMap:
     return InjectiveMap(m, n, tuple(rng.sample(range(1, n + 1), m)))
 
 
-def random_order_preserving(rng, m: int, n: int) -> InjectiveMap:
-    return InjectiveMap(m, n, tuple(sorted(rng.sample(range(1, n + 1), m))))
-
-
 def random_permutation(rng, n: int) -> InjectiveMap:
     return random_injection(rng, n, n)
 

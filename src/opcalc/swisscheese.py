@@ -312,22 +312,6 @@ def parse_sc(text: str) -> SC1Element:
     return sc1(text[0], pairs)
 
 
-def sc_to_jsonable(c: SC1Element) -> dict:
-    return {"kind": "sc1", "color": c.color,
-            "intervals": [[format_fraction(a), format_fraction(b)]
-                          for a, b in c.intervals]}
-
-
-def sc_from_jsonable(data: dict) -> SC1Element:
-    if not isinstance(data, dict) or data.get("kind") != "sc1":
-        raise DomainError("not a configuration record")
-    color, intervals = data.get("color"), data.get("intervals")
-    if not (isinstance(color, str) and isinstance(intervals, list)
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in intervals)):
-        raise DomainError("a configuration record needs a colour and a list of [a, b] pairs")
-    return sc1(color, [(parse_fraction(a), parse_fraction(b)) for a, b in intervals])
-
-
 def sample_sc1(rng, n: int, color: str) -> SC1Element:
     """A random sorted configuration; open colour gets n closed discs plus
     the open one ending at 1."""

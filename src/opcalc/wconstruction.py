@@ -21,13 +21,12 @@ Normal form, computed by `_normal_w`:
     broken by the texts of the children in their new order. Equality of
     points is therefore structural equality of normal forms.
 
-Finding the least twist does not need all k! of them when the operad's
-`canonical_twist` names the one with the strictly least label text: for
-the interval, disc, associative and framed operads one sort of the
-inputs' tokens does, and no tie is left for the children to break. Other
-operads (the resolution itself, the tests' recording operad) keep the search,
-`_least_twist`; `oracles._canonical_node_search` applies it at every
-vertex and is the oracle the shortcut is tested against.
+Each operad's `canonical_twist` names the twist with the strictly least
+label text, so no tie is left for the children to break: for the interval,
+disc and framed operads one sort of the inputs' tokens finds it, and for
+the associative operad and the resolution itself, whose twists only
+renumber letters or leaves, one sort of the word. The k! search,
+`oracles._canonical_node_search`, is the oracle this is tested against.
 
 A `WPoint` is normal by construction, and the structure maps rely on it;
 it keeps its text once built. Raw trees are validated once, where they
@@ -36,25 +35,23 @@ enter: `wpoint`, `w_corolla` (a label), the random-order oracle in
 as they parse it. The structure maps check that their arguments are
 points, and no label again.
 
-`_normal_w` marks a point when `canonical_twist` named the twist at each of
-its vertices with more than one input: no vertex then broke a tie by its
-children's texts, so renumbering its leaves, grafting two marked points
-along an edge of length 1 or cutting one at such edges leaves a normal
-tree. `w_compose`, bijective `w_lambda` and the `w_prime_decompose`
-components trust marked points and skip `_normal_w`; `bpoint` skips
-renormalizing a marked label. A point built with `WPoint(...)` is never
-marked, nor one with a vertex the shortcut did not name. `WOperad.validate`
-is the check for a point of unknown origin.
+`_normal_w` marks every point with a vertex that it builds. A vertex's
+twist depends on its label alone, so renumbering the leaves of a marked
+point, grafting two marked points along an edge of length 1 or cutting
+one at such edges leaves a normal tree. `w_compose`, bijective `w_lambda`
+and the `w_prime_decompose` components trust marked points and skip
+`_normal_w`; `bpoint` skips renormalizing a marked label. A point built
+with `WPoint(...)` is never marked, and `WOperad.validate` is the check
+for a point of unknown origin.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Hashable, Optional, Union
+from typing import Callable, Hashable, Union
 
-from .operads import EffectiveOperad, escaped, format_fraction
+from .operads import EffectiveOperad, escaped, format_fraction, least_word_twist
 from .trees import (DomainError, InjectiveMap, Record, TreePoint, check_depth, check_leaf_word,
                     fold, keep_leaves, map_leaves, open_entry, require, set_field, shown)
 
@@ -103,10 +100,10 @@ class WPoint(TreePoint):
 
     Normal by construction: every function here that returns one has
     reduced and canonicalized it, and takes it for normal in turn. A point
-    assembled by hand is checked with `WOperad(op).validate`. `_hooked` is
-    set by `_normal_w` alone (see the module docstring)."""
+    assembled by hand is checked with `WOperad(op).validate`. `_marked` is
+    set by the normalizer alone (see the module docstring)."""
 
-    _hooked = False   # not a field: outside __init__, equality, hash and repr
+    _marked = False   # not a field: outside __init__, equality, hash and repr
 
     @cached_property
     def text(self) -> str:
@@ -229,43 +226,16 @@ def _reduce_vertex(op: EffectiveOperad, node: WNode) -> Union[int, WNode]:
     return WNode(label, tuple(entries))
 
 
-def _canonical_node(op: EffectiveOperad, node: WNode) -> tuple[WNode, bool]:
-    """Least presentation of every vertex, through the operad's sorting
-    shortcut where it has one and by search where it does not; and whether
-    the shortcut named the twist at every vertex with more than one input."""
-    hooked = True
-    entries: list[WEntry] = []
-    for child in node.children:
-        if isinstance(child, WEdge):
-            sub, sub_hooked = _canonical_node(op, child.node)
-            child, hooked = WEdge(child.length, sub), hooked and sub_hooked
-        entries.append(child)
+def _canonical_node(op: EffectiveOperad, node: WNode) -> WNode:
+    """Every vertex at the twist its operad's `canonical_twist` names; the
+    label text alone is strictly least, so the children's texts never
+    break a tie."""
+    entries = [WEdge(child.length, _canonical_node(op, child.node))
+               if isinstance(child, WEdge) else child for child in node.children]
     if len(entries) == 1:
-        return WNode(node.label, tuple(entries)), hooked
+        return WNode(node.label, tuple(entries))
     sigma = op.canonical_twist(node.label)
-    if sigma is None:
-        return _least_twist(op, node.label, tuple(entries)), False
-    # the label text alone is strictly least, so the children's texts never
-    # break a tie
-    children = tuple(entries[v - 1] for v in sigma.values)
-    return WNode(op.restrict(sigma, node.label), children), hooked
-
-
-def _least_twist(op: EffectiveOperad, label: Hashable, entries: tuple[WEntry, ...]) -> WNode:
-    """The twist with the least (label text, children's texts) key."""
-    k = len(entries)
-    texts = [entry_text(op, e) for e in entries]
-    best: Optional[WNode] = None
-    best_key = None
-    for values in itertools.permutations(range(1, k + 1)):
-        sigma = InjectiveMap(k, k, values)
-        twisted = op.restrict(sigma, label)
-        key = (op.format_element(twisted), tuple(texts[values[j] - 1] for j in range(k)))
-        if best_key is None or key < best_key:
-            best = WNode(twisted, tuple(entries[values[j] - 1] for j in range(k)))
-            best_key = key
-    assert best is not None
-    return best
+    return WNode(op.restrict(sigma, node.label), tuple(entries[v - 1] for v in sigma.values))
 
 
 def _normal_w(op: EffectiveOperad, root: WNode) -> WPoint:
@@ -280,13 +250,13 @@ def _normal_w(op: EffectiveOperad, root: WNode) -> WPoint:
     # sits on an edge to a vertex that is not one, as in `_reduce_vertex`
     if len(reduced.children) == 1 and op.is_unit(reduced.label):
         reduced = reduced.children[0].node
-    return _normal_point(op, *_canonical_node(op, reduced))
+    return _normal_point(op, _canonical_node(op, reduced))
 
 
-def _normal_point(op: EffectiveOperad, root: WNode, hooked: bool = True) -> WPoint:
-    """The point on a normal tree, marked when `hooked`."""
+def _normal_point(op: EffectiveOperad, root: WNode) -> WPoint:
+    """The point on a normal tree, marked."""
     point = WPoint(op, root)
-    set_field(point, "_hooked", hooked)
+    set_field(point, "_marked", True)
     return point
 
 
@@ -337,7 +307,7 @@ def w_compose(a: WPoint, i: int, b: WPoint) -> WPoint:
     # b on an edge of length 1 at leaf i; later leaves move up by m - 1
     edge = WEdge(Fraction(1), map_leaves(b.root, lambda k: i + k - 1))
     root = map_leaves(a.root, lambda k: edge if k == i else k if k < i else k + m - 1)
-    finish = _normal_point if a._hooked and b._hooked else _normal_w
+    finish = _normal_point if a._marked and b._marked else _normal_w
     return finish(a.operad, root)
 
 
@@ -358,7 +328,7 @@ def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
         return a
     op = a.operad
     renumber = {u(j): j for j in range(1, u.m + 1)}
-    if a._hooked and u.m == u.n:
+    if a._marked and u.m == u.n:
         return _normal_point(op, map_leaves(a.root, renumber.__getitem__))
     return _normal_w(op, keep_leaves(a.root, renumber, op.restrict))
 
@@ -397,7 +367,7 @@ def w_prime_decompose(a: WPoint) -> WDecomposition:
     if a.is_trivial:
         return WDecomposition((), 1, 0)
     # the pieces of a marked point are normal as cut
-    finish = partial(_normal_point if a._hooked else _normal_w, op)
+    finish = partial(_normal_point if a._marked else _normal_w, op)
     components: list[WPoint] = []
     skeleton = _carve(finish, a.root, components)
     level = max(piece.arity for piece in components)
@@ -468,6 +438,10 @@ class WOperad(EffectiveOperad):
 
     def key(self, x: WPoint) -> Hashable:
         return (self.name, x.root)
+
+    def canonical_twist(self, x: WPoint) -> InjectiveMap:
+        # twisting a normal point only renumbers its leaves
+        return least_word_twist(x.leaf_word)
 
     def format_element(self, x: WPoint) -> str:
         return x.text

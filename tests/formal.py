@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable
 
-from opcalc.operads import EffectiveOperad, escaped
+from opcalc.operads import EffectiveOperad, escaped, least_word_twist
 from opcalc.serialize import _leaf_token, _Reader, _tokenize
 from opcalc.trees import (DomainError, InjectiveMap, Record, check_leaf_word, fold, keep_leaves,
                           leaf_word, map_leaves, shown)
@@ -77,7 +77,8 @@ def _read_expr(r: _Reader):
 
 
 class FormalOperad(EffectiveOperad):
-    """The free operad on named atoms, with no sampler: tests build its elements."""
+    """The free operad on named atoms; its sampler draws trees of atoms
+    named p, q, r over a shuffled leaf word."""
 
     def __init__(self, name: str = "formal") -> None:
         self.name = name
@@ -112,6 +113,10 @@ class FormalOperad(EffectiveOperad):
     def key(self, x) -> Hashable:
         return x
 
+    def canonical_twist(self, x) -> InjectiveMap:
+        # a twist only renumbers leaves, each written `Lk` before " " or ")"
+        return least_word_twist(leaf_word(x))
+
     def format_element(self, x) -> str:
         if isinstance(x, int):
             return f"L{x}"
@@ -130,7 +135,22 @@ class FormalOperad(EffectiveOperad):
         return expr
 
     def sample(self, rng, n: int):
-        raise DomainError("the recording operad has no sampler")
+        if n < 1:
+            raise DomainError("arity must be at least 1")
+        word = list(range(1, n + 1))
+        rng.shuffle(word)
+        return _random_expr(rng, word)
+
+
+def _random_expr(rng, word: list):
+    """A random element whose leaves read `word`: one leaf is bare or under
+    a unary atom, more leaves are cut into two or more blocks under an atom."""
+    if len(word) == 1 and rng.random() < 0.5:
+        return word[0]
+    k = rng.randint(2, len(word)) if len(word) > 1 else 1
+    cuts = sorted(rng.sample(range(1, len(word)), k - 1))
+    blocks = [word[a:b] for a, b in zip([0] + cuts, cuts + [len(word)])]
+    return FNode(rng.choice("pqr"), None, tuple(_random_expr(rng, block) for block in blocks))
 
 
 def eval_formal(expr, target: EffectiveOperad, atom_eval: Callable) -> Hashable:

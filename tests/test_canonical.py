@@ -1,9 +1,10 @@
-"""The sorting shortcut for least vertex twists against the k! search.
+"""Every operad's `canonical_twist` against the k! search.
 
-Every operad with a `canonical_twist` hook must give, vertex by vertex,
-the normal form that trying all twists gives, byte for byte. Operads
-without the hook must still take the search. Height-tree vertices sort
-their children by text, checked against trying all twists there too.
+The hook must name the strictly least twist, and give, vertex by vertex,
+the normal form that trying all twists gives, byte for byte: for the base
+operads, for the resolution over them and over itself, and for the tests'
+recording operad. Height-tree vertices sort their children by text,
+checked against trying all twists there too.
 """
 
 import itertools
@@ -11,7 +12,6 @@ import random
 
 import pytest
 
-import opcalc.wconstruction as wc
 from opcalc.bconstruction import BNode, _canonical_b, _reduce_b, b_entry_text
 from opcalc.operads import (
     Associative,
@@ -22,7 +22,7 @@ from opcalc.operads import (
 )
 from opcalc.oracles import _canonical_node_search
 from opcalc.sampling import random_permutation, random_raw_bnode, random_raw_wnode
-from opcalc.trees import InjectiveMap
+from opcalc.trees import DomainError, InjectiveMap
 from opcalc.wconstruction import (
     WNode,
     WOperad,
@@ -36,12 +36,19 @@ from opcalc.wconstruction import (
 
 from formal import FormalOperad
 
-HOOKED = {
+BASES = {
     "d1": LittleIntervals(),
     "d2": LittleDiscs(2),
     "d1_z2": framed_intervals(),
     "assoc": Associative(),
 }
+# labels whose twists only renumber leaves
+WORDS = {
+    "w(d1)": WOperad(LittleIntervals()),
+    "w(w(d1))": WOperad(WOperad(LittleIntervals())),
+    "formal": FormalOperad(),
+}
+EVERY = {**BASES, **WORDS}
 # seeded samples per arity; the search costs k! label formats per vertex
 SAMPLES = {1: 4, 2: 8, 3: 8, 4: 8, 5: 6, 6: 3, 7: 1}
 
@@ -52,34 +59,33 @@ def _texts_of_twists(op, x):
             for values in itertools.permutations(range(1, k + 1))}
 
 
-@pytest.mark.parametrize("name", sorted(HOOKED))
+@pytest.mark.parametrize("name", sorted(EVERY))
 @pytest.mark.parametrize("k", sorted(SAMPLES))
 def test_hook_names_the_strictly_least_twist(name, k):
-    op = HOOKED[name]
+    op = EVERY[name]
     rng = random.Random(f"least-{name}-{k}")
     for _ in range(SAMPLES[k]):
         x = op.sample(rng, k)
         sigma = op.canonical_twist(x)
-        assert sigma is not None and sigma.m == sigma.n == k
+        assert sigma.m == sigma.n == k
         texts = _texts_of_twists(op, x)
         least = texts[sigma.values]
         assert all(text > least for values, text in texts.items() if values != sigma.values)
 
 
-@pytest.mark.parametrize("name", sorted(HOOKED))
+@pytest.mark.parametrize("name", sorted(EVERY))
 @pytest.mark.parametrize("k", sorted(SAMPLES))
 def test_hooked_canonical_node_matches_the_search(name, k):
-    op = HOOKED[name]
+    op = EVERY[name]
     rng = random.Random(f"node-{name}-{k}")
     for sample in range(SAMPLES[k]):
         # corollas reach arity k at the root; deeper trees mix smaller vertices
         depth = 0 if sample % 2 == 0 else rng.randint(1, 2)
         node = _validate_raw(op, random_raw_wnode(rng, op, k, depth))
-        fast, hooked = _canonical_node(op, node)
+        fast = _canonical_node(op, node)
         slow = _canonical_node_search(op, node)
         assert entry_text(op, fast) == entry_text(op, slow)
         assert fast == slow
-        assert hooked
 
 
 @pytest.mark.parametrize("k", [10, 11, 12, 13])
@@ -101,6 +107,23 @@ def test_associative_hook_orders_letters_as_text(k):
                 assert op.format_element(op.restrict(tau, x)) > least
 
 
+@pytest.mark.parametrize("name", sorted(WORDS))
+def test_leaf_word_hooks_order_leaves_as_text(name):
+    # "l1 l10 l11 ... l2 ...": past 9 leaves string order differs from
+    # numeric order, and k! is out of reach, so the least twist is checked
+    # against every transposition of it and against random twists
+    op, k = WORDS[name], 11
+    rng = random.Random(f"words-{name}")
+    x = op.sample(rng, k)
+    sigma = op.canonical_twist(x)
+    least = op.format_element(op.restrict(sigma, x))
+    others = [InjectiveMap(k, k, tuple(values)) for values in _transposed(sigma.values)]
+    others += [random_permutation(rng, k) for _ in range(100)]
+    for tau in others:
+        if tau.values != sigma.values:
+            assert op.format_element(op.restrict(tau, x)) > least
+
+
 def _transposed(values):
     for i, j in itertools.combinations(range(len(values)), 2):
         swapped = list(values)
@@ -108,10 +131,10 @@ def _transposed(values):
         yield swapped
 
 
-@pytest.mark.parametrize("name", sorted(HOOKED))
+@pytest.mark.parametrize("name", sorted(EVERY))
 def test_wide_corollas_are_twist_invariant(name):
     # arity 12 is far past what the search could do
-    op = HOOKED[name]
+    op = EVERY[name]
     rng = random.Random(f"wide-{name}")
     x = op.sample(rng, 12)
     sigma = random_permutation(rng, 12)
@@ -120,49 +143,19 @@ def test_wide_corollas_are_twist_invariant(name):
 
 
 def test_sorting_twist_refuses_equal_tokens():
-    assert _sorting_twist(["[0/1,1/2]", "[0/1,1/2]"]) is None
+    # two equal tokens are two equal entries, which overlap
+    half = LittleIntervals().parse_element("<[0/1,1/2]>")
+    with pytest.raises(DomainError, match="overlap"):
+        LittleIntervals().validate(half + half)
+    ball = LittleDiscs(2).parse_element("<ball((0/1,0/1);1/2)>")
+    with pytest.raises(DomainError, match="overlap"):
+        LittleDiscs(2).validate(ball + ball)
     assert _sorting_twist(["b", "a", "c"]).values == (2, 1, 3)
-
-
-def test_unhooked_operads_keep_the_search():
-    assert FormalOperad().canonical_twist(FormalOperad().atom("p", 2)) is None
-    w = WOperad(LittleIntervals())
-    assert w.canonical_twist(w.sample(random.Random(0), 2)) is None
-
-
-def test_resolution_labels_fall_back_to_the_search(monkeypatch):
-    # vertices labelled by points of W(d1): the hook says None, so every
-    # vertex of arity at least 2 goes through the search
-    op = WOperad(LittleIntervals())
-    searched = []
-    search = wc._least_twist
-
-    def counting(op_, label, entries):
-        searched.append(len(entries))
-        return search(op_, label, entries)
-
-    monkeypatch.setattr(wc, "_least_twist", counting)
-    rng = random.Random(1811)
-    for n in (2, 3, 3, 4, 4):
-        node = _validate_raw(op, random_raw_wnode(rng, op, n, depth=rng.randint(0, 1)))
-        searched.clear()
-        fast, hooked = _canonical_node(op, node)
-        wide = sum(1 for v in _vertices(node) if len(v.children) > 1)
-        assert len(searched) == wide
-        assert hooked == (wide == 0)
-        assert entry_text(op, fast) == entry_text(op, _canonical_node_search(op, node))
-
-
-def _vertices(node: WNode):
-    yield node
-    for child in node.children:
-        if not isinstance(child, int):
-            yield from _vertices(child.node)
 
 
 @pytest.mark.parametrize("name", ["d1", "assoc"])
 def test_height_tree_texts_are_built_once_and_agree(name):
-    op = HOOKED[name]
+    op = BASES[name]
     rng = random.Random(f"b-{name}")
     for n in (1, 2, 3, 4, 4):
         node = random_raw_bnode(rng, op, n, depth=rng.randint(0, 2))
@@ -188,11 +181,11 @@ def _canonical_b_search(op, node):
     return best[1], b_entry_text(op, best[1])
 
 
-@pytest.mark.parametrize("name", sorted(HOOKED))
+@pytest.mark.parametrize("name", sorted(BASES))
 def test_height_tree_sort_matches_the_search(name):
     # children own disjoint leaves, so their texts never tie and sorting
     # them leaves nothing for the label text to decide
-    op = HOOKED[name]
+    op = BASES[name]
     rng = random.Random(f"b-search-{name}")
     for n in (1, 2, 3, 3, 4, 4, 5, 5):
         node = _reduce_b(op, random_raw_bnode(rng, op, n, depth=rng.randint(0, 2)))

@@ -38,7 +38,6 @@ from opcalc.serialize import (
     w_from_jsonable,
     w_to_jsonable,
 )
-from opcalc.swisscheese import sample_sc1, sc_from_jsonable, sc_to_jsonable
 from opcalc.wconstruction import w_text
 
 from formal import FormalOperad
@@ -167,12 +166,6 @@ def test_json_lengths_and_heights_take_no_whitespace():
         b_from_jsonable(d1, _padded(b_to_jsonable(b), "height"))
     assert w_from_jsonable(d1, w_to_jsonable(a)) == a
     assert b_from_jsonable(d1, b_to_jsonable(b)) == b
-
-
-@pytest.mark.parametrize("pair", [[" 0/1", "1/2"], ["0/1", "1/2 "], ["0/1", " 1/2 "]])
-def test_configuration_pairs_take_no_whitespace(pair):
-    with pytest.raises(DomainError, match="bad fraction"):
-        sc_from_jsonable({"kind": "sc1", "color": "c", "intervals": [pair]})
 
 
 @pytest.mark.parametrize("text", ["<[0/2,+1_0/2_0]>", "<[0/1,+1/2]>", "<[0/1,1/-2]>",
@@ -312,11 +305,11 @@ def test_edited_point_texts_exit_two_from_the_cli(kind, name, seed, n, edit):
 # the decoders' own field names and values, so that generated records get
 # past the first schema check, mixed with arbitrary JSON
 FIELDS = ("kind", "operad", "root", "leaf", "label", "children", "length", "node",
-          "height", "color", "intervals")
+          "height")
 json_atoms = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 10 ** 6), st.floats(allow_nan=False),
     st.text(max_size=4),
-    st.sampled_from(("w", "b", "sc1", "intervals", "c", "o", "0/1", "1/2", "1/1", "3/2",
+    st.sampled_from(("w", "b", "intervals", "0/1", "1/2", "1/1", "3/2",
                      "1/0", "l1", "<[0/1,1/2]>", "<[0/1,1/2] [1/2,1/1]>")))
 json_values = st.recursive(
     json_atoms,
@@ -326,12 +319,10 @@ json_values = st.recursive(
     max_leaves=24)
 records = st.one_of(
     json_values,
-    st.fixed_dictionaries({"kind": st.sampled_from(("w", "b", "sc1")),
-                           "operad": st.just("intervals"), "root": json_values,
-                           "color": json_values, "intervals": json_values}))
+    st.fixed_dictionaries({"kind": st.sampled_from(("w", "b")),
+                           "operad": st.just("intervals"), "root": json_values}))
 DECODERS = {"w": lambda data: w_from_jsonable(OPERADS["d1"], data),
-            "b": lambda data: b_from_jsonable(OPERADS["d1"], data),
-            "sc1": sc_from_jsonable}
+            "b": lambda data: b_from_jsonable(OPERADS["d1"], data)}
 
 
 @pytest.mark.parametrize("kind", sorted(DECODERS))
@@ -344,20 +335,6 @@ def test_json_decoders_raise_only_domain_error(kind, data):
         pass
 
 
-@pytest.mark.parametrize("data", [
-    {"kind": "sc1", "intervals": [["0/1", "1/2"]]},
-    {"kind": "sc1", "color": "c", "intervals": 5},
-    {"kind": "sc1", "color": "c", "intervals": [["0/1"]]},
-    {"kind": "sc1", "color": "c", "intervals": [["0/1", "1/2", "1/1"]]},
-    {"kind": "sc1", "color": 5, "intervals": [["0/1", "1/2"]]},
-    {"kind": "sc1", "color": "c", "intervals": [[0, 1]]},
-    ["sc1"],
-])
-def test_configuration_records_check_their_schema(data):
-    with pytest.raises(DomainError):
-        sc_from_jsonable(data)
-
-
 @pytest.mark.parametrize("name", sorted(OPERADS))
 @settings(FUZZ, max_examples=40)
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 5))
@@ -367,6 +344,3 @@ def test_json_round_trips(name, seed, n):
     a, b = random_wpoint(rng, op, n), random_bpoint(rng, op, n)
     assert w_from_jsonable(op, json.loads(json.dumps(w_to_jsonable(a)))) == a
     assert b_from_jsonable(op, json.loads(json.dumps(b_to_jsonable(b)))) == b
-    for color in "co":
-        c = sample_sc1(rng, n, color)
-        assert sc_from_jsonable(json.loads(json.dumps(sc_to_jsonable(c)))) == c

@@ -142,7 +142,7 @@ def test_fields_can_be_neither_assigned_nor_deleted(record):
 def test_the_mark_is_outside_equality_hash_and_repr():
     a = _cup()
     rebuilt = WPoint(a.operad, a.root)
-    assert a._hooked and not rebuilt._hooked
+    assert a._marked and not rebuilt._marked
     assert a == rebuilt and hash(a) == hash(rebuilt) and repr(a) == repr(rebuilt)
     assert WPoint._fields == ("operad", "root")
     with pytest.raises(TypeError):

@@ -39,10 +39,8 @@ from opcalc.swisscheese import (
     rescale,
     sample_sc1,
     sc1,
-    sc_from_jsonable,
     sc_identity_closed,
     sc_identity_open,
-    sc_to_jsonable,
 )
 from opcalc.trees import DomainError
 from opcalc.wconstruction import w_corolla, w_text
@@ -467,15 +465,6 @@ def test_text_round_trip():
         parse_sc("q<[0,1]>")
     with pytest.raises(DomainError):
         parse_sc("c<0,1>")
-
-
-def test_json_round_trip():
-    import json
-    for c in (OPEN_C, sc_identity_open()):
-        blob = json.loads(json.dumps(sc_to_jsonable(c)))
-        assert sc_from_jsonable(blob) == c
-    with pytest.raises(DomainError):
-        sc_from_jsonable({"kind": "w"})
 
 
 def test_samples_are_valid():

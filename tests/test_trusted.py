@@ -106,8 +106,8 @@ def test_w_structure_maps_return_valid_points(name):
 
 
 def test_w_maps_over_the_resolution_itself_return_valid_points():
-    # vertices over WOperad have no sorting shortcut: leaf renumbering
-    # changes the children's texts, so results must be canonicalized again
+    # vertices over WOperad twist by sorting their labels' leaf words, so
+    # the structure maps trust their points; the validating oracle checks
     op = WOperad(D1)
     wop = WOperad(op)
     for rng, a in _corpus(op, 32, 8, 3):
@@ -179,15 +179,15 @@ def test_fast_paths_equal_the_normalizer(name):
     op = OPERADS[name]
     for rng, a in _corpus(op, 51, 30, 5):
         b = random_wpoint(rng, op, rng.randint(1, 3))
-        assert a._hooked or a.is_trivial
+        assert a._marked or a.is_trivial
         c = w_compose(a, rng.randint(1, a.arity), b)
         _check_trusted(op, c)
-        assert c._hooked or c.is_trivial
+        assert c._marked or c.is_trivial
         twisted = w_lambda(random_permutation(rng, a.arity), a)
         _check_trusted(op, twisted)
         for piece in w_prime_decompose(a).components:
             _check_trusted(op, piece)
-            assert piece._hooked
+            assert piece._marked
 
 
 @pytest.mark.parametrize("name", sorted(OPERADS))
@@ -230,7 +230,7 @@ def test_bpoint_renormalizes_an_unmarked_label():
     # it into the normal label
     normal = _cup()
     swapped = WPoint(D1, WNode(normal.root.label[::-1], (2, 1)))
-    assert not swapped._hooked and swapped != normal
+    assert not swapped._marked and swapped != normal
     point = bpoint(D1, _b_cup(swapped))
     assert point == bpoint(D1, _b_cup(normal))
     assert point.root.label == normal
@@ -267,25 +267,22 @@ def _resolution_points():
 
 
 @pytest.mark.parametrize("make", [_framed_formal, _resolution_points])
-def test_points_without_the_shortcut_go_through_the_normalizer(make, monkeypatch):
+def test_points_over_leaf_word_hooks_are_marked(make, monkeypatch):
+    # the recording operad (under a frame) and the resolution twist their
+    # labels by sorting leaf words, so their points are marked like any
+    # other and the structure maps trust them
     op, a, b = make()
     assert any(len(v.children) > 1 for v in _wnodes(a.root))
-    assert not a._hooked
+    assert a._marked and b._marked
     calls = _spy_normalizer(monkeypatch)
-    searched = []
-    search = wc._least_twist
-    monkeypatch.setattr(wc, "_least_twist",
-                        lambda *args: searched.append(1) or search(*args))
     reverse = InjectiveMap(a.arity, a.arity, tuple(range(a.arity, 0, -1)))
     c = w_compose(a, 1, b)
-    assert calls == [op] and searched
     twisted = w_lambda(reverse, a)
-    assert calls == [op] * 2
     pieces = w_prime_decompose(a).components
-    assert calls == [op] * (2 + len(pieces))
+    assert calls == []
     for point in (c, twisted, *pieces):
-        assert not point._hooked or all(len(v.children) == 1 for v in _wnodes(point.root))
-        WOperad(op).validate(point)
+        assert point._marked
+        _check_trusted(op, point)
 
 
 def test_marked_points_skip_the_normalizer(monkeypatch):
@@ -303,7 +300,7 @@ def test_marked_points_skip_the_normalizer(monkeypatch):
 def test_replace_drops_the_mark():
     a = _cup()
     rebuilt = WPoint(a.operad, a.root)
-    assert a._hooked and not rebuilt._hooked and rebuilt == a
+    assert a._marked and not rebuilt._marked and rebuilt == a
 
 
 def _wnodes(node):
