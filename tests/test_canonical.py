@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import opcalc.oracles as oracles
 from opcalc.bconstruction import BNode, _canonical_b, _reduce_b, b_entry_text
 from opcalc.operads import (
     Associative,
@@ -20,7 +21,7 @@ from opcalc.operads import (
     _sorting_twist,
     framed_intervals,
 )
-from opcalc.oracles import _canonical_node_search
+from opcalc.oracles import _canonical_node_search, _least_twist
 from opcalc.sampling import random_permutation, random_raw_bnode, random_raw_wnode
 from opcalc.trees import DomainError, InjectiveMap
 from opcalc.wconstruction import (
@@ -151,6 +152,52 @@ def test_sorting_twist_refuses_equal_tokens():
     with pytest.raises(DomainError, match="overlap"):
         LittleDiscs(2).validate(ball + ball)
     assert _sorting_twist(["b", "a", "c"]).values == (2, 1, 3)
+
+
+def test_unhooked_operads_keep_the_search():
+    # the recording operad and the resolution once left every vertex to
+    # the search; their hooks now name the twist the search finds
+    for name in ("formal", "w(d1)"):
+        op = WORDS[name]
+        rng = random.Random(f"unhooked-{name}")
+        for k in (2, 2, 3, 3, 4):
+            x = op.sample(rng, k)
+            sigma = op.canonical_twist(x)
+            leaves = tuple(range(1, k + 1))
+            hooked = WNode(op.restrict(sigma, x), sigma.values)
+            assert hooked == _least_twist(op, x, leaves)
+
+
+def test_resolution_labels_fall_back_to_the_search(monkeypatch):
+    # vertices labelled by points of W(d1): the normal form takes no
+    # search, and the search, run vertex by vertex, finds the same form
+    op = WOperad(LittleIntervals())
+    searched = []
+    search = oracles._least_twist
+
+    def counting(op_, label, entries):
+        searched.append(len(entries))
+        return search(op_, label, entries)
+
+    monkeypatch.setattr(oracles, "_least_twist", counting)
+    rng = random.Random(1811)
+    for n in (2, 3, 3, 4, 4):
+        node = _validate_raw(op, random_raw_wnode(rng, op, n, depth=rng.randint(0, 1)))
+        searched.clear()
+        fast = _canonical_node(op, node)
+        assert searched == []
+        slow = _canonical_node_search(op, node)
+        wide = sum(1 for v in _vertices(node) if len(v.children) > 1)
+        assert len(searched) == wide
+        assert entry_text(op, fast) == entry_text(op, slow)
+        assert fast == slow
+
+
+def _vertices(node: WNode):
+    yield node
+    for child in node.children:
+        if not isinstance(child, int):
+            yield from _vertices(child.node)
 
 
 @pytest.mark.parametrize("name", ["d1", "assoc"])

@@ -285,6 +285,30 @@ def test_points_over_leaf_word_hooks_are_marked(make, monkeypatch):
         _check_trusted(op, point)
 
 
+@pytest.mark.parametrize("make", [_framed_formal, _resolution_points])
+def test_points_without_the_shortcut_go_through_the_normalizer(make, monkeypatch):
+    # the same points assembled by hand carry no mark, so each structure
+    # map takes its result through the normalizer, once per point made,
+    # and returns the marked normal form the trusted path gives
+    op, a, b = make()
+    bare_a, bare_b = WPoint(op, a.root), WPoint(op, b.root)
+    assert not bare_a._marked and not bare_b._marked
+    calls = _spy_normalizer(monkeypatch)
+    reverse = InjectiveMap(a.arity, a.arity, tuple(range(a.arity, 0, -1)))
+    c = w_compose(bare_a, 1, bare_b)
+    assert calls == [op]
+    twisted = w_lambda(reverse, bare_a)
+    assert calls == [op] * 2
+    pieces = w_prime_decompose(bare_a).components
+    assert calls == [op] * (2 + len(pieces))
+    assert c == w_compose(a, 1, b)
+    assert twisted == w_lambda(reverse, a)
+    assert pieces == w_prime_decompose(a).components
+    for point in (c, twisted, *pieces):
+        assert point._marked
+        _check_trusted(op, point)
+
+
 def test_marked_points_skip_the_normalizer(monkeypatch):
     rng = random.Random(54)
     a, b = random_wpoint(rng, D1, 4), random_wpoint(rng, D1, 3)
