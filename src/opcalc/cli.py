@@ -466,7 +466,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help='e.g. "o<[1/8,3/8] [5/8,1/1]>"')
         p.add_argument("--x", default="a", help="tag for the open disc (default a)")
         p.add_argument("--loops", default=None,
-                       help="comma-separated loop names for the closed discs")
+                       help="comma-separated loop names for the closed discs, "
+                            "in order; a closed disc left unnamed runs loop-a")
 
     if p := add("check", "run a named randomized law suite", point=False):
         p.add_argument("--seed", type=int, default=0)

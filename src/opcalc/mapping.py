@@ -191,7 +191,7 @@ def pl_reparam(path: PathOfMaps, pairs: Sequence[tuple[Fraction, Fraction]]) -> 
     """Precompose the time coordinate with the piecewise-linear map through
     the given (t, value) pairs; endpoints must be fixed."""
     pairs = [(Fraction(a), Fraction(b)) for a, b in pairs]
-    if pairs[0] != (0, 0) or pairs[-1] != (1, 1):
+    if not pairs or pairs[0] != (0, 0) or pairs[-1] != (1, 1):
         raise DomainError("a reparametrization must fix the endpoints")
     for (a, _), (c, _) in zip(pairs, pairs[1:]):
         if a >= c:
@@ -241,6 +241,7 @@ class PointedMapFamily:
         sweeping the rotation parameter linearly."""
         if self.rotations is None:
             raise DomainError("this family carries no rotation parameters")
+        end = self[x]
         u = self.rotations[x]
         base = self.base_map
         d2 = base.target
@@ -248,8 +249,7 @@ class PointedMapFamily:
         def fn(y, s: Fraction):
             return rotation_map(d2, u * s)(base(y))
 
-        return PathOfMaps(f"sweep({x})", base.source, base.target,
-                          base, self.maps[x],
+        return PathOfMaps(f"sweep({x})", base.source, base.target, base, end,
                           [PathSegment(Fraction(0), Fraction(1), fn)])
 
 

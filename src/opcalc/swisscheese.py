@@ -1,12 +1,16 @@
 """One-dimensional two-colour interval configurations and their action on
 pairs of evaluable maps out of the height-tree resolution.
 
-A configuration cuts [0,1] into an alternating stack of gaps and discs.
-Slicing a height tree along those boundaries assigns every vertex to one
-region (ties go to gaps), inserts a trivial tree wherever a strand crosses
-a region with no vertex, and the action evaluates gap pieces through the
-designated inclusion and disc pieces through the supplied maps, composing
-everything back together in the target.
+A configuration is a little-intervals element listed left to right, with
+a colour: closed, or open when its last interval is the open-input disc
+and ends at 1. Its validation, composition, text and parsing are those of
+`LittleIntervals`. The intervals cut [0,1] into an alternating stack of
+gaps and discs (`regions_of`), and the boundaries between consecutive
+regions are the cuts along which a height tree is sliced, a vertex on a
+boundary going to the gap side. Each slice piece then lies in one region:
+the action evaluates gap pieces through the designated inclusion and disc
+pieces through the supplied maps, and composes everything back together
+in the target.
 """
 
 from __future__ import annotations
@@ -16,15 +20,18 @@ from typing import Callable, Optional, Sequence
 
 from .bconstruction import BPoint, b_map_heights, mu_prime, slice_point
 from .mapping import OperadMap, PathOfMaps, PathSegment, QXElem
-from .operads import format_fraction, parse_fraction
+from .operads import LittleIntervals
 from .trees import DomainError, Record, fold, shown
+
+_INTERVALS = LittleIntervals()
 
 
 class SC1Element(Record):
-    """A sorted configuration of subintervals of [0,1].
+    """A configuration: its colour, "c" or "o", and a little-intervals
+    element whose intervals are listed left to right.
 
     Closed colour: the intervals are the n closed-input discs. Open
-    colour: the last interval is the open-input disc and must end at 1."""
+    colour: the last interval is the open-input disc and ends at 1."""
 
     color: str
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -32,10 +39,6 @@ class SC1Element(Record):
     @property
     def n(self) -> int:
         return len(self.intervals) - (1 if self.color == "o" else 0)
-
-    @property
-    def m(self) -> int:
-        return 1 if self.color == "o" else 0
 
     @property
     def slots(self) -> int:
@@ -46,137 +49,55 @@ def sc1(color: str, intervals) -> SC1Element:
     if color not in ("c", "o"):
         raise DomainError(f"colour must be 'c' or 'o', got {shown(color)}")
     pairs = tuple((Fraction(a), Fraction(b)) for a, b in intervals)
-    if not pairs:
-        raise DomainError("a configuration needs at least one interval")
-    previous = Fraction(0)
-    for a, b in pairs:
-        if a < previous:
-            raise DomainError("intervals must be sorted left to right")
-        if a >= b:
-            raise DomainError(f"empty interval [{a},{b}]")
-        previous = b
-    if previous > 1:
-        raise DomainError("intervals must stay inside [0,1]")
+    _INTERVALS.validate(pairs)
+    if any(b > a for (_, b), (a, _) in zip(pairs, pairs[1:])):
+        raise DomainError("intervals must be sorted left to right")
     if color == "o" and pairs[-1][1] != 1:
         raise DomainError("the open-input interval must end at 1")
     return SC1Element(color, pairs)
 
 
-def gaps(c: SC1Element) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The complementary gaps h_0..h_n, zero-length ones included. For the
-    open colour the last gap stops at the open interval; for the closed
-    colour it runs up to 1."""
-    out = [(Fraction(0), c.intervals[0][0])]
-    for i in range(1, len(c.intervals)):
-        out.append((c.intervals[i - 1][1], c.intervals[i][0]))
-    if c.color == "c":
-        out.append((c.intervals[-1][1], Fraction(1)))
-    return tuple(out)
-
-
-def sc_identity_closed() -> SC1Element:
-    return sc1("c", ((Fraction(0), Fraction(1)),))
-
-
-def sc_identity_open() -> SC1Element:
-    return sc1("o", ((Fraction(0), Fraction(1)),))
-
-
 def compose_sc(c: SC1Element, i: int, other: SC1Element) -> SC1Element:
     """Substitute a configuration into slot i. Closed slots take closed
     configurations; the open slot (last, open colour only) takes open."""
-    if not 1 <= i <= c.slots:
-        raise DomainError(f"slot {i} out of range 1..{c.slots}")
+    intervals = _INTERVALS.compose(c.intervals, i, other.intervals)
     open_slot = c.color == "o" and i == c.slots
     if open_slot and other.color != "o":
         raise DomainError("the open slot takes an open configuration")
     if not open_slot and other.color != "c":
         raise DomainError(f"closed slot {i} takes a closed configuration")
-    a, b = c.intervals[i - 1]
-    w = b - a
-    block = tuple((a + w * x, a + w * y) for x, y in other.intervals)
-    return SC1Element(c.color, c.intervals[: i - 1] + block + c.intervals[i:])
+    return SC1Element(c.color, intervals)
 
 
 # ---------------------------------------------------------------------------
-# regions and subpoint extraction
+# regions and the cuts between them
 # ---------------------------------------------------------------------------
 
 def regions_of(c: SC1Element) -> tuple[tuple[str, int, Fraction, Fraction], ...]:
     """The alternating stack (kind, index, lo, hi), bottom to top: gap 0,
     disc 1, gap 1, ..., ending with the top gap (closed colour) or the open
-    disc (open colour)."""
-    hs = gaps(c)
+    disc (open colour). Gaps may have length zero."""
     out: list = []
+    lo = Fraction(0)
     for i, (a, b) in enumerate(c.intervals, start=1):
-        out.append(("gap", i - 1, *hs[i - 1]))
-        out.append(("disc", i, a, b))
+        out += [("gap", i - 1, lo, a), ("disc", i, a, b)]
+        lo = b
     if c.color == "c":
-        out.append(("gap", c.n, *hs[c.n]))
+        out.append(("gap", c.n, lo, Fraction(1)))
     return tuple(out)
 
 
-def _cuts(c: SC1Element):
-    """Region boundaries as slicing cuts; a vertex exactly on a boundary
-    always lands in the adjacent gap."""
-    cuts = []
-    last = len(c.intervals)
-    for i, (a, b) in enumerate(c.intervals, start=1):
-        cuts.append((a, True))
-        if not (c.color == "o" and i == last):
-            cuts.append((b, False))
-    return tuple(cuts)
+def _cuts(regs) -> tuple:
+    """The boundaries between consecutive regions as slicing cuts; a vertex
+    exactly on a boundary lands in the adjacent gap."""
+    return tuple((hi, kind == "gap") for kind, _, _, hi in regs[:-1])
 
 
-class Subpoint(Record):
-    region: tuple[str, int]
-    body: BPoint
-    position: int
-
-
-class SubpointTable(Record):
-    discs: tuple[tuple[Subpoint, ...], ...]
-    gaps: tuple[tuple[Subpoint, ...], ...]
-
-    def sequence(self, region: tuple[str, int]) -> tuple[Subpoint, ...]:
-        kind, index = region
-        return self.discs[index - 1] if kind == "disc" else self.gaps[index]
-
-
-def extract_subpoints(y: BPoint, c: SC1Element) -> SubpointTable:
-    """Carve y into maximal one-region subtrees, in planar order per
-    region, with a trivial tree for every strand crossing a region it has
-    no vertex in."""
-    regs = regions_of(c)
-    piece = slice_point(y, _cuts(c), trivial_chains=True)
-    buckets: list[list[BPoint]] = [[] for _ in regs]
-    _bucket_pieces(piece, buckets)
-    gap_seqs: list[tuple[Subpoint, ...]] = []
-    disc_seqs: list[tuple[Subpoint, ...]] = []
-    for (kind, index, _, _), bodies in zip(regs, buckets):
-        seq = tuple(Subpoint((kind, index), body, pos)
-                    for pos, body in enumerate(bodies))
-        if kind == "gap":
-            gap_seqs.append(seq)
-        else:
-            disc_seqs.append(seq)
-    return SubpointTable(tuple(disc_seqs), tuple(gap_seqs))
-
-
-def _bucket_pieces(piece, buckets: list[list[BPoint]]) -> None:
-    """Append each piece's point to its layer's bucket, in preorder."""
-    buckets[piece.layer].append(piece.point)
-    for entry in piece.exits:
-        if not isinstance(entry, int):
-            _bucket_pieces(entry, buckets)
-
-
-def rescale(interval: tuple[Fraction, Fraction], s) -> BPoint:
-    """Pull a disc subpoint back through the disc's affine embedding."""
+def rescale(interval: tuple[Fraction, Fraction], body: BPoint) -> BPoint:
+    """Pull a disc piece back through the disc's affine embedding."""
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo >= hi:
         raise DomainError("degenerate interval")
-    body = s.body if isinstance(s, Subpoint) else s
 
     def back(h: Fraction) -> Fraction:
         if not lo < h <= hi:
@@ -213,7 +134,7 @@ def _assemble(c: SC1Element, fs: Sequence[Callable], y: BPoint,
             return out.q, piece.exits
         return out, piece.exits
 
-    piece_tree = slice_point(y, _cuts(c), trivial_chains=True)
+    piece_tree = slice_point(y, _cuts(regs))
     value = fold(*open_piece(piece_tree), open_piece, target.compose, target.restrict)
     if not tagged:
         return value
@@ -243,6 +164,12 @@ def d1_action_eval(c: SC1Element, fs: Sequence[Callable], y: BPoint,
 
 def _disc_segments(c: SC1Element, paths: Sequence[PathOfMaps], base: OperadMap,
                    tail: Optional[PathOfMaps]) -> list[PathSegment]:
+    """The loops in the closed discs and the tail, if any, in the open one,
+    constant at the base map on the gaps."""
+    if len(paths) != c.n:
+        raise DomainError(f"need {c.n} loops, got {len(paths)}")
+    if any(g.start != base or g.end != base for g in paths):
+        raise DomainError("every loop must start and end at the base map")
     segments: list[PathSegment] = []
     cursor = Fraction(0)
 
@@ -264,11 +191,6 @@ def loop_act_sc(c: SC1Element, paths: Sequence[PathOfMaps],
     """Run each loop inside its disc, constant at the base map on gaps."""
     if c.color != "c":
         raise DomainError("loop concatenation needs a closed configuration")
-    if len(paths) != c.n:
-        raise DomainError(f"need {c.n} loops, got {len(paths)}")
-    for g in paths:
-        if g.start != base or g.end != base:
-            raise DomainError("every loop must start and end at the base map")
     return PathOfMaps(f"sc-loop({format_sc(c)})", base.source, base.target,
                       base, base, _disc_segments(c, paths, base, None))
 
@@ -278,15 +200,11 @@ def path_act_sc(c: SC1Element, paths: Sequence[PathOfMaps], tail: PathOfMaps,
     """Loops in the closed discs, then the tail path in the open disc."""
     if c.color != "o":
         raise DomainError("path concatenation needs an open configuration")
-    if len(paths) != c.n:
-        raise DomainError(f"need {c.n} loops, got {len(paths)}")
-    for g in paths:
-        if g.start != base or g.end != base:
-            raise DomainError("every loop must start and end at the base map")
+    segments = _disc_segments(c, paths, base, tail)
     if tail.start != base:
         raise DomainError("the tail path must start at the base map")
     return PathOfMaps(f"sc-path({format_sc(c)})", base.source, base.target,
-                      base, tail.end, _disc_segments(c, paths, base, tail))
+                      base, tail.end, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +212,14 @@ def path_act_sc(c: SC1Element, paths: Sequence[PathOfMaps], tail: PathOfMaps,
 # ---------------------------------------------------------------------------
 
 def format_sc(c: SC1Element) -> str:
-    body = " ".join(f"[{format_fraction(a)},{format_fraction(b)}]"
-                    for a, b in c.intervals)
-    return f"{c.color}<{body}>"
+    return c.color + _INTERVALS.format_element(c.intervals)
 
 
 def parse_sc(text: str) -> SC1Element:
     text = text.strip()
-    if len(text) < 3 or text[0] not in "co" or text[1] != "<" or text[-1] != ">":
+    if text[:2] not in ("c<", "o<"):
         raise DomainError(f"bad configuration text {shown(text)}")
-    pairs = []
-    for chunk in text[2:-1].split():
-        if not (chunk.startswith("[") and chunk.endswith("]")):
-            raise DomainError(f"bad interval {shown(chunk)}")
-        a, _, b = chunk[1:-1].partition(",")
-        pairs.append((parse_fraction(a), parse_fraction(b)))
-    return sc1(text[0], pairs)
+    return sc1(text[0], _INTERVALS.parse_element(text[1:]))
 
 
 def sample_sc1(rng, n: int, color: str) -> SC1Element:

@@ -400,12 +400,6 @@ def _carve_entry(finish: Callable[[WNode], WPoint], entry: WEntry, exits: list,
                          tuple(_carve_entry(finish, c, exits, components) for c in entry.children))
 
 
-def reassemble(op: EffectiveOperad, dec: WDecomposition) -> WPoint:
-    if not dec.components:
-        return w_unit(op)
-    return fold(dec.skeleton.label, dec.skeleton.children, open_entry, w_compose, w_lambda)
-
-
 # ---------------------------------------------------------------------------
 # the resolution as an operad in its own right
 # ---------------------------------------------------------------------------

@@ -42,11 +42,10 @@ from opcalc.serialize import (
     w_to_jsonable,
 )
 from opcalc.suites import suite_matching
-from opcalc.swisscheese import alpha_eval, d1_action_eval, extract_subpoints, parse_sc
+from opcalc.swisscheese import alpha_eval, d1_action_eval, parse_sc
 from opcalc.trees import InjectiveMap
 from opcalc.wconstruction import (
     mu,
-    reassemble,
     w_compose,
     w_corolla,
     w_lambda,
@@ -88,7 +87,6 @@ def core_calls(op):
         "w_lambda": lambda: w_lambda(u, a),
         "mu": lambda: mu(a),
         "w_prime_decompose": lambda: w_prime_decompose(a),
-        "reassemble": lambda: reassemble(op, w_prime_decompose(a)),
         "eval_truncated_operad_map": lambda: eval_truncated_operad_map(mu, 4, a, op),
         "tree_text": lambda: skeleton_text(w_prime_decompose(a).skeleton),
         "bpoint": lambda: bpoint(op, raw_b),
@@ -134,12 +132,11 @@ def evaluator_calls():
         "lift_path": lambda: lift_path(f0, g, "a", F(1, 3), b, ws.qxprod),
         "alpha_eval": lambda: alpha_eval(open_c, fs + [f0], b, ws.family.base_map),
         "d1_action_eval": lambda: d1_action_eval(closed_c, fs * 2, b, ws.family.base_map),
-        "extract_subpoints": lambda: extract_subpoints(b, open_c),
     }
 
 
-@pytest.mark.parametrize("entry", ["alpha_eval", "d1_action_eval", "extract_subpoints",
-                                   "lift_path", "psi_prime_eval", "xi_eval"])
+@pytest.mark.parametrize("entry", ["alpha_eval", "d1_action_eval", "lift_path",
+                                   "psi_prime_eval", "xi_eval"])
 def test_evaluators_leave_no_cycles(entry):
     assert cyclic_garbage(evaluator_calls()[entry]) == 0
 

@@ -4,6 +4,17 @@ These raises guard the structure maps, the injections, the slicer, the
 raw-tree validators, the base operads' checks, the text and JSON readers
 and the truncated evaluators against arguments the callers inside the
 package never pass, so no law suite reaches them.
+
+The same holds for the guards of the maps and paths in `mapping`: a
+bimodule map between bimodules over different operads, the inclusion into
+discs of a dimension other than 2, concatenating paths between different
+operads, a reparametrization with no pairs or with times that do not
+increase, a family missing a tag or without rotation parameters, a sweep
+to an unknown tag, a tag path starting past 1, an untagged element, a
+vertex value of the wrong arity and `psi_double_prime` of a map into
+another target. And for those of `swisscheese`: a degenerate disc in
+`rescale`, the wrong number of loops or a tail away from the base map in
+`path_act_sc`, and `sample_sc1` asked for no interval.
 """
 
 import random
@@ -14,8 +25,12 @@ import pytest
 from opcalc.bconstruction import BNode, b_lambda, b_left_act, b_right_act, bpoint, slice_point
 from opcalc.bimodules import (BBimodule, WSelfBimodule, eval_truncated_bimodule_map,
                               eval_truncated_operad_map)
-from opcalc.operads import LittleDiscs, LittleIntervals
+from opcalc.mapping import (BimoduleMap, PointedMapFamily, QXProductBimodule, XPath,
+                            concat_paths, constant_path, delta_family, eta_map, eta_mu_map,
+                            fold_point_through, pl_reparam, psi_double_prime)
+from opcalc.operads import LittleDiscs, LittleIntervals, PointedSet
 from opcalc.serialize import parse_b_text, parse_w_text, w_from_jsonable
+from opcalc.swisscheese import parse_sc, path_act_sc, rescale, sample_sc1
 from opcalc.trees import DomainError, InjectiveMap, block_injection, drop_block
 from opcalc.wconstruction import WEdge, WNode, WOperad, mu, w_compose, w_lambda, wpoint
 
@@ -23,6 +38,10 @@ D1 = LittleIntervals()
 D2 = LittleDiscs(2)
 HALVES = ((F(0), F(1, 2)), (F(1, 2), F(1)))
 CUP_TEXT = '(v "<[0/1,1/2] [1/2,1/1]>" l1 l2)'
+EM = eta_mu_map(D1, D2)
+X = PointedSet("X", ("*", "a", "b"), "*")
+FAM = delta_family(D1, D2, X, {"*": 0, "a": F(1, 2), "b": F(-1, 3)})
+OPEN_UNIT = parse_sc("o<[0/1,1/1]>")
 
 
 def _cup():
@@ -45,6 +64,10 @@ def _capped():
 
 def _w_point_over_d2():
     return wpoint(D2, WNode(D2.sample(random.Random(0), 2), (1, 2)))
+
+
+def _identity(name):
+    return BimoduleMap(name, BBimodule(D1), BBimodule(D1), lambda b: b)
 
 
 def _pieces_as_they_are(order):
@@ -148,6 +171,46 @@ CASES = {
     "w json over discs2 read over intervals": (
         lambda: w_from_jsonable(D1, {"kind": "w", "operad": "discs2", "root": {"leaf": 1}}),
         "^point is over 'discs2', not 'intervals'$"),
+    "bimodule map across operads": (
+        lambda: BimoduleMap("f", BBimodule(D1), BBimodule(D2), lambda b: b),
+        "^bimodules live over different operads$"),
+    "inclusion into three dimensions": (lambda: eta_map(D1, LittleDiscs(3)),
+                                        "^the inclusion lands in the two-dimensional instance$"),
+    "paths between different operads": (
+        lambda: concat_paths(constant_path(EM), constant_path(eta_map(D1, D2))),
+        "^paths live between different operads$"),
+    "reparametrization with no pairs": (lambda: pl_reparam(constant_path(EM), []),
+                                        "^a reparametrization must fix the endpoints$"),
+    "reparametrization back in time": (
+        lambda: pl_reparam(constant_path(EM), [(0, 0), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)),
+                                               (1, 1)]),
+        "^reparametrization times must increase$"),
+    "family missing a tag": (lambda: PointedMapFamily(X, {"*": EM}),
+                             "^the family must assign a map to every tag$"),
+    "sweep in a family without rotations": (
+        lambda: PointedMapFamily(X, FAM.maps).path_to("a"),
+        "^this family carries no rotation parameters$"),
+    "sweep to an unknown tag": (lambda: FAM.path_to("c"), "^unknown tag 'c'$"),
+    "tag path starting past 1": (lambda: XPath(X, ((0, "*"), (2, "a"))),
+                                 r"^segments must start within \[0,1\]$"),
+    "untagged element": (lambda: QXProductBimodule(FAM).validate(D2.unit()),
+                         "^expected a tagged element$"),
+    "vertex value of the wrong arity": (
+        lambda: fold_point_through(_b_cup(), D2, lambda label, h: D2.unit()),
+        "^vertex value has the wrong arity$"),
+    "psi'' of a map into another target": (lambda: psi_double_prime(_identity("f"),
+                                                                   QXProductBimodule(FAM)),
+                                           "^expected a map into a fixed-tag target$"),
+    "rescale through a degenerate disc": (lambda: rescale((F(1, 2), F(1, 2)), _b_cup()),
+                                          "^degenerate interval$"),
+    "path action with a loop too many": (
+        lambda: path_act_sc(OPEN_UNIT, [constant_path(EM)], constant_path(EM), EM),
+        "^need 0 loops, got 1$"),
+    "path action with a tail away from the base map": (
+        lambda: path_act_sc(OPEN_UNIT, [], constant_path(FAM["a"]), EM),
+        "^the tail path must start at the base map$"),
+    "closed configuration with no interval": (lambda: sample_sc1(random.Random(0), 0, "c"),
+                                              "^need at least one interval$"),
 }
 
 

@@ -5,6 +5,10 @@
     move or a merge still costs every process that loads the module.
   * Every private module-level function in `src/opcalc` is referenced
     somewhere in `src/opcalc`: a private helper nothing calls is dead code.
+  * Every public module-level function and class in `src/opcalc` is read
+    by `src/opcalc` or `perfbench/`, outside its own definition: library
+    code that only tests reach is dead code too. `KEPT_WITHOUT_A_USER`
+    names the exceptions, each with its reason.
 """
 
 import ast
@@ -14,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "opcalc").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -85,3 +90,33 @@ def test_every_private_function_is_referenced():
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in referenced)
     assert unused == []
+
+
+KEPT_WITHOUT_A_USER = (
+    ("mapping", "psi_double_prime",
+     "the law guard for maps of unknown origin; the CLI's own maps take `tagged_map`"),
+    ("swisscheese", "compose_sc",
+     "the Swiss-cheese operad's composition, which the action's compatibility "
+     "laws are stated against (acceptance test 07)"),
+    ("swisscheese", "loop_act_sc",
+     "the concatenated loop, the reference the closed action is tested against "
+     "(`test_sc::test_loop_action_matches_the_sliced_action`)"),
+    ("swisscheese", "path_act_sc",
+     "the concatenated path, the reference the open action is tested against "
+     "(`test_sc::test_path_action_matches_the_open_action`)"),
+)
+
+
+def test_every_public_name_has_a_user():
+    defined: dict = {}
+    readers: list = []
+    for path in SOURCES + BENCHMARK:
+        for node in _tree(path).body:
+            readers.append((node, _references(node)))
+            if (path in SOURCES and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node] = f"{path.stem}:{node.name}"
+    unused = sorted(label for node, label in defined.items()
+                    if not any(node.name in names for reader, names in readers
+                               if reader is not node))
+    assert unused == sorted(f"{module}:{name}" for module, name, _ in KEPT_WITHOUT_A_USER)

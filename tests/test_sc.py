@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from opcalc.bconstruction import BNode, b_corolla, b_prime_decompose, bpoint
+from opcalc.bconstruction import BNode, b_corolla, b_prime_decompose, bpoint, slice_point
 from opcalc.bimodules import BBimodule
 from opcalc.mapping import (
     BimoduleMap,
@@ -24,14 +24,12 @@ from opcalc.mapping import (
 from opcalc.operads import LittleDiscs, LittleIntervals, PointedSet
 from opcalc.sampling import random_bpoint
 from opcalc.swisscheese import (
-    Subpoint,
     _assemble,
+    _cuts,
     alpha_eval,
     compose_sc,
     d1_action_eval,
-    extract_subpoints,
     format_sc,
-    gaps,
     loop_act_sc,
     parse_sc,
     path_act_sc,
@@ -39,8 +37,6 @@ from opcalc.swisscheese import (
     rescale,
     sample_sc1,
     sc1,
-    sc_identity_closed,
-    sc_identity_open,
 )
 from opcalc.trees import DomainError
 from opcalc.wconstruction import w_corolla, w_text
@@ -57,6 +53,8 @@ LA2 = w_corolla(D1, ((F(0), F(1, 2)), (F(1, 2), F(1))))
 LB2 = w_corolla(D1, ((F(0), F(1, 3)), (F(2, 3), F(1))))
 
 OPEN_C = sc1("o", ((F(1, 4), F(1, 2)), (F(3, 4), F(1))))
+CLOSED_UNIT = parse_sc("c<[0/1,1/1]>")
+OPEN_UNIT = parse_sc("o<[0/1,1/1]>")
 
 
 def xi_map(seed: int):
@@ -81,11 +79,19 @@ def test_sc1_validation():
         sc1("c", ((F(1, 2), F(1, 4)),))
     with pytest.raises(DomainError):
         sc1("c", ((F(1, 4), F(3, 4)), (F(1, 2), F(1))))
+    # disjoint intervals are a little-intervals element in any order, a
+    # configuration only left to right
+    with pytest.raises(DomainError, match="^intervals must be sorted left to right$"):
+        sc1("c", ((F(1, 2), F(1)), (F(0), F(1, 2))))
     with pytest.raises(DomainError):
         sc1("c", ((F(1, 2), F(5, 4)),))
     with pytest.raises(DomainError):
         sc1("o", ((F(1, 4), F(1, 2)),))
     assert sc1("c", ((F(0), F(1, 2)), (F(1, 2), F(1)))).n == 2
+
+
+def gaps(c):
+    return tuple((lo, hi) for kind, _, lo, hi in regions_of(c) if kind == "gap")
 
 
 def test_gap_fixtures():
@@ -97,9 +103,9 @@ def test_gap_fixtures():
 
 
 def test_counts():
-    assert OPEN_C.n == 1 and OPEN_C.m == 1 and OPEN_C.slots == 2
+    assert OPEN_C.n == 1 and OPEN_C.slots == 2
     closed = sc1("c", ((F(1, 4), F(1, 2)),))
-    assert closed.n == 1 and closed.m == 0 and closed.slots == 1
+    assert closed.n == 1 and closed.slots == 1
 
 
 def test_regions_alternate():
@@ -107,6 +113,16 @@ def test_regions_alternate():
     assert [r[:2] for r in regs] == [("gap", 0), ("disc", 1), ("gap", 1), ("disc", 2)]
     closed = sc1("c", ((F(1, 4), F(1, 2)),))
     assert [r[:2] for r in regions_of(closed)] == [("gap", 0), ("disc", 1), ("gap", 1)]
+
+
+def test_cuts_are_the_region_boundaries():
+    # a boundary's vertex goes to the gap: the gap below a disc keeps its
+    # top edge, the gap above a disc its bottom edge
+    assert _cuts(regions_of(OPEN_C)) == ((F(1, 4), True), (F(1, 2), False), (F(3, 4), True))
+    touching = sc1("c", ((F(0), F(1, 2)), (F(1, 2), F(1))))
+    assert _cuts(regions_of(touching)) == ((F(0), True), (F(1, 2), False), (F(1, 2), True),
+                                          (F(1), False))
+    assert _cuts(regions_of(OPEN_UNIT)) == ((F(0), True),)
 
 
 def test_compose_closed_in_closed():
@@ -143,10 +159,10 @@ def test_compose_identities():
     for _ in range(10):
         c = sample_sc1(rng, rng.randint(1, 3), rng.choice("co"))
         for i in range(1, c.n + 1):
-            assert compose_sc(c, i, sc_identity_closed()) == c
+            assert compose_sc(c, i, CLOSED_UNIT) == c
         if c.color == "o":
-            assert compose_sc(c, c.slots, sc_identity_open()) == c
-    assert compose_sc(sc_identity_open(), 1, OPEN_C) == OPEN_C
+            assert compose_sc(c, c.slots, OPEN_UNIT) == c
+    assert compose_sc(OPEN_UNIT, 1, OPEN_C) == OPEN_C
 
 
 def test_compose_is_associative_on_samples():
@@ -162,7 +178,23 @@ def test_compose_is_associative_on_samples():
         assert nested == flat
 
 
-# -- subpoint extraction ------------------------------------------------------
+# -- the slice pieces the action folds -----------------------------------------
+
+def region_pieces(y, c):
+    """The points of the slice pieces `_assemble` folds, listed per region
+    in preorder: {(kind, index): [point, ...]}, the regions bottom to top."""
+    regs = regions_of(c)
+    found = {reg[:2]: [] for reg in regs}
+
+    def walk(piece):
+        found[regs[piece.layer][:2]].append(piece.point)
+        for entry in piece.exits:
+            if not isinstance(entry, int):
+                walk(entry)
+
+    walk(slice_point(y, _cuts(regs)))
+    return found
+
 
 def mini_point():
     # root inside disc 1, child inside gap 1, strands crossing disc 2
@@ -170,37 +202,37 @@ def mini_point():
 
 
 def signature(seq):
-    return [(s.body.is_trivial, s.body.arity) for s in seq]
+    return [(body.is_trivial, body.arity) for body in seq]
 
 
 def test_extraction_shapes_on_the_mini_point():
-    tab = extract_subpoints(mini_point(), OPEN_C)
-    assert signature(tab.gaps[0]) == [(True, 1)]
-    assert signature(tab.discs[0]) == [(False, 2)]
-    assert signature(tab.gaps[1]) == [(False, 2), (True, 1)]
-    assert signature(tab.discs[1]) == [(True, 1), (True, 1), (True, 1)]
+    pieces = region_pieces(mini_point(), OPEN_C)
+    assert signature(pieces["gap", 0]) == [(True, 1)]
+    assert signature(pieces["disc", 1]) == [(False, 2)]
+    assert signature(pieces["gap", 1]) == [(False, 2), (True, 1)]
+    assert signature(pieces["disc", 2]) == [(True, 1), (True, 1), (True, 1)]
     # the disc-1 body keeps original heights with local leaf numbers
-    assert tab.discs[0][0].body == bpoint(D1, BNode(LA2, F(1, 3), (1, 2)))
-    assert tab.discs[0][0].region == ("disc", 1)
-    assert [s.position for s in tab.discs[1]] == [0, 1, 2]
+    assert pieces["disc", 1][0] == bpoint(D1, BNode(LA2, F(1, 3), (1, 2)))
+    assert list(pieces) == [("gap", 0), ("disc", 1), ("gap", 1), ("disc", 2)]
+    assert len(pieces["disc", 2]) == 3
 
 
 def test_single_gap_vertex_leaves_only_trivial_trees_elsewhere():
     y = b_corolla(D1, LA2, F(1, 8))
-    tab = extract_subpoints(y, OPEN_C)
-    assert signature(tab.gaps[0]) == [(False, 2)]
-    assert signature(tab.discs[0]) == [(True, 1), (True, 1)]
-    assert signature(tab.gaps[1]) == [(True, 1), (True, 1)]
-    assert signature(tab.discs[1]) == [(True, 1), (True, 1)]
+    pieces = region_pieces(y, OPEN_C)
+    assert signature(pieces["gap", 0]) == [(False, 2)]
+    assert signature(pieces["disc", 1]) == [(True, 1), (True, 1)]
+    assert signature(pieces["gap", 1]) == [(True, 1), (True, 1)]
+    assert signature(pieces["disc", 2]) == [(True, 1), (True, 1)]
 
 
 def test_boundary_heights_belong_to_gaps():
     y = bpoint(D1, BNode(LA2, F(1, 4), (BNode(LB2, F(1, 2), (1, 2)), 3)))
-    tab = extract_subpoints(y, OPEN_C)
+    pieces = region_pieces(y, OPEN_C)
     # 1/4 is the bottom edge of disc 1, 1/2 its top edge: both are gap heights
-    assert signature(tab.gaps[0]) == [(False, 2)]
-    assert signature(tab.gaps[1]) == [(False, 2), (True, 1)]
-    assert all(s.body.is_trivial for s in tab.discs[0])
+    assert signature(pieces["gap", 0]) == [(False, 2)]
+    assert signature(pieces["gap", 1]) == [(False, 2), (True, 1)]
+    assert all(body.is_trivial for body in pieces["disc", 1])
 
 
 def test_nontrivial_subpoints_partition_the_vertices():
@@ -223,15 +255,14 @@ def test_nontrivial_subpoints_partition_the_vertices():
     for _ in range(30):
         y = random_bpoint(rng, D1, rng.randint(1, 4))
         c = sample_sc1(rng, rng.randint(1, 2), rng.choice("co"))
-        tab = extract_subpoints(y, c)
-        collected = sorted(
-            v for seq in tab.discs + tab.gaps for s in seq for v in multiset(s.body))
+        collected = sorted(v for seq in region_pieces(y, c).values()
+                           for body in seq for v in multiset(body))
         assert collected == sorted(multiset(y))
 
 
 def test_rescale_fixtures():
     body = b_corolla(D1, LA2, F(3, 4))
-    out = rescale((F(1, 2), F(1)), Subpoint(("disc", 1), body, 0))
+    out = rescale((F(1, 2), F(1)), body)
     assert out == b_corolla(D1, LA2, F(1, 2))
     assert rescale((F(0), F(1)), body) == body
     assert rescale((F(1, 2), F(1)), b_corolla(D1, LA2, F(1))) == b_corolla(D1, LA2, F(1))
@@ -251,8 +282,8 @@ def test_identity_configurations_act_trivially():
     ff, _ = tagged_map(8)
     for _ in range(8):
         y = random_bpoint(rng, D1, rng.randint(1, 4))
-        assert D2.eq(d1_action_eval(sc_identity_closed(), [f], y, EM), f(y))
-        assert QXP.eq(alpha_eval(sc_identity_open(), [ff], y, EM), ff(y))
+        assert D2.eq(d1_action_eval(CLOSED_UNIT, [f], y, EM), f(y))
+        assert QXP.eq(alpha_eval(OPEN_UNIT, [ff], y, EM), ff(y))
 
 
 def test_point_entirely_inside_the_open_disc():
@@ -268,11 +299,11 @@ def test_wrong_colour_is_rejected():
     ff, _ = tagged_map(11)
     y = mini_point()
     with pytest.raises(DomainError):
-        alpha_eval(sc_identity_closed(), [ff], y, EM)
+        alpha_eval(CLOSED_UNIT, [ff], y, EM)
     with pytest.raises(DomainError):
         d1_action_eval(OPEN_C, [f, f], y, EM)
     with pytest.raises(DomainError):
-        d1_action_eval(sc_identity_closed(), [f, f], y, EM)
+        d1_action_eval(CLOSED_UNIT, [f, f], y, EM)
 
 
 def test_alpha_against_a_hand_assembled_value():
@@ -354,11 +385,13 @@ def test_path_action_validation():
     with pytest.raises(DomainError):
         loop_act_sc(OPEN_C, [loop], EM)
     with pytest.raises(DomainError):
-        loop_act_sc(sc_identity_closed(), [loop, loop], EM)
+        loop_act_sc(CLOSED_UNIT, [loop, loop], EM)
+    with pytest.raises(DomainError, match="^need 2 loops, got 1$"):
+        loop_act_sc(sc1("c", ((F(0), F(1, 2)), (F(1, 2), F(1)))), [loop], EM)
     with pytest.raises(DomainError):
-        loop_act_sc(sc_identity_closed(), [sweep], EM)
+        loop_act_sc(CLOSED_UNIT, [sweep], EM)
     with pytest.raises(DomainError):
-        path_act_sc(sc_identity_closed(), [], sweep, EM)
+        path_act_sc(CLOSED_UNIT, [], sweep, EM)
     with pytest.raises(DomainError):
         path_act_sc(OPEN_C, [sweep], sweep, EM)
 
@@ -430,10 +463,9 @@ def test_subpoints_respect_the_filtration():
         y = random_bpoint(rng, D1, rng.randint(1, 4))
         level = b_prime_decompose(y).filtration[0]
         c = sample_sc1(rng, rng.randint(1, 2), rng.choice("co"))
-        tab = extract_subpoints(y, c)
-        for seq in tab.discs + tab.gaps:
-            for s in seq:
-                assert b_prime_decompose(s.body).filtration[0] <= level
+        for seq in region_pieces(y, c).values():
+            for body in seq:
+                assert b_prime_decompose(body).filtration[0] <= level
 
 
 def test_singleton_tag_set_matches_the_plain_action():
@@ -458,7 +490,7 @@ def test_singleton_tag_set_matches_the_plain_action():
 # -- io -----------------------------------------------------------------------
 
 def test_text_round_trip():
-    for c in (OPEN_C, sc_identity_closed(), sc1("c", ((F(1, 3), F(2, 3)),))):
+    for c in (OPEN_C, CLOSED_UNIT, sc1("c", ((F(1, 3), F(2, 3)),))):
         assert parse_sc(format_sc(c)) == c
     assert format_sc(OPEN_C) == "o<[1/4,1/2] [3/4,1/1]>"
     with pytest.raises(DomainError):

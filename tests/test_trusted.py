@@ -29,7 +29,7 @@ from opcalc.bconstruction import (
     bpoint,
     slice_point,
 )
-from opcalc.bimodules import BBimodule
+from opcalc.bimodules import BBimodule, eval_truncated_operad_map
 from opcalc.cli import main
 from opcalc.operads import (
     Associative,
@@ -57,7 +57,6 @@ from opcalc.wconstruction import (
     WPoint,
     _normal_w,
     entry_text,
-    reassemble,
     w_compose,
     w_lambda,
     w_prime_decompose,
@@ -100,7 +99,7 @@ def test_w_structure_maps_return_valid_points(name):
         dec = w_prime_decompose(a)
         for piece in dec.components:
             wop.validate(piece)
-        back = reassemble(op, dec)
+        back = eval_truncated_operad_map(lambda piece: piece, dec.filtration_level, a, wop)
         wop.validate(back)
         assert back == a
 
