@@ -7,16 +7,19 @@ operad; `BBimodule` is the height-tree resolution B as one, and
 through `bpoint` or `wpoint` and compares.
 
 `eval_truncated_operad_map` and `eval_truncated_bimodule_map` evaluate a
-map that is given only on the prime pieces of at most `level` inputs, by
-contracting the decomposition's edges or caps in a chosen order. A W
-decomposition's skeleton is a tree of `trees`' protocol whose vertices are
-labelled by the pieces; its vertices are numbered in preorder, the order
-of `components`, and its edges listed as their upper vertices are numbered.
-A B decomposition's pieces are slice pieces, whose exits are trivial
-pieces over one strand or caps; the caps are numbered in planar order.
-Each piece or vertex keeps a row with one slot per input: a leaf number,
-or the skeleton vertex or cap above it, found by identity, until it is
-contracted into the row.
+map that is given only on the prime pieces of at most `level` inputs. Both
+run one contraction loop over nodes, each with a value and a row that has
+one slot per input: a leaf number, or the node above it. A step finds by
+identity the row that holds its node, acts on that row's value at the
+slot with the node's value, and splices the node's row in; `order` picks
+the sequence of steps.
+- W: the nodes are the skeleton's vertices in preorder, the order of
+  `components`, valued by `assign` on their components. Step e contracts
+  the edge below vertex e + 1, acting by `target.compose`.
+- B: the nodes are the slice pieces, valued by `assign`, then the caps in
+  planar order, valued by their labels with their exits as rows. Step c
+  applies cap c by `target.right_act`; the root label then acts on the
+  pieces' values from the left.
 
 The check suites, the evaluators (`mapping`) and `mu --truncate` load this
 module; the W and B commands do not.
@@ -33,12 +36,11 @@ from .bconstruction import (
     b_lambda,
     b_prime_decompose,
     b_right_act,
-    b_unit,
     bpoint,
 )
 from .operads import EffectiveOperad
 from .trees import DomainError, InjectiveMap, fold
-from .wconstruction import WNode, WOperad, WPoint, w_compose, w_lambda, w_prime_decompose, w_unit
+from .wconstruction import WNode, WOperad, WPoint, w_compose, w_lambda, w_prime_decompose
 
 
 class Bimodule(ABC):
@@ -52,10 +54,6 @@ class Bimodule(ABC):
 
     @abstractmethod
     def validate(self, x) -> None: ...
-
-    @abstractmethod
-    def unit(self):
-        """The distinguished arity-1 element (image of the bare strand)."""
 
     @abstractmethod
     def left_act(self, p, xs: tuple): ...
@@ -74,12 +72,6 @@ class Bimodule(ABC):
 
     def eq(self, x, y) -> bool:
         return self.key(x) == self.key(y)
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.name == getattr(other, "name", None)
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.name))
 
     def __repr__(self) -> str:
         return f"<bimodule {self.name}>"
@@ -101,9 +93,6 @@ class BBimodule(Bimodule):
             raise DomainError(f"expected a point over {self.base.name}")
         if bpoint(self.base, x.root).root != x.root:
             raise DomainError("point is not in normal form")
-
-    def unit(self) -> BPoint:
-        return b_unit(self.base)
 
     def left_act(self, p: WPoint, xs: tuple) -> BPoint:
         return b_left_act(p, tuple(xs))
@@ -136,9 +125,6 @@ class WSelfBimodule(Bimodule):
     def validate(self, x) -> None:
         self.over.validate(x)
 
-    def unit(self) -> WPoint:
-        return w_unit(self.base)
-
     def left_act(self, p: WPoint, xs: tuple) -> WPoint:
         if len(xs) != p.arity:
             raise DomainError(f"need {p.arity} points, got {len(xs)}")
@@ -161,13 +147,8 @@ class WSelfBimodule(Bimodule):
         return random_wpoint(rng, self.base, n)
 
 
-def eval_truncated_operad_map(
-    assign: Callable[[WPoint], Hashable],
-    level: int,
-    a: WPoint,
-    target: EffectiveOperad,
-    order: Optional[list[int]] = None,
-):
+def eval_truncated_operad_map(assign: Callable[[WPoint], Hashable], level: int, a: WPoint,
+                              target: EffectiveOperad, order: Optional[list[int]] = None):
     """Evaluate a map defined on pieces of at most `level` inputs.
 
     assign sends each prime component to a target element of the same
@@ -183,61 +164,24 @@ def eval_truncated_operad_map(
         return target.unit()
 
     vertices: list[WNode] = []
-    edges: list[tuple[int, int]] = []
-    _preorder(dec.skeleton, vertices, edges)
-    values: list = []
-    for vertex in vertices:
-        value = assign(vertex.label)
-        if target.arity_of(value) != vertex.label.arity:
-            raise DomainError("assigned value has the wrong arity")
-        values.append(value)
-    if order is None:
-        order = list(range(len(edges)))
-    if sorted(order) != list(range(len(edges))):
-        raise DomainError("order must be a permutation of the edge indices")
-
+    _preorder(dec.skeleton, vertices)
+    values = _assigned(assign, target, [vertex.label for vertex in vertices])
     rows = [list(vertex.children) for vertex in vertices]
-    owner = list(range(len(vertices)))
-
-    def find(k: int) -> int:
-        while owner[k] != k:
-            owner[k] = owner[owner[k]]
-            k = owner[k]
-        return k
-
-    for edge_index in order:
-        parent, child = edges[edge_index]
-        parent = find(parent)
-        row = rows[parent]
-        at = next(j for j, slot in enumerate(row) if slot is vertices[child])
-        values[parent] = target.compose(values[parent], at + 1, values[child])
-        row[at: at + 1] = rows[child]
-        owner[child] = parent
-
-    root = find(0)
-    # every slot holds a leaf number now, so the fold only relabels
-    return fold(values[root], tuple(rows[root]), None, None, target.restrict)
+    # edge e is the edge below vertex e + 1
+    word = _contract(vertices, values, rows, 1, order, target.compose)
+    return fold(values[0], word, None, None, target.restrict)
 
 
-def _preorder(vertex: WNode, vertices: list[WNode], edges: list[tuple[int, int]]) -> None:
-    """Append vertex and the skeleton vertices above it to `vertices` in
-    preorder, and each edge as the numbers (lower, upper) of its vertices
-    when its upper vertex is appended."""
-    k = len(vertices)
+def _preorder(vertex: WNode, vertices: list[WNode]) -> None:
+    """Append vertex and the skeleton vertices above it to `vertices` in preorder."""
     vertices.append(vertex)
     for child in vertex.children:
         if isinstance(child, WNode):
-            edges.append((k, len(vertices)))
-            _preorder(child, vertices, edges)
+            _preorder(child, vertices)
 
 
-def eval_truncated_bimodule_map(
-    assign: Callable[[BPoint], Hashable],
-    level: int,
-    b: BPoint,
-    target: Bimodule,
-    order: Optional[list[int]] = None,
-):
+def eval_truncated_bimodule_map(assign: Callable[[BPoint], Hashable], level: int, b: BPoint,
+                                target: Bimodule, order: Optional[list[int]] = None):
     """Evaluate a bimodule map defined on pieces of at most `level` inputs.
 
     assign sends each middle piece of the two-sided decomposition to a
@@ -250,33 +194,49 @@ def eval_truncated_bimodule_map(
         raise DomainError(
             f"point at filtration level {dec.filtration[0]} exceeds {level}")
 
+    pieces = list(dec.pieces)
+    values = _assigned(assign, target, [piece.point for piece in pieces])
+    rows = [[up.exits[0] if up.point.is_trivial else up for up in piece.exits]
+            for piece in pieces]
+    caps = [up for piece in pieces for up in piece.exits if not up.point.is_trivial]
+    values += [cap.point.root.label for cap in caps]
+    rows += [list(cap.exits) for cap in caps]
+    # cap c is node len(pieces) + c
+    word = _contract(pieces + caps, values, rows, len(pieces), order, target.right_act)
+
+    # without a root label there is one piece
+    value = (values[0] if dec.root_label is None
+             else target.left_act(dec.root_label, tuple(values[:len(pieces)])))
+    return fold(value, word, None, None, target.restrict)
+
+
+def _assigned(assign: Callable, target, points: list) -> list:
+    """assign's value at each point, checked to have the point's arity."""
     values = []
-    rows = []
-    caps = []   # (piece index, cap)
-    for k, piece in enumerate(dec.pieces):
-        value = assign(piece.point)
-        if target.arity_of(value) != piece.point.arity:
+    for point in points:
+        value = assign(point)
+        if target.arity_of(value) != point.arity:
             raise DomainError("assigned value has the wrong arity")
         values.append(value)
-        rows.append([up.exits[0] if up.point.is_trivial else up for up in piece.exits])
-        caps += [(k, up) for up in piece.exits if not up.point.is_trivial]
+    return values
 
+
+def _contract(nodes: list, values: list, rows: list, first: int,
+              order: Optional[list[int]], act: Callable) -> tuple:
+    """Contract node first + k at step k, in `order` (the loop of the module
+    docstring), emptying each contracted row, and return the leaf word the
+    rows hold at the end, when every slot is a leaf number."""
+    steps = range(first, len(nodes))
     if order is None:
-        order = list(range(len(caps)))
-    if sorted(order) != list(range(len(caps))):
-        raise DomainError("order must be a permutation of the cap indices")
-
-    for cap_id in order:
-        k, cap = caps[cap_id]
-        at = next(j for j, slot in enumerate(rows[k]) if slot is cap)
-        values[k] = target.right_act(values[k], at + 1, cap.point.root.label)
-        rows[k][at: at + 1] = cap.exits
-
-    if dec.root_label is not None:
-        value = target.left_act(dec.root_label, tuple(values))
-    else:
-        assert len(values) == 1
-        value = values[0]
-    # every slot holds a leaf number now, so the fold only relabels
-    return fold(value, tuple(number for row in rows for number in row), None, None,
-                target.restrict)
+        order = range(len(steps))
+    elif sorted(order) != list(range(len(steps))):
+        raise DomainError("order must be a permutation of the contraction steps")
+    for step in order:
+        k = steps[step]
+        node = nodes[k]
+        holder, at = next((h, j) for h, row in enumerate(rows)
+                          for j, slot in enumerate(row) if slot is node)
+        values[holder] = act(values[holder], at + 1, values[k])
+        rows[holder][at: at + 1] = rows[k]
+        rows[k] = []
+    return tuple(number for row in rows for number in row)

@@ -334,12 +334,14 @@ def cmd_eval_psi(ws: Workspace, args) -> int:
 def cmd_lift(ws: Workspace, args) -> int:
     from .mapping import XPath, constant_xpath, lift_path
     x = ws.tag(args.x)
+    switch = parse_fraction(args.switch)
+    if not 0 < switch <= 1:
+        raise DomainError(f"--switch must lie in (0,1], got {shown(args.switch)}")
     f0 = ws.section_map(x)
     if args.to is None:
         g = constant_xpath(ws.space, x)
     else:
-        g = XPath(ws.space, ((Fraction(0), x),
-                             (parse_fraction(args.switch), ws.tag(args.to))))
+        g = XPath(ws.space, ((Fraction(0), x), (switch, ws.tag(args.to))))
     point = read_point(ws.d1, "b", args.point)
     value = lift_path(f0, g, x, parse_fraction(args.t), point, ws.qxprod)
     emit(args, *qx_payload(ws, value))

@@ -11,7 +11,9 @@ entries carry a serialized witness for each failure.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .bconstruction import BPoint, b_map_heights, slice_point
@@ -47,11 +49,10 @@ class OperadMap:
         return f"<map {self.name}: {self.source.name} -> {self.target.name}>"
 
 
-def compose_operad_maps(outer: OperadMap, inner: OperadMap) -> OperadMap:
+def compose_operad_maps(outer: OperadMap, inner: OperadMap, name: str) -> OperadMap:
     if inner.target != outer.source:
         raise DomainError(f"cannot compose {outer.name} after {inner.name}")
-    return OperadMap(f"{outer.name}.{inner.name}", inner.source, outer.target,
-                     lambda y: outer(inner(y)))
+    return OperadMap(name, inner.source, outer.target, lambda y: outer(inner(y)))
 
 
 class BimoduleMap:
@@ -112,8 +113,7 @@ def mu_map(d1: LittleIntervals) -> OperadMap:
 
 
 def eta_mu_map(d1: LittleIntervals, d2: LittleDiscs) -> OperadMap:
-    composite = compose_operad_maps(eta_map(d1, d2), mu_map(d1))
-    return OperadMap("eta-mu", composite.source, composite.target, composite.fn)
+    return compose_operad_maps(eta_map(d1, d2), mu_map(d1), "eta-mu")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,14 @@ class PathSegment(Record):
     t0: Fraction
     t1: Fraction
     fn: Callable   # (element, local time in [0,1]) -> target element
+
+
+def _exact_time(t) -> Fraction:
+    """t as a Fraction, which must lie in [0,1]."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise DomainError(f"time {t} outside [0,1]")
+    return t
 
 
 class PathOfMaps:
@@ -152,13 +160,9 @@ class PathOfMaps:
             raise DomainError("zero-length segments are not allowed")
 
     def at(self, y, t: Fraction):
-        t = Fraction(t)
-        if not 0 <= t <= 1:
-            raise DomainError(f"time {t} outside [0,1]")
-        for seg in self.segments:
-            if seg.t0 <= t < seg.t1 or (t == 1 and seg.t1 == 1):
-                return seg.fn(y, (t - seg.t0) / (seg.t1 - seg.t0))
-        raise AssertionError("uncovered time")
+        t = _exact_time(t)
+        seg = self.segments[bisect_right(self.segments, t, key=attrgetter("t0")) - 1]
+        return seg.fn(y, (t - seg.t0) / (seg.t1 - seg.t0))
 
     def __repr__(self) -> str:
         return f"<path {self.name}: {self.source.name} -> {self.target.name}>"
@@ -217,19 +221,16 @@ def pl_reparam(path: PathOfMaps, pairs: Sequence[tuple[Fraction, Fraction]]) -> 
 
 class PointedMapFamily:
     """A finite pointed set of tags, each naming an operad map; the
-    basepoint names the untwisted inclusion.
+    basepoint names the untwisted inclusion. Its rotation parameters give
+    a straight sweep path from the basepoint map to each tag's map."""
 
-    When built from rotation parameters the family also knows a straight
-    sweep path from the basepoint map to each tag's map."""
-
-    def __init__(self, space: PointedSet, maps: Mapping,
-                 rotations: Optional[Mapping] = None) -> None:
+    def __init__(self, space: PointedSet, maps: Mapping, rotations: Mapping) -> None:
         self.space = space
         self.maps = dict(maps)
         if set(self.maps) != set(space.elements):
             raise DomainError("the family must assign a map to every tag")
         self.base_map = self.maps[space.basepoint]
-        self.rotations = dict(rotations) if rotations is not None else None
+        self.rotations = dict(rotations)
 
     def __getitem__(self, x) -> OperadMap:
         if x not in self.maps:
@@ -239,8 +240,6 @@ class PointedMapFamily:
     def path_to(self, x) -> PathOfMaps:
         """The straight path from the basepoint map to the tag's map,
         sweeping the rotation parameter linearly."""
-        if self.rotations is None:
-            raise DomainError("this family carries no rotation parameters")
         end = self[x]
         u = self.rotations[x]
         base = self.base_map
@@ -269,9 +268,7 @@ def delta_family(d1: LittleIntervals, d2: LittleDiscs, space: PointedSet,
             maps[x] = base if x == space.basepoint else OperadMap(
                 f"delta[{x}]", base.source, base.target, base.fn)
         else:
-            composite = compose_operad_maps(rotation_map(d2, u), base)
-            maps[x] = OperadMap(f"delta[{x}]", composite.source, composite.target,
-                                composite.fn)
+            maps[x] = compose_operad_maps(rotation_map(d2, u), base, f"delta[{x}]")
     return PointedMapFamily(space, maps, rotations=rotations)
 
 
@@ -281,29 +278,27 @@ class HofiberPoint(Record):
     g: PathOfMaps
 
 
-def sample_hofiber(rng, family: PointedMapFamily) -> HofiberPoint:
-    x = rng.choice(family.space.elements)
-    path = family.path_to(x)
+def _maybe_reparam(rng, path: PathOfMaps) -> PathOfMaps:
+    """path, or with probability 1/2 path through a random one-breakpoint
+    reparametrization."""
     if rng.random() < 0.5:
         mid = random_fraction(rng)
         value = random_fraction(rng)
         path = pl_reparam(path, [(Fraction(0), Fraction(0)), (mid, value),
                                  (Fraction(1), Fraction(1))])
-    return HofiberPoint(x, path)
+    return path
+
+
+def sample_hofiber(rng, family: PointedMapFamily) -> HofiberPoint:
+    x = rng.choice(family.space.elements)
+    return HofiberPoint(x, _maybe_reparam(rng, family.path_to(x)))
 
 
 def sample_loop(rng, family: PointedMapFamily) -> PathOfMaps:
     """A loop at the untwisted inclusion: out along a tag's sweep, back
     along its reverse, optionally reparametrized."""
-    x = rng.choice(family.space.elements)
-    out = family.path_to(x)
-    loop = concat_paths(out, reverse_path(out))
-    if rng.random() < 0.5:
-        mid = random_fraction(rng)
-        value = random_fraction(rng)
-        loop = pl_reparam(loop, [(Fraction(0), Fraction(0)), (mid, value),
-                                 (Fraction(1), Fraction(1))])
-    return loop
+    out = family.path_to(rng.choice(family.space.elements))
+    return _maybe_reparam(rng, concat_paths(out, reverse_path(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +323,8 @@ class XPath:
             raise DomainError("segments must start within [0,1]")
 
     def value(self, t: Fraction):
-        t = Fraction(t)
-        if not 0 <= t <= 1:
-            raise DomainError(f"time {t} outside [0,1]")
-        current = self.segments[0][1]
-        for start, x in self.segments:
-            if start <= t:
-                current = x
-            else:
-                break
-        return current
+        t = _exact_time(t)
+        return self.segments[bisect_right(self.segments, t, key=itemgetter(0)) - 1][1]
 
 
 def constant_xpath(space: PointedSet, x) -> XPath:
@@ -387,9 +374,6 @@ class QxBimodule(Bimodule):
     def validate(self, q) -> None:
         self.q_operad.validate(q)
 
-    def unit(self):
-        return self.q_operad.unit()
-
     def left_act(self, p: WPoint, qs: tuple):
         value = self.base_map(p)
         for position in range(len(qs), 0, -1):
@@ -431,9 +415,6 @@ class QXProductBimodule(Bimodule):
             raise DomainError("need one tag per input")
         if any(x not in self.space.elements for x in elem.tags):
             raise DomainError("tags must lie in the tag set")
-
-    def unit(self) -> QXElem:
-        return QXElem(self.q_operad.unit(), (self.space.basepoint,))
 
     def left_act(self, p: WPoint, elems: tuple) -> QXElem:
         value = self.family.base_map(p)
@@ -528,6 +509,25 @@ class Recorder:
                            tuple(k for k in order if k not in results))
 
 
+def _map_laws(record: Recorder, rng, f: Callable, source: EffectiveOperad,
+              target: EffectiveOperad, witness_prefix: str = ""):
+    """Draw one sample of the composition and restriction laws of f from
+    source to target and record both; return the sample's element x."""
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 3)
+    x = source.sample(rng, n)
+    y = source.sample(rng, m)
+    i = rng.randint(1, n)
+    record("composition",
+           target.eq(f(source.compose(x, i, y)), target.compose(f(x), i, f(y))),
+           f"{witness_prefix}x={source.format_element(x)} i={i} y={source.format_element(y)}")
+    u = random_injection(rng, rng.randint(1, n), n)
+    record("restriction",
+           target.eq(f(source.restrict(u, x)), target.restrict(u, f(x))),
+           f"{witness_prefix}u={u.values} x={source.format_element(x)}")
+    return x
+
+
 def check_operad_map(f: OperadMap, samples: int = 100, seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     source, target = f.source, f.target
@@ -535,19 +535,7 @@ def check_operad_map(f: OperadMap, samples: int = 100, seed: int = 0) -> CheckRe
     record("unit", target.eq(f(source.unit()), target.unit()),
            "image of the unit is not the unit")
     for _ in range(samples):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 3)
-        x = source.sample(rng, n)
-        y = source.sample(rng, m)
-        i = rng.randint(1, n)
-        record("composition",
-               target.eq(f(source.compose(x, i, y)),
-                         target.compose(f(x), i, f(y))),
-               f"x={source.format_element(x)} i={i} y={source.format_element(y)}")
-        u = random_injection(rng, rng.randint(1, n), n)
-        record("restriction",
-               target.eq(f(source.restrict(u, x)), target.restrict(u, f(x))),
-               f"u={u.values} x={source.format_element(x)}")
+        _map_laws(record, rng, f, source, target)
     return record.report(f"operad-map:{f.name}", seed, samples,
                          ("unit", "composition", "restriction"))
 
@@ -558,26 +546,12 @@ def check_path(g: PathOfMaps, samples: int = 100, seed: int = 0) -> CheckReport:
     record = Recorder()
     for _ in range(samples):
         t = random_fraction(rng, include_ends=True)
-        n = rng.randint(1, 3)
-        x = source.sample(rng, n)
-        record("unit", target.eq(g.at(source.unit(), t), target.unit()),
-               f"t={t}")
-        m = rng.randint(1, 3)
-        y = source.sample(rng, m)
-        i = rng.randint(1, n)
-        record("composition",
-               target.eq(g.at(source.compose(x, i, y), t),
-                         target.compose(g.at(x, t), i, g.at(y, t))),
-               f"t={t} x={source.format_element(x)} i={i} y={source.format_element(y)}")
+        record("unit", target.eq(g.at(source.unit(), t), target.unit()), f"t={t}")
+        x = _map_laws(record, rng, lambda y: g.at(y, t), source, target, f"t={t} ")
         record("start", target.eq(g.at(x, Fraction(0)), g.start(x)),
                f"x={source.format_element(x)}")
         record("end", target.eq(g.at(x, Fraction(1)), g.end(x)),
                f"x={source.format_element(x)}")
-        u = random_injection(rng, rng.randint(1, n), n)
-        record("restriction",
-               target.eq(g.at(source.restrict(u, x), t),
-                         target.restrict(u, g.at(x, t))),
-               f"t={t} u={u.values} x={source.format_element(x)}")
     return record.report(f"path:{g.name}", seed, samples,
                          ("unit", "composition", "start", "end", "restriction"))
 
@@ -636,7 +610,7 @@ def xi_eval(g: PathOfMaps, b: BPoint):
     the path's value on its label at its height."""
     if g.start != g.end:
         raise DomainError("the path must be a loop (equal declared endpoints)")
-    return fold_point_through(b, g.target, lambda label, h: g.at(label, h))
+    return fold_point_through(b, g.target, g.at)
 
 
 def xi_as_map(g: PathOfMaps, source: Bimodule, target: Bimodule) -> BimoduleMap:
@@ -646,8 +620,7 @@ def xi_as_map(g: PathOfMaps, source: Bimodule, target: Bimodule) -> BimoduleMap:
 def psi_prime_eval(h: HofiberPoint, b: BPoint):
     """Evaluate a hofiber point: the same vertexwise recipe along its path,
     paired with the tag it ends at."""
-    value = fold_point_through(b, h.g.target, lambda label, t: h.g.at(label, t))
-    return (h.x, value)
+    return (h.x, fold_point_through(b, h.g.target, h.g.at))
 
 
 def psi_prime_as_map(h: HofiberPoint, source: Bimodule, family: PointedMapFamily) -> BimoduleMap:
@@ -700,9 +673,7 @@ def lift_path(f0: BimoduleMap, g: XPath, x, t: Fraction, b: BPoint,
     tag g(2s + t - 2) applied to its label; upper subtrees are composed in
     the target and grafted onto the lower value at their cut slots, each
     slot's tag repeating across the graft."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise DomainError(f"time {t} outside [0,1]")
+    t = _exact_time(t)
     if g.value(Fraction(0)) != x:
         raise DomainError("the tag path must start at the map's tag")
     family = qxprod.family

@@ -268,13 +268,15 @@ class LittleIntervals(EffectiveOperad):
         scaled = list(zip(flat[::2], flat[1::2]))
         for pair, (a, b) in zip(pairs, scaled):
             if not (0 <= a < b <= d):
-                raise DomainError(f"interval {shown(pair)} not inside [0,1]")
+                where = "is empty" if 0 <= b <= a <= d else "not inside [0,1]"
+                raise DomainError(f"interval {shown(_interval_tokens((pair,))[0])} {where}")
         if shape_error is not None:
             raise DomainError(shape_error)
         by_left = sorted(zip(scaled, pairs))
         for ((_, b0), pair0), ((a1, _), pair1) in zip(by_left, by_left[1:]):
             if b0 > a1:
-                raise DomainError(f"intervals {pair0} and {pair1} overlap")
+                token0, token1 = map(shown, _interval_tokens((pair0, pair1)))
+                raise DomainError(f"intervals {token0} and {token1} overlap")
 
     def unit(self):
         return self._unit
@@ -380,15 +382,16 @@ class LittleDiscs(EffectiveOperad):
                   for k in range(0, len(flat), self.dim + 1)]
         for ball, (c, r) in zip(balls, scaled):
             if r <= 0:
-                raise DomainError(f"radius must be positive, got {ball[1]}")
+                raise DomainError(f"radius must be positive, got {format_fraction(ball[1])}")
             if sum(t * t for t in c) > (d - r) * (d - r):
-                raise DomainError(f"ball {shown(ball)} leaves the unit ball")
+                raise DomainError(f"ball {shown(_ball_tokens((ball,))[0])} leaves the unit ball")
         if shape_error is not None:
             raise DomainError(shape_error)
         for (ball0, (c0, r0)), (ball1, (c1, r1)) in itertools.combinations(
                 zip(balls, scaled), 2):
             if sum((s - t) * (s - t) for s, t in zip(c0, c1)) < (r0 + r1) * (r0 + r1):
-                raise DomainError(f"balls {ball0} and {ball1} overlap")
+                token0, token1 = map(shown, _ball_tokens((ball0, ball1)))
+                raise DomainError(f"balls {token0} and {token1} overlap")
 
     def unit(self):
         return self._unit
@@ -526,7 +529,7 @@ class Associative(EffectiveOperad):
 
 class FiniteGroup:
     """A small group given by its elements and multiplication rule; the
-    identity and inverses are found by search and the axioms are checked."""
+    identity is found by search, unique inverses and associativity checked."""
 
     def __init__(self, name: str, elements: Iterable[Hashable], mul: Callable) -> None:
         self.name = name
@@ -540,12 +543,10 @@ class FiniteGroup:
         if len(ident) != 1:
             raise DomainError("no unique identity")
         self.identity = ident[0]
-        self._inv = {}
         for g in self.elements:
             invs = [h for h in self.elements if table[(g, h)] == self.identity]
             if len(invs) != 1 or table[(invs[0], g)] != self.identity:
                 raise DomainError(f"element {shown(g)} has no unique inverse")
-            self._inv[g] = invs[0]
         for a in self.elements:
             for b in self.elements:
                 for c in self.elements:
@@ -554,9 +555,6 @@ class FiniteGroup:
 
     def mul(self, g, h):
         return self._mul(g, h)
-
-    def inverse(self, g):
-        return self._inv[g]
 
     def __repr__(self) -> str:
         return f"<group {self.name}>"

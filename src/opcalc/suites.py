@@ -31,6 +31,9 @@ from .sampling import (
 from .trees import DomainError, InjectiveMap, Record, block_injection, drop_block
 from .wconstruction import w_text, wpoint
 
+# random reduction orders the confluence suites compare per sample
+ORDERS = 10
+
 
 def suite_operad_axioms(op: EffectiveOperad, samples: int = 500,
                         seed: int = 0) -> CheckReport:
@@ -85,15 +88,15 @@ def suite_operad_axioms(op: EffectiveOperad, samples: int = 500,
     return rec.report(f"operad-axioms:{op.name}", seed, samples, order)
 
 
-def suite_w_confluence(op: EffectiveOperad, samples: int = 100, seed: int = 0,
-                       orders: int = 10) -> CheckReport:
+def suite_w_confluence(op: EffectiveOperad, samples: int = 100,
+                       seed: int = 0) -> CheckReport:
     """Random reduction orders and vertex twists reach one normal form."""
     rng = random.Random(seed)
     rec = Recorder()
     for _ in range(samples):
         raw = random_raw_wnode(rng, op, rng.randint(1, 5))
         base = wpoint(op, raw)
-        for _ in range(orders):
+        for _ in range(ORDERS):
             other = normalize_random_order(random.Random(rng.randrange(10 ** 9)), op, raw)
             rec("confluence", other == base.root, w_text(base))
         twisted = random_vertex_twists(rng, op, raw)
@@ -102,15 +105,15 @@ def suite_w_confluence(op: EffectiveOperad, samples: int = 100, seed: int = 0,
                       ("confluence", "twist-invariance"))
 
 
-def suite_b_confluence(op: EffectiveOperad, samples: int = 100, seed: int = 0,
-                       orders: int = 10) -> CheckReport:
+def suite_b_confluence(op: EffectiveOperad, samples: int = 100,
+                       seed: int = 0) -> CheckReport:
     """Same confluence story one level up, for height trees."""
     rng = random.Random(seed)
     rec = Recorder()
     for _ in range(samples):
         raw = random_raw_bnode(rng, op, rng.randint(1, 5))
         base = bpoint(op, raw)
-        for _ in range(orders):
+        for _ in range(ORDERS):
             other = b_normalize_random_order(random.Random(rng.randrange(10 ** 9)), op, raw)
             rec("confluence", other == base, b_text(base))
         twisted = random_b_twists(rng, op, raw)

@@ -91,9 +91,9 @@ def test_01_operad_axiom_suites():
 
 def test_02_normal_form_confluence():
     started = time.monotonic()
-    wr = suite_w_confluence(D1, samples=500, seed=102, orders=10)
+    wr = suite_w_confluence(D1, samples=500, seed=102)
     assert wr.ok, wr.to_jsonable()
-    br = suite_b_confluence(D1, samples=500, seed=103, orders=10)
+    br = suite_b_confluence(D1, samples=500, seed=103)
     assert br.ok, br.to_jsonable()
     elapsed = time.monotonic() - started
     assert elapsed < 120, f"confluence took {elapsed:.1f}s"

@@ -541,8 +541,6 @@ def test_bimodule_interfaces():
             x = wself.sample(rng, n)
             wself.validate(x)
             assert wself.arity_of(x) == n
-        assert bimod.eq(bimod.unit(), b_unit(op))
-        assert wself.eq(wself.unit(), w_unit(op))
 
 
 def test_wself_left_action_matches_iterated_composition():

@@ -461,6 +461,30 @@ def test_fractions_with_whitespace_exit_two(capsys, argv):
     assert captured.out == "" and captured.err.startswith("error: bad fraction")
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["lift", "--to", "b", "--switch", "0/1", "--t", "1/2", "l1"],
+     "--switch must lie in (0,1], got '0/1'"),
+    (["lift", "--to", "b", "--switch", "3/2", "--t", "1/2", "l1"],
+     "--switch must lie in (0,1], got '3/2'"),
+    (["lift", "--switch", "3/2", "--t", "1/2", "l1"], "--switch must lie in (0,1], got '3/2'"),
+    (["lift", "--switch=-1/4", "--t", "1/2", "l1"], "--switch must lie in (0,1], got '-1/4'"),
+    (["normalize", "--operad", "d1", '(v "<[1/2,1/2] [0/1,1/4]>" l1 l2)'],
+     "interval '[1/2,1/2]' is empty"),
+    (["normalize", "--operad", "d2",
+      '(v "<ball((0/1,0/1);1/2) ball((1/4,0/1);1/4)>" l1 l2)'],
+     "balls 'ball((0/1,0/1);1/2)' and 'ball((1/4,0/1);1/4)' overlap"),
+])
+def test_argument_errors_name_what_is_wrong(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+
+
+def test_a_switch_at_one_is_accepted(capsys):
+    code, out = run(capsys, "lift", "--to", "b", "--switch", "1/1", "--t", "1/2", "l1")
+    assert code == 0 and out.endswith(" ; tags=(a)\n")
+
+
 def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(["lift", B_CUP])

@@ -9,12 +9,12 @@ The same holds for the guards of the maps and paths in `mapping`: a
 bimodule map between bimodules over different operads, the inclusion into
 discs of a dimension other than 2, concatenating paths between different
 operads, a reparametrization with no pairs or with times that do not
-increase, a family missing a tag or without rotation parameters, a sweep
-to an unknown tag, a tag path starting past 1, an untagged element, a
-vertex value of the wrong arity and `psi_double_prime` of a map into
-another target. And for those of `swisscheese`: a degenerate disc in
-`rescale`, the wrong number of loops or a tail away from the base map in
-`path_act_sc`, and `sample_sc1` asked for no interval.
+increase, a family missing a tag, a sweep to an unknown tag, a tag path
+starting past 1, an untagged element, a vertex value of the wrong arity
+and `psi_double_prime` of a map into another target. And for those of
+`swisscheese`: a degenerate disc in `rescale`, the wrong number of loops
+or a tail away from the base map in `path_act_sc`, and `sample_sc1`
+asked for no interval.
 """
 
 import random
@@ -117,13 +117,18 @@ CASES = {
     "order repeating an edge": (
         lambda: eval_truncated_operad_map(mu, 2, _two_pieces(), D1, order=[0, 0]),
         "order must be a permutation"),
+    "order one step too long": (
+        lambda: eval_truncated_operad_map(mu, 2, _two_pieces(), D1, order=[0, 1]),
+        "^order must be a permutation of the contraction steps$"),
     "assigned piece of the wrong arity": (
         lambda: eval_truncated_bimodule_map(lambda piece: bpoint(D1, 1), 2, _b_cup(), BBimodule(D1)),
         "^assigned value has the wrong arity$"),
     "cap order too short": (lambda: _pieces_as_they_are([]),
-                            "^order must be a permutation of the cap indices$"),
+                            "^order must be a permutation of the contraction steps$"),
     "cap order out of range": (lambda: _pieces_as_they_are([1]),
-                               "^order must be a permutation of the cap indices$"),
+                               "^order must be a permutation of the contraction steps$"),
+    "cap order repeating a cap": (lambda: _pieces_as_they_are([0, 0]),
+                                  "^order must be a permutation of the contraction steps$"),
     "w_lambda into the wrong arity": (lambda: w_lambda(InjectiveMap(1, 3, (1,)), _cup()),
                                       r"^injection into \[3\] against arity 2$"),
     "w_lambda keeping no input": (lambda: w_lambda(InjectiveMap(0, 2, ()), _cup()),
@@ -185,11 +190,8 @@ CASES = {
         lambda: pl_reparam(constant_path(EM), [(0, 0), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)),
                                                (1, 1)]),
         "^reparametrization times must increase$"),
-    "family missing a tag": (lambda: PointedMapFamily(X, {"*": EM}),
+    "family missing a tag": (lambda: PointedMapFamily(X, {"*": EM}, {"*": 0}),
                              "^the family must assign a map to every tag$"),
-    "sweep in a family without rotations": (
-        lambda: PointedMapFamily(X, FAM.maps).path_to("a"),
-        "^this family carries no rotation parameters$"),
     "sweep to an unknown tag": (lambda: FAM.path_to("c"), "^unknown tag 'c'$"),
     "tag path starting past 1": (lambda: XPath(X, ((0, "*"), (2, "a"))),
                                  r"^segments must start within \[0,1\]$"),

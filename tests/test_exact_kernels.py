@@ -2,16 +2,18 @@
 LittleDiscs.validate against the Fraction-arithmetic checks they replace.
 
 The oracles below are those checks as they were, kept here as the slow
-reference; their messages cut echoed values with `shown`, as the library's
-do. Over seeded corpora (exact tangencies, shared endpoints, misses by one
-grid step, large coprime denominators, malformed entries in any position)
-both must accept the same elements and reject the others with the same
+reference; their messages write intervals and balls in element text and
+cut echoed values with `shown`, as the library's do. Over seeded
+corpora (exact tangencies, shared endpoints, misses by one grid step,
+large coprime denominators, malformed entries in any position) both must
+accept the same elements and reject the others with the same
 DomainError text, so the order in which the checks fire is compared too.
 """
 
 import itertools
 import random
 from fractions import Fraction as Fr
+from functools import partial
 
 import pytest
 
@@ -37,6 +39,15 @@ def _norm2(c):
     return sum((t * t for t in c), Fr(0))
 
 
+def _interval_text(pair) -> str:
+    return f"[{format_fraction(pair[0])},{format_fraction(pair[1])}]"
+
+
+def _ball_text(ball) -> str:
+    c, r = ball
+    return f"ball(({','.join(map(format_fraction, c))});{format_fraction(r)})"
+
+
 def oracle_intervals_validate(x) -> None:
     if not isinstance(x, tuple) or not x:
         raise DomainError(f"expected a nonempty tuple of intervals, got {shown(x)}")
@@ -47,11 +58,13 @@ def oracle_intervals_validate(x) -> None:
         if not (isinstance(a, Fr) and isinstance(b, Fr)):
             raise DomainError(f"interval endpoints must be Fractions, got {shown(pair)}")
         if not (0 <= a < b <= 1):
-            raise DomainError(f"interval {shown(pair)} not inside [0,1]")
+            where = "is empty" if 0 <= b <= a <= 1 else "not inside [0,1]"
+            raise DomainError(f"interval {shown(_interval_text(pair))} {where}")
     by_left = sorted(x)
     for (a0, b0), (a1, b1) in zip(by_left, by_left[1:]):
         if b0 > a1:
-            raise DomainError(f"intervals {(a0, b0)} and {(a1, b1)} overlap")
+            raise DomainError(f"intervals {shown(_interval_text((a0, b0)))} and "
+                              f"{shown(_interval_text((a1, b1)))} overlap")
 
 
 def oracle_discs_validate(dim: int, x) -> None:
@@ -66,12 +79,13 @@ def oracle_discs_validate(dim: int, x) -> None:
                 and isinstance(r, Fr)):
             raise DomainError(f"bad ball {shown(ball)}")
         if r <= 0:
-            raise DomainError(f"radius must be positive, got {r}")
+            raise DomainError(f"radius must be positive, got {format_fraction(r)}")
         if _norm2(c) > (1 - r) * (1 - r):
-            raise DomainError(f"ball {shown(ball)} leaves the unit ball")
+            raise DomainError(f"ball {shown(_ball_text(ball))} leaves the unit ball")
     for (c0, r0), (c1, r1) in itertools.combinations(x, 2):
         if _norm2(_vsub(c0, c1)) < (r0 + r1) * (r0 + r1):
-            raise DomainError(f"balls {(c0, r0)} and {(c1, r1)} overlap")
+            raise DomainError(f"balls {shown(_ball_text((c0, r0)))} and "
+                              f"{shown(_ball_text((c1, r1)))} overlap")
 
 
 def outcome(check, x):
@@ -280,6 +294,32 @@ def test_shape_errors_fire_after_earlier_position_errors():
         D1.validate(((Fr(0), Fr(1, 2)), (0, 1), outside))
     with pytest.raises(DomainError, match="radius must be positive, got -1/2"):
         D2.validate((((Fr(0), Fr(0)), Fr(-1, 2)), "ball"))
+
+
+HALF, QUARTER = Fr(1, 2), Fr(1, 4)
+ERROR_TEXTS = (
+    (D1, ((HALF, HALF), (Fr(0), QUARTER)), "interval '[1/2,1/2]' is empty"),
+    (D1, ((Fr(3, 4), QUARTER),), "interval '[3/4,1/4]' is empty"),
+    (D1, ((HALF, Fr(3, 2)),), "interval '[1/2,3/2]' not inside [0,1]"),
+    (D1, ((-QUARTER, -HALF),), "interval '[-1/4,-1/2]' not inside [0,1]"),
+    (D1, ((QUARTER, Fr(1)), (Fr(0), HALF)), "intervals '[0/1,1/2]' and '[1/4,1/1]' overlap"),
+    (D1, ((Fr(0), Fr(3 ** 20 + 1, 3 ** 20)),),
+     f"interval '[0/1,{3 ** 20 + 1}/{3 ** 20}]' not inside [0,1]"),
+    # a long token is cut as `shown` cuts: 87 characters with its quotes
+    (D1, ((Fr(0), Fr(3 ** 80 + 1, 3 ** 80)),),
+     f"interval '[0/1,{3 ** 80 + 1}/{3 ** 80}]'"[:69] + "... (87 characters) not inside [0,1]"),
+    (D2, (((Fr(0), Fr(0)), Fr(0)),), "radius must be positive, got 0/1"),
+    (D2, (((HALF, HALF), HALF),), "ball 'ball((1/2,1/2);1/2)' leaves the unit ball"),
+    (D2, (((Fr(0), Fr(0)), HALF), ((QUARTER, Fr(0)), QUARTER)),
+     "balls 'ball((0/1,0/1);1/2)' and 'ball((1/4,0/1);1/4)' overlap"),
+)
+
+
+@pytest.mark.parametrize("op,x,text", ERROR_TEXTS, ids=[t for _, _, t in ERROR_TEXTS])
+def test_error_texts_write_elements_as_text(op, x, text):
+    oracle = oracle_intervals_validate if op is D1 else partial(oracle_discs_validate, 2)
+    assert outcome(op.validate, x) == text
+    assert outcome(oracle, x) == text
 
 
 def test_format_fraction_on_ints_and_fractions():

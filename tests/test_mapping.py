@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -106,9 +107,35 @@ def test_broken_map_reports_witnesses():
     assert witness
 
 
+def test_broken_map_report_is_pinned():
+    # the seeded draws (n, m, x, y, i, u) and the witness texts, byte for byte
+    flip = OperadMap("flip", D1, D2, lambda x: ETA(x)[::-1])
+    assert check_operad_map(flip, samples=3, seed=16).to_jsonable() == {
+        "name": "operad-map:flip", "seed": 16, "samples": 3, "ok": False,
+        "checks": [
+            {"check": "unit", "pass": True},
+            {"check": "composition", "pass": False,
+             "witness": "x=<[4/7,11/14] [3/14,1/2]> i=2 y=<[1/2,13/14] [1/7,3/7]>"},
+            {"check": "restriction", "pass": False,
+             "witness": "u=(2, 3) x=<[9/13,10/13] [4/13,7/13] [10/13,12/13]>"},
+        ]}
+
+
+def test_path_laws_share_the_map_laws():
+    flip = PathOfMaps("flip", WD1, D2, EM, EM,
+                      [PathSegment(F(0), F(1), lambda y, s: EM(y)[::-1])])
+    report = check_path(flip, samples=20, seed=3)
+    failed = {r.check: r.witness for r in report.results if not r.passed}
+    assert set(failed) >= {"composition", "restriction", "start", "end"}
+    assert re.fullmatch(r"t=\S+ x=.+ i=\d y=.+", failed["composition"])
+    assert re.fullmatch(r"t=\S+ u=\(.*\) x=.+", failed["restriction"])
+    empty = check_path(flip, samples=0)
+    assert empty.ok and empty.vacuous == ("unit", "composition", "start", "end", "restriction")
+
+
 def test_compose_operad_maps_rejects_mismatched_ends():
     with pytest.raises(DomainError):
-        compose_operad_maps(ETA, ETA)
+        compose_operad_maps(ETA, ETA, "eta.eta")
 
 
 # -- the tag family ----------------------------------------------------------

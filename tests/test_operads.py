@@ -131,9 +131,11 @@ def test_assoc_compose_and_restrict():
 def test_group_validation():
     g = z2()
     assert g.identity == "e"
-    assert g.inverse("r") == "r"
     with pytest.raises(DomainError):
         FiniteGroup("bad", (0, 1), lambda a, b: 0)
+    # a monoid: "z" absorbs, so nothing times it is the identity
+    with pytest.raises(DomainError, match="^element 'z' has no unique inverse$"):
+        FiniteGroup("monoid", ("e", "z"), lambda a, b: "e" if a == b == "e" else "z")
 
 
 def test_reflection_action_axioms():
