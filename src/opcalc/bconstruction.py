@@ -111,9 +111,10 @@ def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
         raise DomainError(f"bad tree entry {shown(entry)}")
     height = Fraction(entry.height)
     if not 0 <= height <= 1:
-        raise DomainError(f"height {entry.height} outside [0,1]")
+        raise DomainError(f"height {shown(format_fraction(height))} outside [0,1]")
     if height < floor:
-        raise DomainError(f"height {height} below the parent height {floor}")
+        raise DomainError(f"height {shown(format_fraction(height))} below the parent height "
+                          f"{shown(format_fraction(floor))}")
     if not isinstance(entry.label, WPoint) or entry.label.operad != op:
         raise DomainError(f"label must be a resolution point over {op.name}")
     label = entry.label if entry.label._marked else wpoint(op, entry.label.root)
@@ -167,7 +168,7 @@ def _canonical_b(op: EffectiveOperad, node: BNode) -> tuple[BNode, str]:
     order = sorted(range(k), key=texts.__getitem__)
     label = node.label
     if order != list(range(k)):
-        label = w_lambda(InjectiveMap(k, k, tuple(index + 1 for index in order)), label)
+        label = w_lambda(InjectiveMap._trusted(k, k, tuple(index + 1 for index in order)), label)
         entries = [entries[index] for index in order]
         texts = [texts[index] for index in order]
     return (BNode(label, node.height, tuple(entries)),

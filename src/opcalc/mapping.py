@@ -130,7 +130,7 @@ def _exact_time(t) -> Fraction:
     """t as a Fraction, which must lie in [0,1]."""
     t = Fraction(t)
     if not 0 <= t <= 1:
-        raise DomainError(f"time {t} outside [0,1]")
+        raise DomainError(f"time {shown(format_fraction(t))} outside [0,1]")
     return t
 
 
@@ -546,8 +546,9 @@ def check_path(g: PathOfMaps, samples: int = 100, seed: int = 0) -> CheckReport:
     record = Recorder()
     for _ in range(samples):
         t = random_fraction(rng, include_ends=True)
-        record("unit", target.eq(g.at(source.unit(), t), target.unit()), f"t={t}")
-        x = _map_laws(record, rng, lambda y: g.at(y, t), source, target, f"t={t} ")
+        when = f"t={format_fraction(t)}"
+        record("unit", target.eq(g.at(source.unit(), t), target.unit()), when)
+        x = _map_laws(record, rng, lambda y: g.at(y, t), source, target, when + " ")
         record("start", target.eq(g.at(x, Fraction(0)), g.start(x)),
                f"x={source.format_element(x)}")
         record("end", target.eq(g.at(x, Fraction(1)), g.end(x)),

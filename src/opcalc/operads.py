@@ -73,17 +73,21 @@ def parse_fraction(text: str) -> Fraction:
         raise DomainError(f"bad fraction {shown(text)}") from exc
 
 
-def _sorting_twist(tokens: list[str]) -> InjectiveMap:
-    """The permutation listing inputs in the string order of their tokens.
+def _sorting_twist(tokens: list[str]) -> tuple[InjectiveMap, str]:
+    """The permutation listing inputs in the string order of their tokens,
+    and the tokens joined by spaces in that order.
 
     Input j's token is the text its entry contributes to a formatted
     element. When the tokens are distinct and none is a proper prefix of
     another, the text of a twist is least exactly when its tokens appear
-    sorted, so this permutation is the strictly least twist. The callers'
-    elements are valid, and `validate` refuses two equal entries.
+    sorted, so this permutation is the strictly least twist, and the
+    joined tokens are the body of its text. The callers' elements are
+    valid, and `validate` refuses two equal entries.
     """
-    order = sorted(range(len(tokens)), key=tokens.__getitem__)
-    return InjectiveMap(len(tokens), len(tokens), tuple(j + 1 for j in order))
+    k = len(tokens)
+    order = sorted(range(k), key=tokens.__getitem__)
+    return (InjectiveMap._trusted(k, k, tuple(j + 1 for j in order)),
+            " ".join([tokens[j] for j in order]))
 
 
 def least_word_twist(word) -> InjectiveMap:
@@ -100,7 +104,7 @@ def least_word_twist(word) -> InjectiveMap:
     values = [0] * len(word)
     for letter, target in zip(least, word):
         values[letter - 1] = target
-    return InjectiveMap(len(word), len(word), tuple(values))
+    return InjectiveMap._trusted(len(word), len(word), tuple(values))
 
 
 def _well_formed_prefix(x: tuple, shape_error: Callable) -> tuple[tuple, str | None]:
@@ -133,13 +137,15 @@ class EffectiveOperad(ABC):
 
     `canonical_twist(x)` gives normal forms their vertex twists. It returns
     the permutation sigma of 1..arity_of(x) whose twist restrict(sigma, x)
-    has the least `format_element` text, and that sigma must be strictly
-    least: every other permutation gives a different, larger text. The
-    order is the one on texts (Python's string order), not on the
-    underlying numbers, so 1/10 comes before 1/2. A W point's vertex
-    twists then depend on its labels alone, so the point stays normal
-    when its leaves are renumbered, grafted or cut (see `wconstruction`);
-    the answer must depend on x alone.
+    has the least `format_element` text, together with that text, and
+    sigma must be strictly least: every other permutation gives a
+    different, larger text. The order is the one on texts (Python's string
+    order), not on the underlying numbers, so 1/10 comes before 1/2. A W
+    point's vertex twists then depend on its labels alone, so the point
+    stays normal when its leaves are renumbered, grafted or cut (see
+    `wconstruction`); the answer must depend on x alone. The text is the
+    one the normalizer puts on the vertex, so an operad whose twist text
+    falls out of finding sigma (a sort of tokens) formats nothing twice.
     """
 
     name: str
@@ -176,8 +182,8 @@ class EffectiveOperad(ABC):
         return self.arity_of(x) == 1 and self.eq(x, self.unit())
 
     @abstractmethod
-    def canonical_twist(self, x) -> InjectiveMap:
-        """The unique permutation with the least twisted text."""
+    def canonical_twist(self, x) -> tuple[InjectiveMap, str]:
+        """The unique permutation with the least twisted text, and that text."""
 
     # -- io -------------------------------------------------------------------
 
@@ -284,13 +290,19 @@ class LittleIntervals(EffectiveOperad):
     def compose(self, x, i: int, y):
         self._check_slot(x, i)
         a, b = x[i - 1]
-        w = b - a
-        block = tuple((a + w * c, a + w * d) for (c, d) in y)
+        # a + (b - a) c over one denominator: with w = b - a = wn/wd unreduced,
+        # (an wd cd + wn cn ad) / (ad wd cd), one Fraction per endpoint
+        an, ad = a.numerator, a.denominator
+        wn, wd = b.numerator * ad - an * b.denominator, ad * b.denominator
+        p, q, r = an * wd, wn * ad, ad * wd
+        block = tuple((Fraction(p * c.denominator + q * c.numerator, r * c.denominator),
+                       Fraction(p * d.denominator + q * d.numerator, r * d.denominator))
+                      for c, d in y)
         return x[: i - 1] + block + x[i:]
 
     def restrict(self, u: InjectiveMap, x):
         self._check_restrict(u, x)
-        return tuple(x[u(j) - 1] for j in range(1, u.m + 1))
+        return tuple([x[v - 1] for v in u.values])
 
     def key(self, x) -> Hashable:
         return x
@@ -298,9 +310,10 @@ class LittleIntervals(EffectiveOperad):
     def format_element(self, x) -> str:
         return "<" + " ".join(_interval_tokens(x)) + ">"
 
-    def canonical_twist(self, x) -> InjectiveMap:
+    def canonical_twist(self, x) -> tuple[InjectiveMap, str]:
         # a token ends in its only "]", so none is a prefix of another
-        return _sorting_twist(_interval_tokens(x))
+        sigma, body = _sorting_twist(_interval_tokens(x))
+        return sigma, f"<{body}>"
 
     def parse_element(self, text: str):
         body = text.strip()
@@ -382,7 +395,7 @@ class LittleDiscs(EffectiveOperad):
                   for k in range(0, len(flat), self.dim + 1)]
         for ball, (c, r) in zip(balls, scaled):
             if r <= 0:
-                raise DomainError(f"radius must be positive, got {format_fraction(ball[1])}")
+                raise DomainError(f"radius {shown(format_fraction(ball[1]))} is not positive")
             if sum(t * t for t in c) > (d - r) * (d - r):
                 raise DomainError(f"ball {shown(_ball_tokens((ball,))[0])} leaves the unit ball")
         if shape_error is not None:
@@ -399,13 +412,20 @@ class LittleDiscs(EffectiveOperad):
     def compose(self, x, i: int, y):
         self._check_slot(x, i)
         c, r = x[i - 1]
+        # c_k + r d_k over one denominator, (ckn rd dkd + rn dkn ckd) / (ckd rd dkd),
+        # and the radius r s, one Fraction per coordinate
+        rn, rd = r.numerator, r.denominator
+        centre = [(ck.numerator * rd, rn * ck.denominator, ck.denominator * rd) for ck in c]
         block = tuple(
-            (tuple(ck + r * dk for ck, dk in zip(c, d)), r * s) for (d, s) in y)
+            (tuple([Fraction(p * dk.denominator + q * dk.numerator, s * dk.denominator)
+                    for (p, q, s), dk in zip(centre, d)]),
+             Fraction(rn * t.numerator, rd * t.denominator))
+            for d, t in y)
         return x[: i - 1] + block + x[i:]
 
     def restrict(self, u: InjectiveMap, x):
         self._check_restrict(u, x)
-        return tuple(x[u(j) - 1] for j in range(1, u.m + 1))
+        return tuple([x[v - 1] for v in u.values])
 
     def key(self, x) -> Hashable:
         return x
@@ -413,10 +433,11 @@ class LittleDiscs(EffectiveOperad):
     def format_element(self, x) -> str:
         return "<" + " ".join(_ball_tokens(x)) + ">"
 
-    def canonical_twist(self, x) -> InjectiveMap:
+    def canonical_twist(self, x) -> tuple[InjectiveMap, str]:
         # "ball((c);r)" holds exactly two ")", one of them at its end, so no
         # token is a proper prefix of another
-        return _sorting_twist(_ball_tokens(x))
+        sigma, body = _sorting_twist(_ball_tokens(x))
+        return sigma, f"<{body}>"
 
     def parse_element(self, text: str):
         body = text.strip()
@@ -502,9 +523,10 @@ class Associative(EffectiveOperad):
     def format_element(self, x) -> str:
         return "word(" + " ".join(str(t) for t in x) + ")"
 
-    def canonical_twist(self, x) -> InjectiveMap:
+    def canonical_twist(self, x) -> tuple[InjectiveMap, str]:
         # the action relabels letters and leaves positions alone
-        return least_word_twist(x)
+        sigma = least_word_twist(x)
+        return sigma, self.format_element(self.restrict(sigma, x))
 
     def parse_element(self, text: str):
         body = text.strip()
@@ -624,7 +646,7 @@ class FramedOperad(EffectiveOperad):
         self._check_restrict(u, x)
         return FramedElement(
             self.base.restrict(u, x.point),
-            tuple(x.frames[u(j) - 1] for j in range(1, u.m + 1)))
+            tuple([x.frames[v - 1] for v in u.values]))
 
     def key(self, x) -> Hashable:
         return (self.base.key(x.point), x.frames)
@@ -633,12 +655,14 @@ class FramedOperad(EffectiveOperad):
         frames = " ".join(str(g) for g in x.frames)
         return f"({self.base.format_element(x.point)} ; {frames})"
 
-    def canonical_twist(self, x) -> InjectiveMap:
+    def canonical_twist(self, x) -> tuple[InjectiveMap, str]:
         # The base text comes first, and the twists of one base element
         # only reorder or renumber its entries, so their base texts have
         # one length and none is a proper prefix of another: twists are
         # ordered by their base texts, which the base's sigma makes least.
-        return self.base.canonical_twist(x.point)
+        sigma, point_text = self.base.canonical_twist(x.point)
+        frames = " ".join([str(x.frames[v - 1]) for v in sigma.values])
+        return sigma, f"({point_text} ; {frames})"
 
     def parse_element(self, text: str):
         body = text.strip()

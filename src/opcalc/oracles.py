@@ -4,8 +4,10 @@ None of this runs in a W or B command; the check suites, the perfbench
 harness and the tests load it.
 
   * `normalize_random_order` reduces a W tree by applying a uniformly
-    chosen contraction or unit splice until none applies; agreement with
-    `wpoint` across many draws is the confluence check.
+    chosen contraction or unit splice until none applies, then turns every
+    vertex to its least twist in a second pass, `_canonical_node`;
+    agreement with `wpoint`, which does both in one pass, across many
+    draws is the confluence check.
     `b_normalize_random_order` is its height-tree twin, against `bpoint`.
   * `_canonical_node_search` tries all k! twists at every vertex, through
     `_least_twist`; every operad's `canonical_twist` is tested against it.
@@ -23,8 +25,7 @@ from typing import Hashable, Optional, Union
 from .bconstruction import BEntry, BNode, BPoint, _canonical_point, _validate_b_raw
 from .operads import EffectiveOperad
 from .trees import InjectiveMap
-from .wconstruction import (WEdge, WEntry, WNode, _canonical_node, _validate_root, entry_text,
-                            w_compose)
+from .wconstruction import WEdge, WEntry, WNode, _validate_root, entry_text, w_compose
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,19 @@ def normalize_random_order(rng, op: EffectiveOperad, root: Union[int, WNode]) ->
         if isinstance(root, int):
             return 1
     return _canonical_node(op, root)
+
+
+def _canonical_node(op: EffectiveOperad, node: WNode) -> WNode:
+    """Every vertex of a reduced tree at the twist its operad's
+    `canonical_twist` names: the two-pass reference for `wpoint`'s one pass.
+    The label text alone is strictly least, so the children's texts never
+    break a tie."""
+    entries = [WEdge(child.length, _canonical_node(op, child.node))
+               if isinstance(child, WEdge) else child for child in node.children]
+    if len(entries) == 1:
+        return WNode(node.label, tuple(entries))
+    sigma, _ = op.canonical_twist(node.label)
+    return WNode(op.restrict(sigma, node.label), tuple(entries[v - 1] for v in sigma.values))
 
 
 def _canonical_node_search(op: EffectiveOperad, node: WNode) -> WNode:

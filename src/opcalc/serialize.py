@@ -24,7 +24,7 @@ from typing import Callable, Union
 from .bconstruction import BNode, BPoint, bpoint
 from .operads import EffectiveOperad, escaped, format_fraction, parse_fraction, parse_int
 from .trees import DomainError, check_depth, shown
-from .wconstruction import WEdge, WNode, WPoint, _checked_point, _edge, _vertex
+from .wconstruction import WEdge, WNode, WPoint, _checked_point, _edge, _vertex, label_text
 
 Token = tuple[str, str]
 
@@ -243,7 +243,7 @@ def w_dot(a: WPoint) -> str:
     """A graphviz rendering; vertices show their labels, edges their lengths."""
     op = a.operad
     return _dot(a.root, lambda entry: (
-        escaped(op.format_element(entry.label)),
+        label_text(op, entry.node) if isinstance(entry, WEdge) else label_text(op, entry),
         f' [label="{format_fraction(entry.length)}"]' if isinstance(entry, WEdge) else ""))
 
 

@@ -77,7 +77,8 @@ def fold(value, children, open_child: Callable, compose: Callable, restrict: Cal
     value = _fold_slots(value, children, open_child, compose, word)
     word.reverse()
     n = len(word)
-    return restrict(InjectiveMap(n, n, tuple(word)).inverse(), value)
+    # the leaves of a point are numbered 1..n, so the word is a permutation
+    return restrict(InjectiveMap._trusted(n, n, tuple(word)).inverse(), value)
 
 
 open_entry = attrgetter("label", "children")   # fold's `open_child` on an entry
@@ -192,7 +193,7 @@ def keep_leaves(entry, renumber: dict[int, int], restrict: Callable):
             slots.append(position)
     if not children:
         return None
-    kept_slots = InjectiveMap(len(slots), len(entry.children), tuple(slots))
+    kept_slots = InjectiveMap._trusted(len(slots), len(entry.children), tuple(slots))
     return entry.rebuilt(restrict(kept_slots, entry.label), tuple(children))
 
 
@@ -251,6 +252,17 @@ class InjectiveMap(Record):
                 raise DomainError(f"values {self.values!r} are not an injection into 1..{self.n}")
             seen.add(v)
 
+    @classmethod
+    def _trusted(cls, m: int, n: int, values: tuple[int, ...]) -> "InjectiveMap":
+        """The injection with these values, unchecked: for a caller that
+        built them as one, such as a permutation it sorted or inverted.
+        Every other value goes through the checking constructor."""
+        u = object.__new__(cls)
+        set_field(u, "m", m)
+        set_field(u, "n", n)
+        set_field(u, "values", values)
+        return u
+
     def __call__(self, j: int) -> int:
         if not 1 <= j <= self.m:
             raise DomainError(f"argument {j} outside 1..{self.m}")
@@ -279,7 +291,7 @@ class InjectiveMap(Record):
         inv = [0] * self.m
         for j, v in enumerate(self.values, start=1):
             inv[v - 1] = j
-        return InjectiveMap(self.m, self.n, tuple(inv))
+        return InjectiveMap._trusted(self.m, self.n, tuple(inv))
 
     @staticmethod
     def all_order_preserving(m: int, n: int) -> Iterator["InjectiveMap"]:

@@ -8,7 +8,7 @@ numbers therefore live directly at the slots they decorate and composition
 of labels during edge contraction never renumbers anything. An edge and the
 vertex above it are one entry of `trees`' protocol, for its shared walks.
 
-Normal form, computed by `_normal_w`:
+Normal form, computed by `_normal_w` in one pass from the leaves down:
 
   * an inner edge of length 0 is contracted, composing the two vertex
     labels at the slot given by the child's position;
@@ -27,6 +27,18 @@ disc and framed operads one sort of the inputs' tokens finds it, and for
 the associative operad and the resolution itself, whose twists only
 renumber letters or leaves, one sort of the word. The k! search,
 `oracles._canonical_node_search`, is the oracle this is tested against.
+Each vertex is turned to that twist as the reduction returns from it, so
+a child is at its least twist before it is contracted into its parent;
+the least twist depends on the orbit of a label alone, so this gives the
+normal form the two-pass reference `oracles._canonical_node` gives after
+reducing.
+
+The hook also returns the text of the twisted label, and the normalizer
+puts it, escaped, on the vertex (`WNode._text`, not a field). `rebuilt`
+keeps it while the label object stays, so renumbering leaves, grafting and
+cutting carry it, and `entry_text` formats only a vertex that has none.
+The text always comes from the element, never from the text it was read
+from: `<[0/1,2/4]>` is read as the element `<[0/1,1/2]>` prints.
 
 A `WPoint` is normal by construction, and the structure maps rely on it;
 it keeps its text once built. Raw trees are validated once, where they
@@ -59,13 +71,21 @@ from .trees import (DomainError, InjectiveMap, Record, TreePoint, check_depth, c
 class WNode(Record):
     label: Hashable
     children: tuple["WEntry", ...]
+    # the label's escaped text, which the normalizer puts on each vertex it
+    # builds; not a field: outside __init__, equality, hash and repr
+    _text = None
 
     def __init__(self, label: Hashable, children: tuple["WEntry", ...]) -> None:
         set_field(self, "label", label)
         set_field(self, "children", children)
 
     def rebuilt(self, label: Hashable, children: tuple["WEntry", ...]) -> WNode:
-        return WNode(label, children)
+        """The vertex with this label and these children; the label's text
+        is kept when the label is the same object."""
+        node = WNode(label, children)
+        if label is self.label:
+            set_field(node, "_text", self._text)
+        return node
 
 
 class WEdge(Record):
@@ -88,8 +108,9 @@ class WEdge(Record):
         return self.node.children
 
     def rebuilt(self, label: Hashable, children: tuple["WEntry", ...]) -> WEdge:
-        """The edge, its length kept, onto a vertex with this label and children."""
-        return WEdge(self.length, WNode(label, children))
+        """The edge, its length kept, onto its vertex rebuilt with this label
+        and these children."""
+        return WEdge(self.length, self.node.rebuilt(label, children))
 
 
 WEntry = Union[int, WEdge]   # a bare leaf number, or an inner edge
@@ -127,9 +148,17 @@ def entry_text(op: EffectiveOperad, entry: Union[WEntry, WNode]) -> str:
         return f"l{entry}"
     if isinstance(entry, WEdge):
         return f"(e {format_fraction(entry.length)} {entry_text(op, entry.node)})"
-    parts = [f'(v "{escaped(op.format_element(entry.label))}"']
+    parts = [f'(v "{label_text(op, entry)}"']
     parts.extend(entry_text(op, child) for child in entry.children)
     return " ".join(parts) + ")"
+
+
+def label_text(op: EffectiveOperad, node: WNode) -> str:
+    """The escaped text of node's label: the one the normalizer put on it,
+    or formatted afresh for a vertex that has none (built by hand, or by
+    `keep_leaves`)."""
+    text = node._text
+    return escaped(op.format_element(node.label)) if text is None else text
 
 
 def w_text(a: WPoint) -> str:
@@ -163,7 +192,7 @@ def _edge(length: Fraction, node) -> WEdge:
     node is a vertex; `_validate_raw` and the readers in `serialize` build
     edges here."""
     if not 0 <= length <= 1:
-        raise DomainError(f"edge length {length} outside [0,1]")
+        raise DomainError(f"edge length {shown(format_fraction(length))} outside [0,1]")
     if not isinstance(node, WNode):
         raise DomainError(f"an inner edge must end in a vertex, got {shown(node)}")
     return WEdge(length, node)
@@ -187,10 +216,14 @@ def _validate_root(op: EffectiveOperad, root) -> Union[int, WNode]:
 
 
 def _reduce_vertex(op: EffectiveOperad, node: WNode) -> Union[int, WNode]:
-    """Apply contractions and unit splices below and at this vertex.
+    """Apply contractions and unit splices below and at this vertex, then
+    turn it to the twist its operad's `canonical_twist` names, its label's
+    text on it.
 
     Returns a bare leaf number when the whole subtree collapses to one
-    (a chain of unit vertices over a leaf).
+    (a chain of unit vertices over a leaf). A child is at its least twist
+    before it is contracted in, which gives the same normal form: the
+    least twist depends on the orbit of the label alone.
     """
     entries: list[WEntry] = []
     for child in node.children:
@@ -221,28 +254,24 @@ def _reduce_vertex(op: EffectiveOperad, node: WNode) -> Union[int, WNode]:
         else:
             p += 1
 
-    if len(entries) == 1 and op.is_unit(label) and isinstance(entries[0], int):
-        return entries[0]
-    return WNode(label, tuple(entries))
-
-
-def _canonical_node(op: EffectiveOperad, node: WNode) -> WNode:
-    """Every vertex at the twist its operad's `canonical_twist` names; the
-    label text alone is strictly least, so the children's texts never
-    break a tie."""
-    entries = [WEdge(child.length, _canonical_node(op, child.node))
-               if isinstance(child, WEdge) else child for child in node.children]
     if len(entries) == 1:
-        return WNode(node.label, tuple(entries))
-    sigma = op.canonical_twist(node.label)
-    return WNode(op.restrict(sigma, node.label), tuple(entries[v - 1] for v in sigma.values))
+        if isinstance(entries[0], int) and op.is_unit(label):
+            return entries[0]
+        text = op.format_element(label)   # one input has one twist
+    else:
+        sigma, text = op.canonical_twist(label)
+        label, entries = op.restrict(sigma, label), [entries[v - 1] for v in sigma.values]
+    node = WNode(label, tuple(entries))
+    set_field(node, "_text", escaped(text))
+    return node
 
 
 def _normal_w(op: EffectiveOperad, root: WNode) -> WPoint:
-    """Reduce and canonicalize a tree that is valid already: its labels are
-    elements of the right arity, its lengths Fractions in [0,1], its leaves
-    numbered 1..n. Validation is the callers' part: `wpoint` checks raw
-    trees, and the structure maps only rebuild normal forms."""
+    """Reduce and canonicalize, in one pass, a tree that is valid already:
+    its labels are elements of the right arity, its lengths Fractions in
+    [0,1], its leaves numbered 1..n. Validation is the callers' part:
+    `wpoint` checks raw trees, and the structure maps only rebuild normal
+    forms."""
     reduced = _reduce_vertex(op, root)
     if isinstance(reduced, int):
         return WPoint(op, 1)
@@ -250,7 +279,7 @@ def _normal_w(op: EffectiveOperad, root: WNode) -> WPoint:
     # sits on an edge to a vertex that is not one, as in `_reduce_vertex`
     if len(reduced.children) == 1 and op.is_unit(reduced.label):
         reduced = reduced.children[0].node
-    return _normal_point(op, _canonical_node(op, reduced))
+    return _normal_point(op, reduced)
 
 
 def _normal_point(op: EffectiveOperad, root: WNode) -> WPoint:
@@ -381,8 +410,8 @@ def _carve(finish: Callable[[WNode], WPoint], node: WNode, components: list) -> 
     index = len(components)
     components.append(None)
     exits: list = []
-    piece_root = WNode(node.label,
-                       tuple(_carve_entry(finish, c, exits, components) for c in node.children))
+    children = tuple(_carve_entry(finish, c, exits, components) for c in node.children)
+    piece_root = node.rebuilt(node.label, children)
     components[index] = component = finish(piece_root)
     return WNode(component, tuple(exits))
 
@@ -433,9 +462,10 @@ class WOperad(EffectiveOperad):
     def key(self, x: WPoint) -> Hashable:
         return (self.name, x.root)
 
-    def canonical_twist(self, x: WPoint) -> InjectiveMap:
+    def canonical_twist(self, x: WPoint) -> tuple[InjectiveMap, str]:
         # twisting a normal point only renumbers its leaves
-        return least_word_twist(x.leaf_word)
+        sigma = least_word_twist(x.leaf_word)
+        return sigma, w_lambda(sigma, x).text
 
     def format_element(self, x: WPoint) -> str:
         return x.text

@@ -113,9 +113,10 @@ class FormalOperad(EffectiveOperad):
     def key(self, x) -> Hashable:
         return x
 
-    def canonical_twist(self, x) -> InjectiveMap:
+    def canonical_twist(self, x) -> tuple[InjectiveMap, str]:
         # a twist only renumbers leaves, each written `Lk` before " " or ")"
-        return least_word_twist(leaf_word(x))
+        sigma = least_word_twist(leaf_word(x))
+        return sigma, self.format_element(self.restrict(sigma, x))
 
     def format_element(self, x) -> str:
         if isinstance(x, int):

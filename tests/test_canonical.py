@@ -1,10 +1,13 @@
 """Every operad's `canonical_twist` against the k! search.
 
-The hook must name the strictly least twist, and give, vertex by vertex,
-the normal form that trying all twists gives, byte for byte: for the base
-operads, for the resolution over them and over itself, and for the tests'
-recording operad. Height-tree vertices sort their children by text,
-checked against trying all twists there too.
+The hook must name the strictly least twist and return its text, and give,
+vertex by vertex, the normal form that trying all twists gives, byte for
+byte: for the base operads, for the resolution over them and over itself,
+and for the tests' recording operad. The normalizer's one pass, which
+twists each vertex before contracting it into its parent, must give the
+normal form of the two-pass reference, reduce first and twist after.
+Height-tree vertices sort their children by text, checked against trying
+all twists there too.
 """
 
 import itertools
@@ -21,13 +24,12 @@ from opcalc.operads import (
     _sorting_twist,
     framed_intervals,
 )
-from opcalc.oracles import _canonical_node_search, _least_twist
+from opcalc.oracles import _canonical_node, _canonical_node_search, _least_twist
 from opcalc.sampling import random_permutation, random_raw_bnode, random_raw_wnode
 from opcalc.trees import DomainError, InjectiveMap
 from opcalc.wconstruction import (
     WNode,
     WOperad,
-    _canonical_node,
     _validate_raw,
     entry_text,
     w_corolla,
@@ -67,10 +69,11 @@ def test_hook_names_the_strictly_least_twist(name, k):
     rng = random.Random(f"least-{name}-{k}")
     for _ in range(SAMPLES[k]):
         x = op.sample(rng, k)
-        sigma = op.canonical_twist(x)
+        sigma, text = op.canonical_twist(x)
         assert sigma.m == sigma.n == k
         texts = _texts_of_twists(op, x)
         least = texts[sigma.values]
+        assert text == least
         assert all(text > least for values, text in texts.items() if values != sigma.values)
 
 
@@ -89,6 +92,33 @@ def test_hooked_canonical_node_matches_the_search(name, k):
         assert fast == slow
 
 
+def _reduced_in_order(op, root):
+    """root reduced by the random-order oracle's steps, always the first
+    that applies, with no vertex twisted; and the number of steps taken."""
+    taken = 0
+    while not isinstance(root, int):
+        steps = oracles._applicable_steps(op, root)
+        if not steps:
+            break
+        root = oracles._apply_step(op, root, steps[0])
+        taken += 1
+    return root, taken
+
+
+@pytest.mark.parametrize("name", sorted(EVERY))
+def test_one_pass_equals_reduce_then_canonicalize(name):
+    op = EVERY[name]
+    rng = random.Random(f"one-pass-{name}")
+    reduced_any = 0
+    for _ in range(40):
+        raw = _validate_raw(op, random_raw_wnode(rng, op, rng.randint(1, 5)))
+        reduced, taken = _reduced_in_order(op, raw)
+        two_pass = reduced if isinstance(reduced, int) else _canonical_node(op, reduced)
+        assert wpoint(op, raw).root == two_pass
+        reduced_any += taken > 0
+    assert reduced_any >= 10
+
+
 @pytest.mark.parametrize("k", [10, 11, 12, 13])
 def test_associative_hook_orders_letters_as_text(k):
     # "word(1 10 11 ... 2 3 ...)": letters past 9 make string order differ
@@ -98,8 +128,8 @@ def test_associative_hook_orders_letters_as_text(k):
     rng = random.Random(f"assoc-{k}")
     for _ in range(3):
         x = op.sample(rng, k)
-        sigma = op.canonical_twist(x)
-        least = op.format_element(op.restrict(sigma, x))
+        sigma, least = op.canonical_twist(x)
+        assert least == op.format_element(op.restrict(sigma, x))
         assert least == "word(" + " ".join(sorted(map(str, range(1, k + 1)))) + ")"
         others = [InjectiveMap(k, k, tuple(values)) for values in _transposed(sigma.values)]
         others += [random_permutation(rng, k) for _ in range(200)]
@@ -116,8 +146,8 @@ def test_leaf_word_hooks_order_leaves_as_text(name):
     op, k = WORDS[name], 11
     rng = random.Random(f"words-{name}")
     x = op.sample(rng, k)
-    sigma = op.canonical_twist(x)
-    least = op.format_element(op.restrict(sigma, x))
+    sigma, least = op.canonical_twist(x)
+    assert least == op.format_element(op.restrict(sigma, x))
     others = [InjectiveMap(k, k, tuple(values)) for values in _transposed(sigma.values)]
     others += [random_permutation(rng, k) for _ in range(100)]
     for tau in others:
@@ -151,7 +181,8 @@ def test_sorting_twist_refuses_equal_tokens():
     ball = LittleDiscs(2).parse_element("<ball((0/1,0/1);1/2)>")
     with pytest.raises(DomainError, match="overlap"):
         LittleDiscs(2).validate(ball + ball)
-    assert _sorting_twist(["b", "a", "c"]).values == (2, 1, 3)
+    sigma, body = _sorting_twist(["b", "a", "c"])
+    assert sigma.values == (2, 1, 3) and body == "a b c"
 
 
 def test_unhooked_operads_keep_the_search():
@@ -162,7 +193,7 @@ def test_unhooked_operads_keep_the_search():
         rng = random.Random(f"unhooked-{name}")
         for k in (2, 2, 3, 3, 4):
             x = op.sample(rng, k)
-            sigma = op.canonical_twist(x)
+            sigma, _ = op.canonical_twist(x)
             leaves = tuple(range(1, k + 1))
             hooked = WNode(op.restrict(sigma, x), sigma.values)
             assert hooked == _least_twist(op, x, leaves)

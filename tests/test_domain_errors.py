@@ -5,6 +5,9 @@ raw-tree validators, the base operads' checks, the text and JSON readers
 and the truncated evaluators against arguments the callers inside the
 package never pass, so no law suite reaches them.
 
+An echoed number (an edge length, a height, a time, a radius) is written
+p/q and cut as `shown` cuts; a path law's witness writes its time p/q.
+
 The same holds for the guards of the maps and paths in `mapping`: a
 bimodule map between bimodules over different operads, the inclusion into
 discs of a dimension other than 2, concatenating paths between different
@@ -25,9 +28,10 @@ import pytest
 from opcalc.bconstruction import BNode, b_lambda, b_left_act, b_right_act, bpoint, slice_point
 from opcalc.bimodules import (BBimodule, WSelfBimodule, eval_truncated_bimodule_map,
                               eval_truncated_operad_map)
-from opcalc.mapping import (BimoduleMap, PointedMapFamily, QXProductBimodule, XPath,
-                            concat_paths, constant_path, delta_family, eta_map, eta_mu_map,
-                            fold_point_through, pl_reparam, psi_double_prime)
+from opcalc.mapping import (BimoduleMap, PathOfMaps, PathSegment, PointedMapFamily,
+                            QXProductBimodule, XPath, check_path, concat_paths, constant_path,
+                            delta_family, eta_map, eta_mu_map, fold_point_through, pl_reparam,
+                            psi_double_prime)
 from opcalc.operads import LittleDiscs, LittleIntervals, PointedSet
 from opcalc.serialize import parse_b_text, parse_w_text, w_from_jsonable
 from opcalc.swisscheese import parse_sc, path_act_sc, rescale, sample_sc1
@@ -213,6 +217,23 @@ CASES = {
         "^the tail path must start at the base map$"),
     "closed configuration with no interval": (lambda: sample_sc1(random.Random(0), 0, "c"),
                                               "^need at least one interval$"),
+    # echoed numbers are written p/q and cut as `shown` cuts
+    "raw W edge length past 1": (
+        lambda: wpoint(D1, WNode(HALVES, (1, WEdge(F(2), WNode(((F(0), F(1)),), (2,)))))),
+        r"^edge length '2/1' outside \[0,1\]$"),
+    "w text edge length past 1": (
+        lambda: parse_w_text(D1, '(v "<[0/1,1/2] [1/2,1/1]>" l1 (e 2/1 (v "<[0/1,1/1]>" l2)))'),
+        r"^edge length '2/1' outside \[0,1\]$"),
+    "raw B height past 1": (lambda: bpoint(D1, BNode(_cup(), F(2), (1, 2))),
+                            r"^height '2/1' outside \[0,1\]$"),
+    "raw B height below its parent": (
+        lambda: bpoint(D1, BNode(_cup(), F(1, 2), (1, BNode(_cup(), F(0), (2, 3))))),
+        "^height '0/1' below the parent height '1/2'$"),
+    "path time past 1": (lambda: constant_path(EM).at(_cup(), F(2)),
+                         r"^time '2/1' outside \[0,1\]$"),
+    "radius of a 300-digit denominator": (
+        lambda: D2.validate((((F(0), F(0)), F(-1, 10 ** 300)),)),
+        r"^radius '-1/10{55}\.\.\. \(306 characters\) is not positive$"),
 }
 
 
@@ -221,6 +242,18 @@ def test_out_of_range_arguments_raise_domain_error(case):
     call, message = CASES[case]
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_path_witnesses_write_times_as_fractions():
+    # a path that halves the first disc fails its unit law at every time;
+    # seed 1 draws t = 0 first, once written "t=0"
+    half = (((F(0), F(0)), F(1, 2)),)
+    shrunk = PathOfMaps("shrunk", EM.source, D2, EM, EM,
+                        [PathSegment(F(0), F(1), lambda y, s: D2.compose(half, 1, EM(y)))])
+    failed = {r.check: r.witness for r in check_path(shrunk, samples=1, seed=1).results
+              if not r.passed}
+    assert failed["unit"] == "t=0/1"
+    assert failed["composition"].startswith("t=0/1 x=l1 i=1 ")
 
 
 def test_a_valid_order_of_the_two_piece_point_evaluates():

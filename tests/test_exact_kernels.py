@@ -1,13 +1,16 @@
-"""Differential tests: the integer kernels of LittleIntervals.validate and
-LittleDiscs.validate against the Fraction-arithmetic checks they replace.
+"""Differential tests: the integer kernels of LittleIntervals and
+LittleDiscs, `validate` and `compose`, against the Fraction-arithmetic
+code they replace.
 
-The oracles below are those checks as they were, kept here as the slow
-reference; their messages write intervals and balls in element text and
-cut echoed values with `shown`, as the library's do. Over seeded
+The oracles below are that code as it was, kept here as the slow
+reference; the validators' messages write intervals and balls in element
+text and cut echoed values with `shown`, as the library's do. Over seeded
 corpora (exact tangencies, shared endpoints, misses by one grid step,
 large coprime denominators, malformed entries in any position) both must
 accept the same elements and reject the others with the same
 DomainError text, so the order in which the checks fire is compared too.
+Both compositions must give the same element at every slot, over seeded
+elements whose denominators reach 2^61 - 1.
 """
 
 import itertools
@@ -79,13 +82,25 @@ def oracle_discs_validate(dim: int, x) -> None:
                 and isinstance(r, Fr)):
             raise DomainError(f"bad ball {shown(ball)}")
         if r <= 0:
-            raise DomainError(f"radius must be positive, got {format_fraction(r)}")
+            raise DomainError(f"radius {shown(format_fraction(r))} is not positive")
         if _norm2(c) > (1 - r) * (1 - r):
             raise DomainError(f"ball {shown(_ball_text(ball))} leaves the unit ball")
     for (c0, r0), (c1, r1) in itertools.combinations(x, 2):
         if _norm2(_vsub(c0, c1)) < (r0 + r1) * (r0 + r1):
             raise DomainError(f"balls {shown(_ball_text((c0, r0)))} and "
                               f"{shown(_ball_text((c1, r1)))} overlap")
+
+
+def oracle_intervals_compose(x, i, y):
+    a, b = x[i - 1]
+    w = b - a
+    return x[: i - 1] + tuple((a + w * c, a + w * d) for (c, d) in y) + x[i:]
+
+
+def oracle_discs_compose(x, i, y):
+    c, r = x[i - 1]
+    block = tuple((tuple(ck + r * dk for ck, dk in zip(c, d)), r * s) for (d, s) in y)
+    return x[: i - 1] + block + x[i:]
 
 
 def outcome(check, x):
@@ -292,7 +307,7 @@ def test_shape_errors_fire_after_earlier_position_errors():
         D1.validate((outside, (0, 1)))
     with pytest.raises(DomainError, match="must be Fractions"):
         D1.validate(((Fr(0), Fr(1, 2)), (0, 1), outside))
-    with pytest.raises(DomainError, match="radius must be positive, got -1/2"):
+    with pytest.raises(DomainError, match="radius '-1/2' is not positive"):
         D2.validate((((Fr(0), Fr(0)), Fr(-1, 2)), "ball"))
 
 
@@ -308,7 +323,7 @@ ERROR_TEXTS = (
     # a long token is cut as `shown` cuts: 87 characters with its quotes
     (D1, ((Fr(0), Fr(3 ** 80 + 1, 3 ** 80)),),
      f"interval '[0/1,{3 ** 80 + 1}/{3 ** 80}]'"[:69] + "... (87 characters) not inside [0,1]"),
-    (D2, (((Fr(0), Fr(0)), Fr(0)),), "radius must be positive, got 0/1"),
+    (D2, (((Fr(0), Fr(0)), Fr(0)),), "radius '0/1' is not positive"),
     (D2, (((HALF, HALF), HALF),), "ball 'ball((1/2,1/2);1/2)' leaves the unit ball"),
     (D2, (((Fr(0), Fr(0)), HALF), ((QUARTER, Fr(0)), QUARTER)),
      "balls 'ball((0/1,0/1);1/2)' and 'ball((1/4,0/1);1/4)' overlap"),
@@ -320,6 +335,58 @@ def test_error_texts_write_elements_as_text(op, x, text):
     oracle = oracle_intervals_validate if op is D1 else partial(oracle_discs_validate, 2)
     assert outcome(op.validate, x) == text
     assert outcome(oracle, x) == text
+
+
+def _coarse_intervals(rng, n):
+    """n disjoint intervals with endpoints on grids from DENOMINATORS."""
+    ends: set = set()
+    while len(ends) < 2 * n:
+        q = rng.choice(DENOMINATORS)
+        ends.add(Fr(rng.randint(0, q), q))
+    ends = sorted(ends)
+    x = list(zip(ends[::2], ends[1::2]))
+    rng.shuffle(x)
+    return tuple(x)
+
+
+def _coarse_discs(op, rng, n):
+    """A sample of n balls composed into one ball whose centre and radius
+    have denominators from DENOMINATORS: |centre| + radius stays below 1."""
+    q = rng.choice(DENOMINATORS)
+    outer = ((tuple(Fr(rng.randint(-q, q), 4 * q) for _ in range(op.dim)),
+              Fr(rng.randint(1, q), 2 * q)),)
+    return oracle_discs_compose(outer, 1, op.sample(rng, n))
+
+
+@pytest.mark.parametrize("op", (D1, D2, D3), ids=("d1", "d2", "discs3"))
+def test_compose_agrees_with_fraction_oracle(op):
+    if op is D1:
+        draw, oracle = _coarse_intervals, oracle_intervals_compose
+    else:
+        draw, oracle = partial(_coarse_discs, op), oracle_discs_compose
+    rng = random.Random(f"compose-{op.name}")
+    big = 0
+    for n in range(1, 7):
+        for m in range(1, 7):
+            for _ in range(3):
+                x, y = draw(rng, n), draw(rng, m)
+                op.validate(x)
+                op.validate(y)
+                for i in range(1, n + 1):
+                    composed = op.compose(x, i, y)
+                    assert composed == oracle(x, i, y)
+                    assert all(type(t) is Fr for t in _coordinates(composed))
+                    big += max(t.denominator for t in _coordinates(composed)) >= 2 ** 61 - 1
+    assert big > 10
+
+
+def _coordinates(x):
+    for entry in x:
+        if isinstance(entry[0], tuple):
+            yield from entry[0]
+            yield entry[1]
+        else:
+            yield from entry
 
 
 def test_format_fraction_on_ints_and_fractions():

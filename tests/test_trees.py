@@ -191,6 +191,19 @@ def test_injection_validation():
         InjectiveMap(2, 3, (1,))
 
 
+def test_trusted_maps_equal_checked_ones():
+    # the permutations fold, keep_leaves and the twist hooks build skip the
+    # checks; each must equal what the public constructor accepts
+    sigma = InjectiveMap(4, 4, (3, 1, 4, 2))
+    assert InjectiveMap._trusted(4, 4, (3, 1, 4, 2)) == sigma
+    assert sigma.inverse() == InjectiveMap(4, 4, (2, 4, 1, 3))
+    assert sigma.inverse().after(sigma) == InjectiveMap.identity(4)
+    with pytest.raises(DomainError, match="not an injection"):
+        InjectiveMap(3, 3, (1, 2, 2))
+    with pytest.raises(DomainError, match="not an injection"):
+        InjectiveMap(2, 3, (3, 4))
+
+
 def test_injection_rejects_booleans():
     with pytest.raises(DomainError):
         InjectiveMap(1, 1, (True,))

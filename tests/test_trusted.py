@@ -5,7 +5,9 @@ structure maps take their arguments for normal and normalize their results
 through the private, unchecked path. These tests keep that path honest:
 every result must pass the validating oracle (`WOperad.validate`,
 `BBimodule.validate`, which renormalize through `wpoint`/`bpoint`), and the
-boundary must still refuse what it refused before.
+boundary must still refuse what it refused before. The label texts the
+normalizer puts on W vertices, and that the structure maps carry, must
+equal the texts formatted afresh.
 """
 
 import io
@@ -27,12 +29,14 @@ from opcalc.bconstruction import (
     b_right_act,
     b_unit,
     bpoint,
+    mu_prime,
     slice_point,
 )
 from opcalc.bimodules import BBimodule, eval_truncated_operad_map
 from opcalc.cli import main
 from opcalc.operads import (
     Associative,
+    escaped,
     FramedElement,
     FramedOperad,
     LittleDiscs,
@@ -49,7 +53,7 @@ from opcalc.serialize import (
     w_from_jsonable,
     w_to_jsonable,
 )
-from opcalc.trees import MAX_DEPTH, DomainError, InjectiveMap, leaf_word
+from opcalc.trees import MAX_DEPTH, DomainError, InjectiveMap, keep_leaves, leaf_word
 from opcalc.wconstruction import (
     WEdge,
     WNode,
@@ -331,6 +335,56 @@ def _wnodes(node):
     for child in node.children:
         if isinstance(child, WEdge):
             yield from _wnodes(child.node)
+
+
+# ------------------------------------------------------- carried label texts
+
+TEXTED = {**OPERADS, "w(d1)": WOperad(D1), "formal": FormalOperad()}
+
+
+def _check_carried(op, point):
+    """Every vertex of the W point carries its label's escaped text, equal
+    to the text formatted afresh."""
+    if point.is_trivial:
+        return
+    for node in _wnodes(point.root):
+        assert node._text is not None
+        assert node._text == escaped(op.format_element(node.label))
+
+
+@pytest.mark.parametrize("name", sorted(TEXTED))
+def test_carried_label_texts_equal_fresh_texts(name):
+    op = TEXTED[name]
+    for rng, a in _corpus(op, 57, 12, 4):
+        b = random_wpoint(rng, op, rng.randint(1, 3))
+        bp = random_bpoint(rng, op, rng.randint(1, 4))
+        u = random_injection(rng, rng.randint(1, a.arity), a.arity)
+        results = [a, w_compose(a, rng.randint(1, a.arity), b), w_lambda(u, a),
+                   w_lambda(random_permutation(rng, a.arity), a),
+                   *w_prime_decompose(a).components, mu_prime(bp)]
+        acted = (b_right_act(bp, 1, b), b_left_act(b, (bp,) + (b_unit(op),) * (b.arity - 1)),
+                 b_lambda(random_injection(rng, 1, bp.arity), bp))
+        for point in (bp, *acted):
+            results.extend(_labels(point.root))
+        for point in results:
+            _check_carried(op, point)
+
+
+def test_a_vertex_without_a_text_is_formatted_afresh():
+    halves = ((F(0), F(1, 2)), (F(1, 2), F(1)))
+    node = WNode(halves[::-1], (2, 1))
+    assert node._text is None
+    assert entry_text(D1, node) == '(v "<[1/2,1/1] [0/1,1/2]>" l2 l1)'
+    assert WPoint(D1, node).text == '(v "<[1/2,1/1] [0/1,1/2]>" l2 l1)'
+    normal = wpoint(D1, node)
+    assert normal.root._text == "<[0/1,1/2] [1/2,1/1]>"
+    # the same label object keeps its text, another label drops it
+    assert normal.root.rebuilt(normal.root.label, (2, 1))._text == normal.root._text
+    assert normal.root.rebuilt(halves[::-1], (1, 2))._text is None
+    cut = keep_leaves(normal.root, {2: 1}, D1.restrict)
+    assert cut._text is None and entry_text(D1, cut) == '(v "<[1/2,1/1]>" l1)'
+    # the text is the parsed element's, never the text read
+    assert parse_w_text(D1, '(v "<[0/1,2/4]>" l1)').text == '(v "<[0/1,1/2]>" l1)'
 
 
 # --------------------------------------------------- the boundary still checks
