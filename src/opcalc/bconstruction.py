@@ -7,16 +7,16 @@ the slots of the vertex label: a label of arity k has leaf numbers 1..k and
 leaf j of the label corresponds to child position j. A vertex is an entry
 of `trees`' protocol, for its shared walks; rebuilt, it keeps its height.
 
-Normal form, computed by `_normal_b`:
+Normal form, computed by `_normal_b` in one pass, `_reduce_b`:
 
-  * two adjacent vertices of equal height are contracted, composing their
-    labels in the resolution (which inserts the usual inner edge of length
-    one between them);
+  * a vertex's children of its own height are contracted into it, composing
+    the labels in the resolution (which inserts the usual inner edge of
+    length one between them), before its other children are reduced;
   * a unary vertex labelled by the trivial resolution point is spliced out;
-  * every vertex is rotated so that its children's texts are sorted, and
-    its label is relabelled along that permutation. The children own
-    disjoint sets of leaves, so their texts never tie and the label's text
-    never breaks a tie.
+  * as the pass returns from a vertex, its children are sorted by their
+    texts and its label is relabelled once along that permutation. The
+    children own disjoint sets of leaves, so their texts never tie and the
+    label's text never breaks a tie.
 
 Consequently heights strictly increase along edges, at most one vertex has
 height 0 (the root), and every vertex of height 1 has only leaves below it.
@@ -31,7 +31,7 @@ label built with `WPoint(...)` never carries the mark. The structure maps
 (`b_left_act`, `b_right_act`, `b_lambda`, the pieces of `slice_point`)
 only rebuild normal forms from normal forms, so they go straight to
 `_normal_b` and check no label or height again; they do check that their
-arguments are points. A point keeps the text `_canonical_b` built for it.
+arguments are points.
 `bimodules.BBimodule.validate` is the check for a point of unknown origin.
 """
 
@@ -75,14 +75,14 @@ class BPoint(TreePoint):
 
     @cached_property
     def text(self) -> str:
-        return b_entry_text(self.operad, self.root)
+        return b_entry_text(self.root)
 
 
-def b_entry_text(op: EffectiveOperad, entry: BEntry) -> str:
+def b_entry_text(entry: BEntry) -> str:
     if isinstance(entry, int):
         return f"l{entry}"
     return _b_vertex_text(entry.label.text, entry.height,
-                          [b_entry_text(op, child) for child in entry.children])
+                          [b_entry_text(child) for child in entry.children])
 
 
 def _b_vertex_text(label_text: str, height: Fraction, child_texts: list[str]) -> str:
@@ -128,70 +128,47 @@ def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
                  tuple(_validate_b_raw(op, c, height, depth) for c in entry.children))
 
 
-def _reduce_b(op: EffectiveOperad, node: BNode) -> BEntry:
-    entries: list[BEntry] = []
-    for child in node.children:
-        entries.append(child if isinstance(child, int) else _reduce_b(op, child))
-    # contract children sharing this vertex's height
+def _reduce_b(entry: BEntry) -> tuple[BEntry, str]:
+    """The normal form of a valid tree, in one pass, with its b_entry_text.
+
+    At a vertex, the children of its own height are contracted into its
+    label first, top-down, so that their children become its own; then the
+    other children are reduced, and a unary vertex with the trivial label is
+    spliced out. A reduced child sits higher than its parent, so nothing is
+    left to contract. Last, the children are sorted by their texts and the
+    label is relabelled once along that order.
+    """
+    if isinstance(entry, int):
+        return entry, f"l{entry}"
+    label, height = entry.label, entry.height
+    children = list(entry.children)
     position = 0
-    label = node.label
-    while position < len(entries):
-        entry = entries[position]
-        if isinstance(entry, BNode) and entry.height == node.height:
-            label = w_compose(label, position + 1, entry.label)
-            entries[position: position + 1] = list(entry.children)
+    while position < len(children):
+        child = children[position]
+        if isinstance(child, BNode) and child.height == height:
+            label = w_compose(label, position + 1, child.label)
+            children[position: position + 1] = child.children
         else:
             position += 1
-    if len(entries) == 1 and label.is_trivial:
-        return entries[0]
-    return BNode(label, node.height, tuple(entries))
-
-
-def _canonical_b(op: EffectiveOperad, node: BNode) -> tuple[BNode, str]:
-    """Least twist of every vertex, with the b_entry_text of the result.
-
-    Children are sorted by their texts, which never tie, and the label is
-    relabelled along that order when it moves anything. Each vertex's text
-    is built once, from its children's, as the recursion returns.
-    """
-    entries: list[BEntry] = []
-    texts: list[str] = []
-    for child in node.children:
-        if isinstance(child, int):
-            entries.append(child)
-            texts.append(f"l{child}")
-        else:
-            entry, text = _canonical_b(op, child)
-            entries.append(entry)
-            texts.append(text)
-    k = len(entries)
-    order = sorted(range(k), key=texts.__getitem__)
-    label = node.label
+    if len(children) == 1 and label.is_trivial:
+        return _reduce_b(children[0])
+    reduced = [_reduce_b(child) for child in children]
+    k = len(reduced)
+    order = sorted(range(k), key=lambda index: reduced[index][1])
     if order != list(range(k)):
         label = w_lambda(InjectiveMap._trusted(k, k, tuple(index + 1 for index in order)), label)
-        entries = [entries[index] for index in order]
-        texts = [texts[index] for index in order]
-    return (BNode(label, node.height, tuple(entries)),
-            _b_vertex_text(label.text, node.height, texts))
+        reduced = [reduced[index] for index in order]
+    return (BNode(label, height, tuple(child for child, _ in reduced)),
+            _b_vertex_text(label.text, height, [text for _, text in reduced]))
 
 
-def _normal_b(op: EffectiveOperad, root: BNode) -> BPoint:
-    """Reduce and canonicalize a tree that is valid already: its labels are
-    normal points of the right arity, its heights Fractions in [0,1] that
-    weakly increase away from the root, its leaves numbered 1..n.
+def _normal_b(op: EffectiveOperad, root: BEntry) -> BPoint:
+    """The normal-form point of a tree that is valid already: its labels
+    are normal points of the right arity, its heights Fractions in [0,1]
+    that weakly increase away from the root, its leaves numbered 1..n.
     Validation is the callers' part: `bpoint` checks raw trees, and the
     structure maps only rebuild normal forms."""
-    return _canonical_point(op, _reduce_b(op, root))
-
-
-def _canonical_point(op: EffectiveOperad, reduced: BEntry) -> BPoint:
-    """The point on a reduced tree, canonicalized, with its text kept."""
-    if isinstance(reduced, int):
-        return BPoint(op, 1)
-    root, text = _canonical_b(op, reduced)
-    point = BPoint(op, root)
-    point.__dict__["text"] = text   # where cached_property keeps it
-    return point
+    return BPoint(op, _reduce_b(root)[0])
 
 
 def bpoint(op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:

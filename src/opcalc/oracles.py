@@ -9,6 +9,11 @@ harness and the tests load it.
     agreement with `wpoint`, which does both in one pass, across many
     draws is the confluence check.
     `b_normalize_random_order` is its height-tree twin, against `bpoint`.
+    It shares with the normalizer only the sort that ends `_normal_b`: on
+    a tree no random step applies to, `_reduce_b` contracts and splices
+    nothing. That is enough, because the sort has its own reference, the
+    k! search in the tests, while the contractions and splices, whose
+    order is what confluence is about, are the oracle's own.
   * `_canonical_node_search` tries all k! twists at every vertex, through
     `_least_twist`; every operad's `canonical_twist` is tested against it.
 
@@ -22,7 +27,7 @@ import itertools
 from fractions import Fraction
 from typing import Hashable, Optional, Union
 
-from .bconstruction import BEntry, BNode, BPoint, _canonical_point, _validate_b_raw
+from .bconstruction import BEntry, BNode, BPoint, _normal_b, _validate_b_raw
 from .operads import EffectiveOperad
 from .trees import InjectiveMap
 from .wconstruction import WEdge, WEntry, WNode, _validate_root, entry_text, w_compose
@@ -189,12 +194,17 @@ def _b_apply_step(root: BNode, step: tuple) -> BEntry:
 
 
 def b_normalize_random_order(rng, op: EffectiveOperad, root: Union[int, BNode]) -> BPoint:
-    """Reduce by applying steps in a random order; agreement with bpoint
-    across many draws is the confluence check."""
-    root = _validate_b_raw(op, root, Fraction(0))
+    """Reduce by applying steps in a random order, then sort; agreement with
+    bpoint across many draws is the confluence check."""
+    return _normal_b(op, _b_random_steps(rng, _validate_b_raw(op, root, Fraction(0))))
+
+
+def _b_random_steps(rng, root: BEntry) -> BEntry:
+    """A valid tree after uniformly chosen contractions and splices, until
+    none applies."""
     while isinstance(root, BNode):
         steps = _b_applicable_steps(root)
         if not steps:
             break
         root = _b_apply_step(root, steps[rng.randrange(len(steps))])
-    return _canonical_point(op, root)
+    return root

@@ -20,8 +20,8 @@ Three walks serve both resolutions:
   * `map_leaves(entry, move)`: each leaf k replaced by `move(k)`, a number
     or a subtree, which renumbers, shifts and grafts;
   * `keep_leaves(entry, renumber, restrict)`: the leaves `renumber` maps,
-    renumbered, each surviving label restricted along its kept slots, and
-    None when no leaf is kept.
+    renumbered, each label that lost a slot restricted along its kept
+    slots, and None when no leaf is kept.
 
 Every evaluation of a decorated tree is one `fold`: compose the vertex values
 down the tree, then relabel the inputs by the leaf word.
@@ -181,8 +181,9 @@ def map_leaves(entry, move: Callable):
 
 def keep_leaves(entry, renumber: dict[int, int], restrict: Callable):
     """entry keeping the leaves `renumber` maps, renumbered by it, with each
-    surviving label restricted along its kept slots by `restrict(kept,
-    label)`; None when no leaf is kept."""
+    label that lost a slot restricted along its kept slots by
+    `restrict(kept, label)`; None when no leaf is kept. A label that keeps
+    every slot stays the same object, and so keeps its carried text."""
     children: list = []
     slots: list[int] = []
     for position, child in enumerate(entry.children, start=1):
@@ -193,6 +194,8 @@ def keep_leaves(entry, renumber: dict[int, int], restrict: Callable):
             slots.append(position)
     if not children:
         return None
+    if len(children) == len(entry.children):   # the identity restricts to the label itself
+        return entry.rebuilt(entry.label, tuple(children))
     kept_slots = InjectiveMap._trusted(len(slots), len(entry.children), tuple(slots))
     return entry.rebuilt(restrict(kept_slots, entry.label), tuple(children))
 

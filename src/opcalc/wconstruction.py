@@ -156,7 +156,7 @@ def entry_text(op: EffectiveOperad, entry: Union[WEntry, WNode]) -> str:
 def label_text(op: EffectiveOperad, node: WNode) -> str:
     """The escaped text of node's label: the one the normalizer put on it,
     or formatted afresh for a vertex that has none (built by hand, or by
-    `keep_leaves`)."""
+    `keep_leaves` where the vertex lost a slot)."""
     text = node._text
     return escaped(op.format_element(node.label)) if text is None else text
 
@@ -344,8 +344,8 @@ def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
     """Restriction along an injection u: [m] -> [n], m >= 1.
 
     Leaves outside the image vanish, leaf u(j) becomes j, a vertex losing
-    all children vanishes with its slot, and surviving labels are
-    restricted along their kept slots.
+    all children vanishes with its slot, and a label that lost a slot is
+    restricted along its kept slots.
     """
     require(u, InjectiveMap, "the restriction")
     require(a, WPoint, "the point")

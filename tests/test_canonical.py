@@ -16,7 +16,8 @@ import random
 import pytest
 
 import opcalc.oracles as oracles
-from opcalc.bconstruction import BNode, _canonical_b, _reduce_b, b_entry_text
+import opcalc.bconstruction as bconstruction
+from opcalc.bconstruction import BNode, _normal_b, _reduce_b, _vertex_count, b_entry_text
 from opcalc.operads import (
     Associative,
     LittleDiscs,
@@ -32,6 +33,7 @@ from opcalc.wconstruction import (
     WOperad,
     _validate_raw,
     entry_text,
+    w_compose,
     w_corolla,
     w_lambda,
     wpoint,
@@ -231,24 +233,31 @@ def _vertices(node: WNode):
             yield from _vertices(child.node)
 
 
-@pytest.mark.parametrize("name", ["d1", "assoc"])
+def _reduced_and_searched(op, rng, n):
+    """A seeded raw tree with n leaves, and its normal form and text by the
+    reference: the oracle's random-order steps, then the k! search."""
+    raw = random_raw_bnode(rng, op, n, depth=rng.randint(0, 2))
+    return raw, _canonical_b_search(oracles._b_random_steps(rng, raw))
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
 def test_height_tree_texts_are_built_once_and_agree(name):
     op = BASES[name]
     rng = random.Random(f"b-{name}")
     for n in (1, 2, 3, 4, 4):
-        node = random_raw_bnode(rng, op, n, depth=rng.randint(0, 2))
-        if isinstance(node, int):
-            continue
-        canonical, text = _canonical_b(op, node)
-        assert text == b_entry_text(op, canonical)
+        raw, (slow, slow_text) = _reduced_and_searched(op, rng, n)
+        node, text = _reduce_b(raw)
+        assert text == b_entry_text(node) == slow_text
+        point = _normal_b(op, raw)
+        assert point.text == slow_text and point.root == slow
 
 
-def _canonical_b_search(op, node):
+def _canonical_b_search(node):
     """Every vertex at its least twist by (children's texts, label text),
-    trying all k! twists: the oracle for the sort in `_canonical_b`."""
+    trying all k! twists: the oracle for the sort in `_reduce_b`."""
     if isinstance(node, int):
         return node, f"l{node}"
-    subs = [_canonical_b_search(op, child) for child in node.children]
+    subs = [_canonical_b_search(child) for child in node.children]
     k = len(subs)
     best = None
     for values in itertools.permutations(range(1, k + 1)):
@@ -256,7 +265,7 @@ def _canonical_b_search(op, node):
         key = (tuple(subs[v - 1][1] for v in values), label.text)
         if best is None or key < best[0]:
             best = key, BNode(label, node.height, tuple(subs[v - 1][0] for v in values))
-    return best[1], b_entry_text(op, best[1])
+    return best[1], b_entry_text(best[1])
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
@@ -266,15 +275,31 @@ def test_height_tree_sort_matches_the_search(name):
     op = BASES[name]
     rng = random.Random(f"b-search-{name}")
     for n in (1, 2, 3, 3, 4, 4, 5, 5):
-        node = _reduce_b(op, random_raw_bnode(rng, op, n, depth=rng.randint(0, 2)))
+        raw, (slow, slow_text) = _reduced_and_searched(op, rng, n)
+        node, text = _reduce_b(raw)
+        assert text == slow_text and node == slow
         if isinstance(node, int):
             continue
-        canonical, text = _canonical_b(op, node)
-        slow, slow_text = _canonical_b_search(op, node)
-        assert text == slow_text and canonical == slow
-        for vertex in _b_vertices(canonical):
-            texts = [b_entry_text(op, child) for child in vertex.children]
+        for vertex in _b_vertices(node):
+            texts = [b_entry_text(child) for child in vertex.children]
             assert texts == sorted(set(texts))
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_height_tree_reducer_only_sorts_what_the_random_steps_leave(name, monkeypatch):
+    # the confluence oracle shares `_normal_b` with the normalizer; on a tree
+    # no step applies to, that is the sort and nothing else
+    op = BASES[name]
+    rng = random.Random(f"b-steps-{name}")
+    composed = []
+    monkeypatch.setattr(bconstruction, "w_compose",
+                        lambda *args: composed.append(args) or w_compose(*args))
+    for n in (1, 2, 3, 4, 4, 5, 5):
+        raw = random_raw_bnode(rng, op, n, depth=rng.randint(1, 3))
+        left = oracles._b_random_steps(rng, raw)
+        node, _ = _reduce_b(left)
+        assert _vertex_count(node) == _vertex_count(left)
+    assert composed == []
 
 
 def _b_vertices(node):

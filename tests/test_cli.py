@@ -17,6 +17,8 @@ from opcalc.serialize import parse_b_text, parse_w_text
 from opcalc.swisscheese import alpha_eval, parse_sc
 from opcalc.wconstruction import w_compose
 
+from golden_cli import read_cases
+
 D1 = LittleIntervals()
 
 HALVES = '<[0/1,1/2] [1/2,1/1]>'
@@ -283,6 +285,13 @@ def test_check_json_is_deterministic(capsys):
     _, second = run(capsys, *args)
     assert first == second
     assert json.loads(first)["ok"] is True
+
+
+@pytest.mark.parametrize("argv, stdout, code", [
+    pytest.param(argv, stdout, code, id=f"{index}-{argv[0]}")
+    for index, (argv, stdout, code) in enumerate(read_cases(), start=1)])
+def test_golden_cli_table(capsys, argv, stdout, code):
+    assert run(capsys, *argv) == (code, stdout)
 
 
 @pytest.mark.parametrize("x", ["a", "b"])

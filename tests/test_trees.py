@@ -328,9 +328,25 @@ def test_keep_leaves_restricts_along_the_kept_slots_and_keeps_decorations():
         Fraction(1, 3), WNode(x, (WEdge(HALF, WNode(y, (1,))), 2)))
     assert keep_leaves(_b_tree(), renumber, _slots_kept) == BNode(
         x, Fraction(0), (BNode(y, HALF, (1,)), 2))
-    # a vertex that keeps every slot is restricted along the identity
-    assert keep_leaves(_w_tree(), {3: 1, 1: 2, 4: 3, 2: 4}, _slots_kept).label == (
-        "x", (1, 2, 3))
+    # a vertex that keeps every slot keeps its label object
+    tree = _w_tree()
+    assert keep_leaves(tree, {3: 1, 1: 2, 4: 3, 2: 4}, _slots_kept).label is tree.label
+
+
+@pytest.mark.parametrize("tree", WALKED, ids=lambda f: f.__name__)
+def test_keep_leaves_restricts_only_the_vertices_that_lose_a_slot(tree):
+    restricted = []
+
+    def counting(u, label):
+        restricted.append(label)
+        return _slots_kept(u, label)
+
+    keep_leaves(tree(), {3: 1, 1: 2, 4: 3, 2: 4}, counting)
+    assert restricted == []
+    keep_leaves(tree(), {3: 1, 2: 2, 4: 3}, counting)   # y loses its slot 1
+    assert restricted == ["y"]
+    keep_leaves(tree(), {1: 1, 4: 2}, counting)   # x loses its slots 1 and 3
+    assert restricted == ["y", "x"]
 
 
 def test_an_edge_reads_label_and_children_through_its_node():

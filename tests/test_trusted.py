@@ -195,7 +195,7 @@ def test_fast_paths_equal_the_normalizer(name):
 
 @pytest.mark.parametrize("name", sorted(OPERADS))
 def test_height_tree_labels_and_texts_equal_the_normalizer(name):
-    # _canonical_b relabels each vertex label along the sorting
+    # _reduce_b relabels each vertex label along the sorting
     # permutation of its children, through bijective w_lambda
     op = OPERADS[name]
     rng = random.Random(52)
@@ -205,7 +205,7 @@ def test_height_tree_labels_and_texts_equal_the_normalizer(name):
             BBimodule(op).validate(point)
             for label in _labels(point.root):
                 _check_trusted(op, label)
-            assert point.text == b_entry_text(op, _fresh(point.root))
+            assert point.text == b_entry_text(_fresh(point.root))
 
 
 @pytest.mark.parametrize("name", sorted(OPERADS))
