@@ -24,14 +24,14 @@ height 0 (the root), and every vertex of height 1 has only leaves below it.
 A `BPoint` is normal by construction, and the structure maps rely on it.
 Raw trees are validated once, where they enter: `bpoint`, `b_corolla`,
 `b_map_heights` (the caller picks the heights), the text and JSON readers
-in `serialize`, and the random-order oracle in `oracles`. They
-normalize every label through `wpoint` again, except a label that
-`_normal_w` marked (see `wconstruction`): such a label is normal, and a
-label built with `WPoint(...)` never carries the mark. The structure maps
-(`b_left_act`, `b_right_act`, `b_lambda`, the pieces of `slice_point`)
-only rebuild normal forms from normal forms, so they go straight to
-`_normal_b` and check no label or height again; they do check that their
-arguments are points.
+in `serialize`, and the random-order oracle in `oracles`. Their check
+walk renormalizes every label through `wpoint` except one that `_normal_w`
+marked (see `wconstruction`), which is normal; `WPoint(...)` never marks.
+It keeps a vertex with a marked label, a Fraction height and children it
+kept, so a tree read from a point's text or JSON passes as it is. The
+structure maps (`b_left_act`, `b_right_act`, `b_lambda`, the pieces of
+`slice_point`) only rebuild normal forms from normal forms, so they go
+straight to `_normal_b` and check only that their arguments are points.
 `bimodules.BBimodule.validate` is the check for a point of unknown origin.
 """
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import is_
 from typing import Callable, Optional, Union
 
 from .operads import EffectiveOperad, escaped, format_fraction
@@ -109,8 +110,8 @@ def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
         return entry
     if not isinstance(entry, BNode):
         raise DomainError(f"bad tree entry {shown(entry)}")
-    height = Fraction(entry.height)
-    if not 0 <= height <= 1:
+    height = entry.height if type(entry.height) is Fraction else Fraction(entry.height)
+    if not 0 <= height.numerator <= height.denominator:   # in [0,1], in ints
         raise DomainError(f"height {shown(format_fraction(height))} outside [0,1]")
     if height < floor:
         raise DomainError(f"height {shown(format_fraction(height))} below the parent height "
@@ -124,8 +125,11 @@ def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
     depth += max(1, label.depth)
     if depth > MAX_DEPTH:
         raise DomainError(f"labels nested deeper than {MAX_DEPTH} vertices")
-    return BNode(label, height,
-                 tuple(_validate_b_raw(op, c, height, depth) for c in entry.children))
+    children = tuple(_validate_b_raw(op, c, height, depth) for c in entry.children)
+    if (type(entry) is BNode and height is entry.height and label is entry.label
+            and type(entry.children) is tuple and all(map(is_, children, entry.children))):
+        return entry
+    return BNode(label, height, children)
 
 
 def _reduce_b(entry: BEntry) -> tuple[BEntry, str]:

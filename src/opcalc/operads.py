@@ -48,8 +48,8 @@ def parse_int(text: str, signed: bool = True) -> int:
     """An integer in ASCII digits: `-?[0-9]+` when signed, else `[0-9]+`.
 
     Unlike `int()`, no sign `+`, no `_`, no inner spaces and no non-ASCII
-    digits, so that the texts of an element are few; every number in
-    element, point and configuration texts goes through here."""
+    digits, so that the texts of an element are few; `parse_fraction` checks
+    p and q so, and every other number in a text goes through here."""
     digits = text[1:] if signed and text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise DomainError(f"bad integer {shown(text)}")
@@ -64,13 +64,15 @@ def parse_fraction(text: str) -> Fraction:
     p/q need not be reduced. No whitespace, not even around the whole text."""
     if not isinstance(text, str):
         raise DomainError(f"expected a p/q string, got {shown(text)}")
-    if "/" not in text:
+    num, slash, den = text.partition("/")
+    if not slash:
         raise DomainError(f"expected p/q, got {shown(text)}")
-    num, _, den = text.partition("/")
-    try:
-        return Fraction(parse_int(num), parse_int(den, signed=False))
-    except (DomainError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad fraction {shown(text)}") from exc
+    if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() and den.isdigit():
+        try:
+            return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):   # more digits than int() converts, or q = 0
+            pass
+    raise DomainError(f"bad fraction {shown(text)}")
 
 
 def _sorting_twist(tokens: list[str]) -> tuple[InjectiveMap, str]:
@@ -128,8 +130,9 @@ def _on_common_denominator(values: list[Fraction]) -> tuple[int, list[int]]:
     A quadratic inequality in the values and 1 holds exactly when the same
     inequality in the scaled values and D does: both sides gain D^2.
     """
-    d = math.lcm(*(q.denominator for q in values))
-    return d, [q.numerator * (d // q.denominator) for q in values]
+    parts = [(q.numerator, q.denominator) for q in values]   # each read once
+    d = math.lcm(*[q for _, q in parts])
+    return d, [p * (d // q) for p, q in parts]
 
 
 class EffectiveOperad(ABC):
@@ -396,13 +399,19 @@ class LittleDiscs(EffectiveOperad):
         for ball, (c, r) in zip(balls, scaled):
             if r <= 0:
                 raise DomainError(f"radius {shown(format_fraction(ball[1]))} is not positive")
-            if sum(t * t for t in c) > (d - r) * (d - r):
+            norm = 0
+            for t in c:
+                norm += t * t
+            if norm > (d - r) * (d - r):
                 raise DomainError(f"ball {shown(_ball_tokens((ball,))[0])} leaves the unit ball")
         if shape_error is not None:
             raise DomainError(shape_error)
         for (ball0, (c0, r0)), (ball1, (c1, r1)) in itertools.combinations(
                 zip(balls, scaled), 2):
-            if sum((s - t) * (s - t) for s, t in zip(c0, c1)) < (r0 + r1) * (r0 + r1):
+            gap = 0
+            for s, t in zip(c0, c1):
+                gap += (s - t) * (s - t)
+            if gap < (r0 + r1) * (r0 + r1):
                 token0, token1 = map(shown, _ball_tokens((ball0, ball1)))
                 raise DomainError(f"balls {token0} and {token1} overlap")
 

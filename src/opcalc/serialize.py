@@ -12,7 +12,8 @@ escapes. The W readers validate each label once, through the operad's
 read: label arity, edge lengths in [0,1], an edge onto a vertex, leaf
 numbers at least 1. They end where `wpoint` ends, in the leaf-number check
 and the normalizer, so a parsed point compares equal to the point that
-produced the text. The B readers go through `bpoint`. Every reader stops at
+produced the text. The B readers end in `bpoint`, whose check walk keeps
+each vertex they built over a marked label. Every reader stops at
 MAX_DEPTH nested vertices with a DomainError. W and B texts share the root
 reader and the child loop; one DOT writer walks both kinds of tree.
 """
@@ -27,39 +28,37 @@ from .trees import DomainError, check_depth, shown
 from .wconstruction import WEdge, WNode, WPoint, _checked_point, _edge, _vertex, label_text
 
 Token = tuple[str, str]
+_PARENS = {"(": ("lp", "("), ")": ("rp", ")")}
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of text: parentheses, atoms and unescaped quoted texts."""
     out: list[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            out.append(("lp" if ch == "(" else "rp", ch))
-            i += 1
-        elif ch == '"':
-            buf = []
-            i += 1
-            while i < len(text) and text[i] != '"':
-                if text[i] == "\\" and i + 1 < len(text):
-                    buf.append(text[i + 1])
-                    i += 2
-                else:
-                    buf.append(text[i])
-                    i += 1
-            if i >= len(text):
-                raise DomainError("unterminated quote")
-            out.append(("quote", "".join(buf)))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            out.append(("atom", text[i:j]))
-            i = j
-    return out
+    start = 0
+    while True:
+        quote = text.find('"', start)
+        plain = text[start:] if quote < 0 else text[start:quote]
+        out += [_PARENS.get(word) or ("atom", word)
+                for word in plain.replace("(", " ( ").replace(")", " ) ").split()]
+        if quote < 0:
+            return out
+        start = quote + 1
+        # the next quote closes this one unless an odd run of backslashes escapes it
+        close = text.find('"', start)
+        while close > 0 and text[close - 1] == "\\":
+            back = close - 1
+            while text[back - 1] == "\\":
+                back -= 1
+            if (close - back) % 2 == 0:
+                break
+            close = text.find('"', close + 1)
+        if close < 0:
+            raise DomainError("unterminated quote")
+        body = text[start:close]
+        if "\\" in body:   # a backslash stands for the character after it
+            body = "\\".join([part.replace("\\", "") for part in body.split("\\\\")])
+        out.append(("quote", body))
+        start = close + 1
 
 
 class _Reader:
@@ -127,8 +126,7 @@ def _read_children(r: _Reader, read_inner: Callable[[], object]) -> tuple:
     """A vertex's children up to its ")": leaf tokens, and what `read_inner`
     reads at any other token."""
     children: list = []
-    while r.peek()[0] != "rp":
-        tok = r.peek()
+    while (tok := r.peek())[0] != "rp":
         if tok[0] == "atom" and tok[1].startswith("l"):
             r.take()
             children.append(_leaf_token(tok[1]))

@@ -36,9 +36,9 @@ reducing.
 The hook also returns the text of the twisted label, and the normalizer
 puts it, escaped, on the vertex (`WNode._text`, not a field). `rebuilt`
 keeps it while the label object stays, so renumbering leaves, grafting and
-cutting carry it, and `entry_text` formats only a vertex that has none.
-The text always comes from the element, never from the text it was read
-from: `<[0/1,2/4]>` is read as the element `<[0/1,1/2]>` prints.
+cutting carry it, `entry_text` formats only a vertex that has none, and
+the normalizer twists no vertex that keeps it and takes in no child. The
+text comes from the element: `<[0/1,2/4]>` reads as `<[0/1,1/2]>` prints.
 
 A `WPoint` is normal by construction, and the structure maps rely on it;
 it keeps its text once built. Raw trees are validated once, where they
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import is_
 from typing import Callable, Hashable, Union
 
 from .operads import EffectiveOperad, escaped, format_fraction, least_word_twist
@@ -172,39 +173,44 @@ def w_text(a: WPoint) -> str:
 def _validate_raw(op: EffectiveOperad, entry: Union[WEntry, WNode],
                   depth: int = 0) -> Union[WEntry, WNode]:
     """Check shapes, coerce lengths to Fraction, validate labels; `depth`
-    counts the vertices above entry."""
+    counts the vertices above entry. An entry with nothing to coerce is kept."""
     if isinstance(entry, bool) or (isinstance(entry, int) and entry < 1):
         raise DomainError(f"bad leaf number {shown(entry)}")
     if isinstance(entry, int):
         return entry
     if isinstance(entry, WEdge):
-        return _edge(Fraction(entry.length), _validate_raw(op, entry.node, depth))
+        length = entry.length if type(entry.length) is Fraction else Fraction(entry.length)
+        return _edge(length, _validate_raw(op, entry.node, depth), entry)
     if isinstance(entry, WNode):
         check_depth(depth)
         op.validate(entry.label)
         return _vertex(op, entry.label,
-                       tuple(_validate_raw(op, c, depth + 1) for c in entry.children))
+                       tuple(_validate_raw(op, c, depth + 1) for c in entry.children), entry)
     raise DomainError(f"bad tree entry {shown(entry)}")
 
 
-def _edge(length: Fraction, node) -> WEdge:
+def _edge(length: Fraction, node, raw=None) -> WEdge:
     """An inner edge on a checked node, once its length is in [0,1] and the
-    node is a vertex; `_validate_raw` and the readers in `serialize` build
-    edges here."""
-    if not 0 <= length <= 1:
+    node is a vertex: `raw`, the edge checked, if it is exactly that edge;
+    `_validate_raw` and the readers in `serialize` build edges here."""
+    if not 0 <= length.numerator <= length.denominator:   # in [0,1], in ints
         raise DomainError(f"edge length {shown(format_fraction(length))} outside [0,1]")
     if not isinstance(node, WNode):
         raise DomainError(f"an inner edge must end in a vertex, got {shown(node)}")
+    if type(raw) is WEdge and raw.length is length and raw.node is node:
+        return raw
     return WEdge(length, node)
 
 
-def _vertex(op: EffectiveOperad, label, children: tuple) -> WNode:
-    """A vertex on checked children, once its label, a valid element, has
-    one input per child and each child is a leaf number or an inner edge."""
+def _vertex(op: EffectiveOperad, label, children: tuple, raw=None) -> WNode:
+    """A vertex on checked children (`raw` itself if they are its own, in a tuple), once
+    its label, a valid element, has one input per child, each a leaf number or an inner edge."""
     if op.arity_of(label) != len(children):
         raise DomainError(f"label arity {op.arity_of(label)} against {len(children)} children")
     if any(isinstance(child, WNode) for child in children):
         raise DomainError("a vertex's child must be a leaf number or an inner edge, not a vertex")
+    if type(raw) is WNode and type(raw.children) is tuple and all(map(is_, children, raw.children)):
+        return raw
     return WNode(label, children)
 
 
@@ -254,9 +260,11 @@ def _reduce_vertex(op: EffectiveOperad, node: WNode) -> Union[int, WNode]:
         else:
             p += 1
 
+    if len(entries) == 1 and isinstance(entries[0], int) and op.is_unit(label):
+        return entries[0]
+    if label is node.label and node._text is not None:   # left at its least twist, text on
+        return node.rebuilt(label, tuple(entries))
     if len(entries) == 1:
-        if isinstance(entries[0], int) and op.is_unit(label):
-            return entries[0]
         text = op.format_element(label)   # one input has one twist
     else:
         sigma, text = op.canonical_twist(label)

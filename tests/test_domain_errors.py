@@ -153,6 +153,11 @@ CASES = {
     "raw W leaf text": (lambda: wpoint(D1, WNode(HALVES, (1, "l1"))), "^bad tree entry 'l1'$"),
     "raw W root an edge": (lambda: wpoint(D1, WEdge(F(1), WNode(HALVES, (1, 2)))),
                            "^a point's root must be a vertex or a leaf, not an edge$"),
+    "raw W edge onto a bare leaf": (lambda: wpoint(D1, WNode(HALVES, (1, WEdge(F(1, 2), 2)))),
+                                    "^an inner edge must end in a vertex, got 2$"),
+    "raw W vertex in a slot": (
+        lambda: wpoint(D1, WNode(HALVES, (1, WNode(((F(0), F(1)),), (2,))))),
+        "^a vertex's child must be a leaf number or an inner edge, not a vertex$"),
     "W point over d2 as a W(d1) point": (lambda: WOperad(D1).validate(_w_point_over_d2()),
                                          "^expected a point over intervals$"),
     "W point text as a W(d1) point": (lambda: WOperad(D1).validate(CUP_TEXT),
