@@ -24,10 +24,10 @@ height 0 (the root), and every vertex of height 1 has only leaves below it.
 A `BPoint` is normal by construction, and the structure maps rely on it.
 Raw trees are validated once, where they enter: `bpoint`, `b_corolla`,
 `b_map_heights` (the caller picks the heights), the text and JSON readers
-in `serialize`, and the random-order oracle in `oracles`. Their check
-walk renormalizes every label through `wpoint` except one that `_normal_w`
-marked (see `wconstruction`), which is normal; `WPoint(...)` never marks.
-It keeps a vertex with a marked label, a Fraction height and children it
+in `serialize`, and the random-order oracle in `oracles`. A label is a
+`WPoint`, and only the normalizer makes one (see `wconstruction`), so
+their check walk takes every label as normal and checks only its operad,
+arity and depth. It keeps a vertex with a Fraction height and children it
 kept, so a tree read from a point's text or JSON passes as it is. The
 structure maps (`b_left_act`, `b_right_act`, `b_lambda`, the pieces of
 `slice_point`) only rebuild normal forms from normal forms, so they go
@@ -45,7 +45,7 @@ from typing import Callable, Optional, Union
 from .operads import EffectiveOperad, escaped, format_fraction
 from .trees import (MAX_DEPTH, DomainError, InjectiveMap, Record, TreePoint, check_leaf_word, fold,
                     keep_leaves, map_leaves, open_entry, require, set_field, shown)
-from .wconstruction import WPoint, w_compose, w_lambda, w_unit, wpoint
+from .wconstruction import WPoint, w_compose, w_lambda, w_unit
 
 
 class BNode(Record):
@@ -101,7 +101,7 @@ def b_text(b: BPoint) -> str:
 
 def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
                     depth: int = 0) -> BEntry:
-    """Check shapes and heights and renormalize every unmarked label; `depth`
+    """Check shapes, heights and the labels' operad and arity; `depth`
     counts the label vertices above entry, so that no composite of the labels
     along a path, as `mu_prime` builds it, is deeper than MAX_DEPTH."""
     if isinstance(entry, bool) or (isinstance(entry, int) and entry < 1):
@@ -116,9 +116,9 @@ def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
     if height < floor:
         raise DomainError(f"height {shown(format_fraction(height))} below the parent height "
                           f"{shown(format_fraction(floor))}")
-    if not isinstance(entry.label, WPoint) or entry.label.operad != op:
+    label = entry.label
+    if not isinstance(label, WPoint) or label.operad != op:
         raise DomainError(f"label must be a resolution point over {op.name}")
-    label = entry.label if entry.label._marked else wpoint(op, entry.label.root)
     if label.arity != len(entry.children):
         raise DomainError(
             f"label arity {label.arity} against {len(entry.children)} children")
@@ -126,8 +126,8 @@ def _validate_b_raw(op: EffectiveOperad, entry: BEntry, floor: Fraction,
     if depth > MAX_DEPTH:
         raise DomainError(f"labels nested deeper than {MAX_DEPTH} vertices")
     children = tuple(_validate_b_raw(op, c, height, depth) for c in entry.children)
-    if (type(entry) is BNode and height is entry.height and label is entry.label
-            and type(entry.children) is tuple and all(map(is_, children, entry.children))):
+    if (type(entry) is BNode and height is entry.height and type(entry.children) is tuple
+            and all(map(is_, children, entry.children))):
         return entry
     return BNode(label, height, children)
 

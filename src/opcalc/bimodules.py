@@ -65,13 +65,10 @@ class Bimodule(ABC):
     def restrict(self, u: InjectiveMap, x): ...
 
     @abstractmethod
-    def key(self, x) -> Hashable: ...
-
-    @abstractmethod
     def sample(self, rng, n: int): ...
 
     def eq(self, x, y) -> bool:
-        return self.key(x) == self.key(y)
+        return x == y   # elements are canonical values, as in EffectiveOperad
 
     def __repr__(self) -> str:
         return f"<bimodule {self.name}>"
@@ -93,6 +90,12 @@ class BBimodule(Bimodule):
             raise DomainError(f"expected a point over {self.base.name}")
         if bpoint(self.base, x.root).root != x.root:
             raise DomainError("point is not in normal form")
+        entries = [x.root]   # bpoint takes every label for normal; check each one
+        while entries:
+            entry = entries.pop()
+            if not isinstance(entry, int):
+                self.over.validate(entry.label)
+                entries.extend(entry.children)
 
     def left_act(self, p: WPoint, xs: tuple) -> BPoint:
         return b_left_act(p, tuple(xs))
@@ -102,9 +105,6 @@ class BBimodule(Bimodule):
 
     def restrict(self, u: InjectiveMap, x: BPoint) -> BPoint:
         return b_lambda(u, x)
-
-    def key(self, x: BPoint) -> Hashable:
-        return (self.name, x.root)
 
     def sample(self, rng, n: int) -> BPoint:
         from .sampling import random_bpoint
@@ -138,9 +138,6 @@ class WSelfBimodule(Bimodule):
 
     def restrict(self, u: InjectiveMap, x: WPoint) -> WPoint:
         return w_lambda(u, x)
-
-    def key(self, x: WPoint) -> Hashable:
-        return (self.name, x.root)
 
     def sample(self, rng, n: int) -> WPoint:
         from .sampling import random_wpoint

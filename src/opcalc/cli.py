@@ -357,7 +357,8 @@ def cmd_alpha(ws: Workspace, args) -> int:
                           "closed ones only concatenate loops")
     loop_names = args.loops.split(",") if args.loops else []
     if len(loop_names) > c.n:
-        raise DomainError(f"at most {c.n} loops fit this configuration")
+        raise DomainError(f"too many loops: this configuration takes at most {c.n}, "
+                          f"got {len(loop_names)}")
     fs: list = []
     for k in range(c.n):
         name = loop_names[k] if k < len(loop_names) else "loop-a"

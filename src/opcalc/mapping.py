@@ -11,7 +11,7 @@ entries carry a serialized witness for each failure.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, Optional, Sequence
@@ -204,10 +204,10 @@ def pl_reparam(path: PathOfMaps, pairs: Sequence[tuple[Fraction, Fraction]]) -> 
         raise DomainError("reparametrization values must stay in [0,1]")
 
     def phi(t: Fraction) -> Fraction:
-        for (a, va), (c, vc) in zip(pairs, pairs[1:]):
-            if a <= t <= c:
-                return va + (t - a) * (vc - va) / (c - a)
-        raise AssertionError("uncovered time")
+        # the piece from pairs[k - 1] to the first breakpoint at or after t
+        k = bisect_left(pairs, t, lo=1, key=itemgetter(0))
+        (a, va), (c, vc) = pairs[k - 1], pairs[k]
+        return va + (t - a) * (vc - va) / (c - a)
 
     return PathOfMaps(f"reparam({path.name})", path.source, path.target,
                       path.start, path.end,
@@ -262,13 +262,9 @@ def delta_family(d1: LittleIntervals, d2: LittleDiscs, space: PointedSet,
     if rotations[space.basepoint] != 0:
         raise DomainError("the basepoint rotation must be zero")
     base = eta_mu_map(d1, d2)
-    maps = {}
-    for x, u in rotations.items():
-        if u == 0:
-            maps[x] = base if x == space.basepoint else OperadMap(
-                f"delta[{x}]", base.source, base.target, base.fn)
-        else:
-            maps[x] = compose_operad_maps(rotation_map(d2, u), base, f"delta[{x}]")
+    maps = {x: base if x == space.basepoint
+            else compose_operad_maps(rotation_map(d2, u), base, f"delta[{x}]")
+            for x, u in rotations.items()}
     return PointedMapFamily(space, maps, rotations=rotations)
 
 
@@ -386,9 +382,6 @@ class QxBimodule(Bimodule):
     def restrict(self, u: InjectiveMap, q):
         return self.q_operad.restrict(u, q)
 
-    def key(self, q):
-        return (self.name, self.q_operad.key(q))
-
     def sample(self, rng, n: int):
         return self.q_operad.sample(rng, n)
 
@@ -438,9 +431,6 @@ class QXProductBimodule(Bimodule):
     def restrict(self, u: InjectiveMap, elem: QXElem) -> QXElem:
         return QXElem(self.q_operad.restrict(u, elem.q),
                       tuple(elem.tags[u(j) - 1] for j in range(1, u.m + 1)))
-
-    def key(self, elem: QXElem):
-        return (self.name, self.q_operad.key(elem.q), elem.tags)
 
     def sample(self, rng, n: int) -> QXElem:
         return QXElem(self.q_operad.sample(rng, n),

@@ -173,16 +173,15 @@ class EffectiveOperad(ABC):
         """Pull back along an injection u: [m] -> [n], arity_of(x) == n."""
 
     # -- identity of elements -----------------------------------------------
-
-    @abstractmethod
-    def key(self, x) -> Hashable:
-        """A hashable canonical form; two elements are equal iff keys agree."""
+    # an element is its own canonical form (a tuple of Fractions, a word, a
+    # record of canonical values, a normal-form point), so equal elements
+    # are equal values
 
     def eq(self, x, y) -> bool:
-        return self.key(x) == self.key(y)
+        return x == y
 
     def is_unit(self, x) -> bool:
-        return self.arity_of(x) == 1 and self.eq(x, self.unit())
+        return self.arity_of(x) == 1 and x == self.unit()
 
     @abstractmethod
     def canonical_twist(self, x) -> tuple[InjectiveMap, str]:
@@ -306,9 +305,6 @@ class LittleIntervals(EffectiveOperad):
     def restrict(self, u: InjectiveMap, x):
         self._check_restrict(u, x)
         return tuple([x[v - 1] for v in u.values])
-
-    def key(self, x) -> Hashable:
-        return x
 
     def format_element(self, x) -> str:
         return "<" + " ".join(_interval_tokens(x)) + ">"
@@ -436,9 +432,6 @@ class LittleDiscs(EffectiveOperad):
         self._check_restrict(u, x)
         return tuple([x[v - 1] for v in u.values])
 
-    def key(self, x) -> Hashable:
-        return x
-
     def format_element(self, x) -> str:
         return "<" + " ".join(_ball_tokens(x)) + ">"
 
@@ -525,9 +518,6 @@ class Associative(EffectiveOperad):
         self._check_restrict(u, x)
         relabel = {u(j): j for j in range(1, u.m + 1)}
         return tuple(relabel[letter] for letter in x if letter in relabel)
-
-    def key(self, x) -> Hashable:
-        return x
 
     def format_element(self, x) -> str:
         return "word(" + " ".join(str(t) for t in x) + ")"
@@ -656,9 +646,6 @@ class FramedOperad(EffectiveOperad):
         return FramedElement(
             self.base.restrict(u, x.point),
             tuple([x.frames[v - 1] for v in u.values]))
-
-    def key(self, x) -> Hashable:
-        return (self.base.key(x.point), x.frames)
 
     def format_element(self, x) -> str:
         frames = " ".join(str(g) for g in x.frames)

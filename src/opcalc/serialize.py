@@ -12,8 +12,9 @@ escapes. The W readers validate each label once, through the operad's
 read: label arity, edge lengths in [0,1], an edge onto a vertex, leaf
 numbers at least 1. They end where `wpoint` ends, in the leaf-number check
 and the normalizer, so a parsed point compares equal to the point that
-produced the text. The B readers end in `bpoint`, whose check walk keeps
-each vertex they built over a marked label. Every reader stops at
+produced the text; only that normalizer makes a `WPoint`. The B readers
+read each label through the W reader and end in `bpoint`, whose check walk
+keeps each vertex they built as it is. Every reader stops at
 MAX_DEPTH nested vertices with a DomainError. W and B texts share the root
 reader and the child loop; one DOT writer walks both kinds of tree.
 """

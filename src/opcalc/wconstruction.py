@@ -40,29 +40,28 @@ cutting carry it, `entry_text` formats only a vertex that has none, and
 the normalizer twists no vertex that keeps it and takes in no child. The
 text comes from the element: `<[0/1,2/4]>` reads as `<[0/1,1/2]>` prints.
 
-A `WPoint` is normal by construction, and the structure maps rely on it;
-it keeps its text once built. Raw trees are validated once, where they
-enter: `wpoint`, `w_corolla` (a label), the random-order oracle in
-`oracles`, and the readers in `serialize`, which validate each label once,
-as they parse it. The structure maps check that their arguments are
-points, and no label again.
+Only the normalizer makes a `WPoint`: `WPoint(...)` raises, and every
+function here that returns a point builds it through `_normal_w`, or
+through `WPoint._trusted` on a tree it knows to be normal. A point keeps
+its text once built. Raw trees are validated once, where they enter:
+`wpoint`, `w_corolla` (a label), the random-order oracle in `oracles`, and
+the readers in `serialize`, which validate each label once, as they parse
+it. The structure maps check that their arguments are points, and no label
+again.
 
-`_normal_w` marks every point with a vertex that it builds. A vertex's
-twist depends on its label alone, so renumbering the leaves of a marked
-point, grafting two marked points along an edge of length 1 or cutting
-one at such edges leaves a normal tree. `w_compose`, bijective `w_lambda`
-and the `w_prime_decompose` components trust marked points and skip
-`_normal_w`; `bpoint` skips renormalizing a marked label. A point built
-with `WPoint(...)` is never marked, and `WOperad.validate` is the check
-for a point of unknown origin.
+A vertex's twist depends on its label alone, so renumbering the leaves of
+a point, grafting two points along an edge of length 1 or cutting one at
+such edges leaves a normal tree: `w_compose`, bijective `w_lambda` and the
+`w_prime_decompose` components take it as it is. `WOperad.validate`, which
+renormalizes and compares, is the oracle these paths are tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import is_
-from typing import Callable, Hashable, Union
+from typing import Hashable, Union
 
 from .operads import EffectiveOperad, escaped, format_fraction, least_word_twist
 from .trees import (DomainError, InjectiveMap, Record, TreePoint, check_depth, check_leaf_word,
@@ -120,18 +119,28 @@ WEntry = Union[int, WEdge]   # a bare leaf number, or an inner edge
 class WPoint(TreePoint):
     """A normal-form point. Build these with wpoint / w_unit / w_corolla.
 
-    Normal by construction: every function here that returns one has
-    reduced and canonicalized it, and takes it for normal in turn. A point
-    assembled by hand is checked with `WOperad(op).validate`. `_marked` is
-    set by the normalizer alone (see the module docstring)."""
+    Only the normalizer makes one (see the module docstring), so a point is
+    normal by its type, and immutable: its text, leaf word and depth are
+    computed once."""
 
-    _marked = False   # not a field: outside __init__, equality, hash and repr
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("a WPoint is built by wpoint, w_unit or w_corolla")
+
+    @classmethod
+    def _trusted(cls, operad: EffectiveOperad, root: Union[int, WNode]) -> WPoint:
+        """The point on root, unchecked: for the normalizer, and for a map
+        that rebuilds a normal tree as normal (renumbering, grafting or
+        cutting normal points)."""
+        point = object.__new__(cls)
+        set_field(point, "operad", operad)
+        set_field(point, "root", root)
+        return point
 
     @cached_property
     def text(self) -> str:
         return entry_text(self.operad, self.root)
 
-    @property
+    @cached_property
     def depth(self) -> int:
         """Vertices on the longest path from the root to a leaf."""
         return _depth(self.root)
@@ -282,19 +291,12 @@ def _normal_w(op: EffectiveOperad, root: WNode) -> WPoint:
     forms."""
     reduced = _reduce_vertex(op, root)
     if isinstance(reduced, int):
-        return WPoint(op, 1)
+        return WPoint._trusted(op, 1)
     # root side is external: a unit vertex at the root absorbs its edge; it
     # sits on an edge to a vertex that is not one, as in `_reduce_vertex`
     if len(reduced.children) == 1 and op.is_unit(reduced.label):
         reduced = reduced.children[0].node
-    return _normal_point(op, reduced)
-
-
-def _normal_point(op: EffectiveOperad, root: WNode) -> WPoint:
-    """The point on a normal tree, marked."""
-    point = WPoint(op, root)
-    set_field(point, "_marked", True)
-    return point
+    return WPoint._trusted(op, reduced)
 
 
 def wpoint(op: EffectiveOperad, root: Union[int, WNode]) -> WPoint:
@@ -309,13 +311,13 @@ def _checked_point(op: EffectiveOperad, root: Union[int, WNode]) -> WPoint:
     if isinstance(root, int):
         if root != 1:
             raise DomainError("a bare leaf point must be numbered 1")
-        return WPoint(op, 1)
+        return WPoint._trusted(op, 1)
     check_leaf_word(root)
     return _normal_w(op, root)
 
 
 def w_unit(op: EffectiveOperad) -> WPoint:
-    return WPoint(op, 1)
+    return WPoint._trusted(op, 1)
 
 
 def w_corolla(op: EffectiveOperad, label) -> WPoint:
@@ -344,8 +346,7 @@ def w_compose(a: WPoint, i: int, b: WPoint) -> WPoint:
     # b on an edge of length 1 at leaf i; later leaves move up by m - 1
     edge = WEdge(Fraction(1), map_leaves(b.root, lambda k: i + k - 1))
     root = map_leaves(a.root, lambda k: edge if k == i else k if k < i else k + m - 1)
-    finish = _normal_point if a._marked and b._marked else _normal_w
-    return finish(a.operad, root)
+    return WPoint._trusted(a.operad, root)   # a length-1 edge between normal trees
 
 
 def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
@@ -365,8 +366,8 @@ def w_lambda(u: InjectiveMap, a: WPoint) -> WPoint:
         return a
     op = a.operad
     renumber = {u(j): j for j in range(1, u.m + 1)}
-    if a._marked and u.m == u.n:
-        return _normal_point(op, map_leaves(a.root, renumber.__getitem__))
+    if u.m == u.n:   # renumbering the leaves changes no twist
+        return WPoint._trusted(op, map_leaves(a.root, renumber.__getitem__))
     return _normal_w(op, keep_leaves(a.root, renumber, op.restrict))
 
 
@@ -403,38 +404,35 @@ def w_prime_decompose(a: WPoint) -> WDecomposition:
     op = a.operad
     if a.is_trivial:
         return WDecomposition((), 1, 0)
-    # the pieces of a marked point are normal as cut
-    finish = partial(_normal_point if a._marked else _normal_w, op)
     components: list[WPoint] = []
-    skeleton = _carve(finish, a.root, components)
+    skeleton = _carve(op, a.root, components)
     level = max(piece.arity for piece in components)
     return WDecomposition(tuple(components), skeleton, level)
 
 
-def _carve(finish: Callable[[WNode], WPoint], node: WNode, components: list) -> WNode:
+def _carve(op: EffectiveOperad, node: WNode, components: list) -> WNode:
     """The skeleton vertex of the piece at node, whose component is
     components[index], reserved before the pieces above it are appended;
-    `finish` makes a piece's tree a point."""
+    a piece cut from a normal point is normal as it is."""
     index = len(components)
     components.append(None)
     exits: list = []
-    children = tuple(_carve_entry(finish, c, exits, components) for c in node.children)
+    children = tuple(_carve_entry(op, c, exits, components) for c in node.children)
     piece_root = node.rebuilt(node.label, children)
-    components[index] = component = finish(piece_root)
+    components[index] = component = WPoint._trusted(op, piece_root)
     return WNode(component, tuple(exits))
 
 
-def _carve_entry(finish: Callable[[WNode], WPoint], entry: WEntry, exits: list,
-                 components: list) -> WEntry:
+def _carve_entry(op: EffectiveOperad, entry: WEntry, exits: list, components: list) -> WEntry:
     """Keep entry in the current piece, or cut it off as exit len(exits)."""
     if isinstance(entry, int):
         exits.append(entry)
         return len(exits)
     if entry.length == 1:
-        exits.append(_carve(finish, entry.node, components))
+        exits.append(_carve(op, entry.node, components))
         return len(exits)
     return entry.rebuilt(entry.label,
-                         tuple(_carve_entry(finish, c, exits, components) for c in entry.children))
+                         tuple(_carve_entry(op, c, exits, components) for c in entry.children))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +464,6 @@ class WOperad(EffectiveOperad):
 
     def restrict(self, u: InjectiveMap, x: WPoint) -> WPoint:
         return w_lambda(u, x)
-
-    def key(self, x: WPoint) -> Hashable:
-        return (self.name, x.root)
 
     def canonical_twist(self, x: WPoint) -> tuple[InjectiveMap, str]:
         # twisting a normal point only renumbers its leaves

@@ -110,9 +110,6 @@ class FormalOperad(EffectiveOperad):
             return map_leaves(x, u.inverse())
         return keep_leaves(x, {u(j): j for j in range(1, u.m + 1)}, _tag_cut)
 
-    def key(self, x) -> Hashable:
-        return x
-
     def canonical_twist(self, x) -> tuple[InjectiveMap, str]:
         # a twist only renumbers leaves, each written `Lk` before " " or ")"
         sigma = least_word_twist(leaf_word(x))

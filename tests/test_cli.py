@@ -482,6 +482,10 @@ def test_fractions_with_whitespace_exit_two(capsys, argv):
     (["normalize", "--operad", "d2",
       '(v "<ball((0/1,0/1);1/2) ball((1/4,0/1);1/4)>" l1 l2)'],
      "balls 'ball((0/1,0/1);1/2)' and 'ball((1/4,0/1);1/4)' overlap"),
+    (["lift", "--x", "z", "--t", "1/2", "l1"], "unknown tag 'z'; have *, a, b"),
+    (["eval-xi", "--path", "foo", "l1"], "unknown path 'foo'; have const, loop-a, loop-b"),
+    (["alpha", "--config", "o<[0/1,1/4] [1/2,1/1]>", "--loops", "loop-a,loop-b", "l1"],
+     "too many loops: this configuration takes at most 1, got 2"),
 ])
 def test_argument_errors_name_what_is_wrong(capsys, argv, err):
     assert main(argv) == 2

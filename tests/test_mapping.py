@@ -156,6 +156,16 @@ def test_family_maps_are_twisted_inclusions():
     assert FAM["*"] is FAM.base_map
 
 
+def test_a_zero_rotation_off_the_basepoint_is_the_inclusion():
+    fam = delta_family(D1, D2, X, {"*": 0, "a": 0, "b": F(1, 2)})
+    rng = random.Random(25)
+    for n in (1, 2, 3):
+        y = WD1.sample(rng, n)
+        assert fam["a"](y) == EM(y)
+    assert fam["a"].name == "delta[a]" and fam["*"] is fam.base_map
+    assert check_operad_map(fam["a"], samples=30, seed=26).ok
+
+
 def test_family_lookup_rejects_unknown_tag():
     with pytest.raises(DomainError):
         FAM["c"]
@@ -199,8 +209,10 @@ def test_pl_reparam_moves_time():
     path = FAM.path_to("a")
     y = WD1.sample(random.Random(23), 3)
     warped = pl_reparam(path, [(F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(1))])
-    assert D2.eq(warped.at(y, F(1, 2)), path.at(y, F(1, 4)))
-    assert D2.eq(warped.at(y, F(3, 4)), path.at(y, F(5, 8)))
+    # the ends, inside each piece, and at the inner breakpoint
+    for t, s in ((F(0), F(0)), (F(1, 4), F(1, 8)), (F(1, 2), F(1, 4)), (F(3, 4), F(5, 8)),
+                 (F(1), F(1))):
+        assert D2.eq(warped.at(y, t), path.at(y, s))
     assert check_path(warped, samples=40, seed=24).ok
 
 
@@ -461,7 +473,7 @@ def test_the_trusted_section_map_is_the_checked_one():
         for b in points:
             got, want = trusted(b), checked(b)
             assert got.tags == want.tags == (x,) * BB.arity_of(b)
-            assert ws.d2.key(got.q) == ws.d2.key(want.q)
+            assert got.q == want.q
 
 
 # -- path lifting -------------------------------------------------------------

@@ -28,8 +28,7 @@ from opcalc.operads import (Associative, LittleDiscs, LittleIntervals, escaped,
 from opcalc.sampling import random_bpoint, random_raw_bnode, random_raw_wnode, random_wpoint
 from opcalc.serialize import _tokenize, b_from_jsonable, b_to_jsonable, parse_b_text
 from opcalc.trees import DomainError, InjectiveMap, shown
-from opcalc.wconstruction import (WEdge, WNode, WPoint, _validate_raw, entry_text, w_lambda,
-                                  wpoint)
+from opcalc.wconstruction import WEdge, WNode, _validate_raw, entry_text, w_lambda, wpoint
 
 D1 = LittleIntervals()
 OPERADS = {"d1": D1, "d2": LittleDiscs(2), "assoc": Associative(), "d1_z2": framed_intervals()}
@@ -174,31 +173,26 @@ def test_parse_fraction_agrees_with_two_parse_int_calls(text):
 
 # -------------------------------------------------- the raw checks build nothing
 
-def _labels_marked(entry) -> bool:
-    return isinstance(entry, int) or (entry.label._marked and all(
-        _labels_marked(child) for child in entry.children))
+def _has_a_unit_label(entry) -> bool:
+    return not isinstance(entry, int) and (entry.label.is_trivial or any(
+        _has_a_unit_label(child) for child in entry.children))
 
 
 @pytest.mark.parametrize("seed", (1, 2))
 def test_clean_raw_trees_come_back_as_they_are(seed):
     rng = random.Random(seed)
-    marked = unmarked = 0
+    with_unit = 0
     for _ in range(40):
         op = OPERADS[rng.choice(sorted(OPERADS))]
         raw_w = random_raw_wnode(rng, op, rng.randint(1, 4))
         assert _validate_raw(op, raw_w) is raw_w
         b = random_bpoint(rng, op, rng.randint(2, 4))
         assert _validate_b_raw(op, b.root, F(0)) is b.root
-        # a raw tree with a trivial label, which is never marked, is rebuilt
+        # every label is a point, so normal: a unit label is kept too
         raw_b = random_raw_bnode(rng, op, rng.randint(1, 4))
-        checked = _validate_b_raw(op, raw_b, F(0))
-        if _labels_marked(raw_b):
-            marked += 1
-            assert checked is raw_b
-        else:
-            unmarked += 1
-            assert checked is not raw_b and checked == raw_b
-    assert marked and unmarked
+        assert _validate_b_raw(op, raw_b, F(0)) is raw_b
+        with_unit += _has_a_unit_label(raw_b)
+    assert with_unit
 
 
 def test_an_int_length_rebuilds_only_its_path_to_the_root():
@@ -216,15 +210,13 @@ def test_children_in_a_list_are_rebuilt_as_a_tuple():
     assert checked is not raw and checked.children == (1, 2)
 
 
-def test_an_int_height_or_an_unmarked_label_rebuilds():
+def test_an_int_height_rebuilds_and_a_label_stays():
     label = wpoint(D1, WNode(HALVES, (1, 2)))
     assert _validate_b_raw(D1, BNode(label, F(1, 2), (1, 2)), F(0)).label is label
     by_int = BNode(label, 1, (1, 2))
     checked = _validate_b_raw(D1, by_int, F(0))
     assert checked is not by_int and type(checked.height) is F and checked == by_int
-    unmarked = BNode(WPoint(D1, label.root), F(1, 2), (1, 2))
-    checked = _validate_b_raw(D1, unmarked, F(0))
-    assert checked is not unmarked and checked.label._marked and checked == unmarked
+    assert checked.label is label
 
 
 def test_the_b_readers_check_walk_rebuilds_nothing(monkeypatch):

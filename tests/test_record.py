@@ -139,14 +139,13 @@ def test_fields_can_be_neither_assigned_nor_deleted(record):
         record.extra = 1
 
 
-def test_the_mark_is_outside_equality_hash_and_repr():
+def test_only_the_normalizer_builds_a_wpoint():
     a = _cup()
-    rebuilt = WPoint(a.operad, a.root)
-    assert a._marked and not rebuilt._marked
-    assert a == rebuilt and hash(a) == hash(rebuilt) and repr(a) == repr(rebuilt)
     assert WPoint._fields == ("operad", "root")
-    with pytest.raises(TypeError):
-        WPoint(a.operad, a.root, True)
+    with pytest.raises(TypeError, match="wpoint, w_unit or w_corolla"):
+        WPoint(a.operad, a.root)
+    twin = WPoint._trusted(a.operad, a.root)
+    assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
 
 
 def test_cached_properties_live_in_the_instance_dict():

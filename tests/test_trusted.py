@@ -151,7 +151,7 @@ def test_b_structure_maps_return_valid_points(name):
                 bop.validate(point)
 
 
-# ------------------------------------------- marked points skip _normal_w
+# ------------------------------------------- normal points skip _normal_w
 
 def _labels(entry):
     if not isinstance(entry, int):
@@ -164,7 +164,7 @@ def _fresh(entry):
     """The tree with new copies of its labels, which hold no cached text."""
     if isinstance(entry, int):
         return entry
-    return BNode(WPoint(entry.label.operad, entry.label.root), entry.height,
+    return BNode(WPoint._trusted(entry.label.operad, entry.label.root), entry.height,
                  tuple(_fresh(child) for child in entry.children))
 
 
@@ -178,19 +178,18 @@ def _check_trusted(op, point):
 
 
 @pytest.mark.parametrize("name", sorted(OPERADS))
-def test_fast_paths_equal_the_normalizer(name):
+def test_fast_paths_equal_the_normalizer(name, monkeypatch):
     op = OPERADS[name]
+    calls = _spy_normalizer(monkeypatch)
     for rng, a in _corpus(op, 51, 30, 5):
         b = random_wpoint(rng, op, rng.randint(1, 3))
-        assert a._marked or a.is_trivial
+        del calls[:]
         c = w_compose(a, rng.randint(1, a.arity), b)
-        _check_trusted(op, c)
-        assert c._marked or c.is_trivial
         twisted = w_lambda(random_permutation(rng, a.arity), a)
-        _check_trusted(op, twisted)
-        for piece in w_prime_decompose(a).components:
-            _check_trusted(op, piece)
-            assert piece._marked
+        pieces = w_prime_decompose(a).components
+        assert calls == []
+        for point in (c, twisted, *pieces):
+            _check_trusted(op, point)
 
 
 @pytest.mark.parametrize("name", sorted(OPERADS))
@@ -228,17 +227,6 @@ def test_cached_leaf_words_equal_a_fresh_walk(name):
             assert point.arity == len(fresh)
 
 
-def test_bpoint_renormalizes_an_unmarked_label():
-    # a hand-built label in the wrong twist is not trusted: bpoint turns
-    # it into the normal label
-    normal = _cup()
-    swapped = WPoint(D1, WNode(normal.root.label[::-1], (2, 1)))
-    assert not swapped._marked and swapped != normal
-    point = bpoint(D1, _b_cup(swapped))
-    assert point == bpoint(D1, _b_cup(normal))
-    assert point.root.label == normal
-
-
 def _spy_normalizer(monkeypatch):
     calls = []
     normal_w = wc._normal_w
@@ -270,13 +258,12 @@ def _resolution_points():
 
 
 @pytest.mark.parametrize("make", [_framed_formal, _resolution_points])
-def test_points_over_leaf_word_hooks_are_marked(make, monkeypatch):
+def test_points_over_leaf_word_hooks_skip_the_normalizer(make, monkeypatch):
     # the recording operad (under a frame) and the resolution twist their
-    # labels by sorting leaf words, so their points are marked like any
-    # other and the structure maps trust them
+    # labels by sorting leaf words, so the structure maps take their
+    # points as they take any other
     op, a, b = make()
     assert any(len(v.children) > 1 for v in _wnodes(a.root))
-    assert a._marked and b._marked
     calls = _spy_normalizer(monkeypatch)
     reverse = InjectiveMap(a.arity, a.arity, tuple(range(a.arity, 0, -1)))
     c = w_compose(a, 1, b)
@@ -284,35 +271,10 @@ def test_points_over_leaf_word_hooks_are_marked(make, monkeypatch):
     pieces = w_prime_decompose(a).components
     assert calls == []
     for point in (c, twisted, *pieces):
-        assert point._marked
         _check_trusted(op, point)
 
 
-@pytest.mark.parametrize("make", [_framed_formal, _resolution_points])
-def test_points_without_the_shortcut_go_through_the_normalizer(make, monkeypatch):
-    # the same points assembled by hand carry no mark, so each structure
-    # map takes its result through the normalizer, once per point made,
-    # and returns the marked normal form the trusted path gives
-    op, a, b = make()
-    bare_a, bare_b = WPoint(op, a.root), WPoint(op, b.root)
-    assert not bare_a._marked and not bare_b._marked
-    calls = _spy_normalizer(monkeypatch)
-    reverse = InjectiveMap(a.arity, a.arity, tuple(range(a.arity, 0, -1)))
-    c = w_compose(bare_a, 1, bare_b)
-    assert calls == [op]
-    twisted = w_lambda(reverse, bare_a)
-    assert calls == [op] * 2
-    pieces = w_prime_decompose(bare_a).components
-    assert calls == [op] * (2 + len(pieces))
-    assert c == w_compose(a, 1, b)
-    assert twisted == w_lambda(reverse, a)
-    assert pieces == w_prime_decompose(a).components
-    for point in (c, twisted, *pieces):
-        assert point._marked
-        _check_trusted(op, point)
-
-
-def test_marked_points_skip_the_normalizer(monkeypatch):
+def test_only_a_restriction_that_drops_leaves_renormalizes(monkeypatch):
     rng = random.Random(54)
     a, b = random_wpoint(rng, D1, 4), random_wpoint(rng, D1, 3)
     calls = _spy_normalizer(monkeypatch)
@@ -322,12 +284,6 @@ def test_marked_points_skip_the_normalizer(monkeypatch):
     assert calls == []
     w_lambda(InjectiveMap(2, 4, (1, 3)), a)
     assert calls == [D1]
-
-
-def test_replace_drops_the_mark():
-    a = _cup()
-    rebuilt = WPoint(a.operad, a.root)
-    assert a._marked and not rebuilt._marked and rebuilt == a
 
 
 def _wnodes(node):
@@ -375,7 +331,7 @@ def test_a_vertex_without_a_text_is_formatted_afresh():
     node = WNode(halves[::-1], (2, 1))
     assert node._text is None
     assert entry_text(D1, node) == '(v "<[1/2,1/1] [0/1,1/2]>" l2 l1)'
-    assert WPoint(D1, node).text == '(v "<[1/2,1/1] [0/1,1/2]>" l2 l1)'
+    assert WPoint._trusted(D1, node).text == '(v "<[1/2,1/1] [0/1,1/2]>" l2 l1)'
     normal = wpoint(D1, node)
     assert normal.root._text == "<[0/1,1/2] [1/2,1/1]>"
     # the same label object keeps its text, another label drops it
@@ -475,13 +431,13 @@ def test_bpoint_rejects_a_label_of_the_wrong_arity():
 
 def test_b_validate_rejects_a_unary_label_that_is_not_normal():
     # a unit vertex over one edge: the label wpoint would splice
-    label = WPoint(D1, WNode(D1.unit(), (WEdge(F(1, 2), WNode(HALF, (1,))),)))
+    label = WPoint._trusted(D1, WNode(D1.unit(), (WEdge(F(1, 2), WNode(HALF, (1,))),)))
     with pytest.raises(DomainError, match="not in normal form"):
         BBimodule(D1).validate(BPoint(D1, BNode(label, F(1, 2), (1,))))
 
 
 def test_w_validate_rejects_a_point_built_by_hand():
-    raw = WPoint(D1, WNode(D1.unit(), (WEdge(F(1, 2), WNode(HALF, (1,))),)))
+    raw = WPoint._trusted(D1, WNode(D1.unit(), (WEdge(F(1, 2), WNode(HALF, (1,))),)))
     with pytest.raises(DomainError, match="not in normal form"):
         WOperad(D1).validate(raw)
 
@@ -620,6 +576,24 @@ def test_bpoint_bounds_the_labels_nested_along_a_path():
     assert bpoint(D1, chain(MAX_DEPTH // 10)).arity == 1
     with pytest.raises(DomainError, match="deeper"):
         bpoint(D1, chain(MAX_DEPTH // 10 + 1))
+
+
+def test_a_label_is_walked_for_its_depth_once(monkeypatch):
+    label = wpoint(D1, _chain(HALF, 10))
+    walks = []
+    depth = wc._depth
+
+    def spy(entry):
+        walks.append(entry is label.root)
+        return depth(entry)
+
+    monkeypatch.setattr(wc, "_depth", spy)
+    node = BNode(label, F(1), (1,))
+    for _ in range(5):
+        node = BNode(label, F(1, 2), (node,))
+    for _ in range(3):
+        assert bpoint(D1, node).arity == 1
+    assert walks.count(True) == 1 and label.depth == 10
 
 
 def test_cli_exits_two_on_a_deep_unit_chain(capsys, monkeypatch):
