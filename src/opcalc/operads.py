@@ -109,32 +109,6 @@ def least_word_twist(word) -> InjectiveMap:
     return InjectiveMap._trusted(len(word), len(word), tuple(values))
 
 
-def _well_formed_prefix(x: tuple, shape_error: Callable) -> tuple[tuple, str | None]:
-    """The entries of x before the first whose shape_error(entry) is not
-    None, and that error text (None when every entry is well formed).
-
-    A validator checks each entry's shape, then its position, entry by
-    entry; checking positions over this prefix before raising the shape
-    error keeps that order while every position check runs on integers.
-    """
-    for k, entry in enumerate(x):
-        error = shape_error(entry)
-        if error is not None:
-            return x[:k], error
-    return x, None
-
-
-def _on_common_denominator(values: list[Fraction]) -> tuple[int, list[int]]:
-    """D, the lcm of the denominators, and every value times D, exactly.
-
-    A quadratic inequality in the values and 1 holds exactly when the same
-    inequality in the scaled values and D does: both sides gain D^2.
-    """
-    parts = [(q.numerator, q.denominator) for q in values]   # each read once
-    d = math.lcm(*[q for _, q in parts])
-    return d, [p * (d // q) for p, q in parts]
-
-
 class EffectiveOperad(ABC):
     """A reduced operad whose elements can be computed with exactly.
 
@@ -240,26 +214,13 @@ Interval = tuple[Fraction, Fraction]
 
 
 def _interval_tokens(x) -> list[str]:
-    return [f"[{format_fraction(a)},{format_fraction(b)}]" for a, b in x]
-
-
-def _interval_shape_error(pair) -> str | None:
-    if not (isinstance(pair, tuple) and len(pair) == 2):
-        return f"bad interval {shown(pair)}"
-    a, b = pair
-    if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-        return f"interval endpoints must be Fractions, got {shown(pair)}"
-    return None
+    return [f"[{a.numerator}/{a.denominator},{b.numerator}/{b.denominator}]" for a, b in x]
 
 
 class LittleIntervals(EffectiveOperad):
     """Configurations of labelled subintervals of [0,1] with disjoint
     interiors; touching endpoints are allowed. Element: tuple of (a, b)
-    pairs, entry j being the interval labelled j+1.
-
-    `validate` compares exact integers: every endpoint is scaled to the
-    lcm D of the element's denominators, and then 0 <= A < B <= D and the
-    sweep over intervals sorted by left end use int comparisons only."""
+    pairs, entry j being the interval labelled j+1."""
 
     def __init__(self) -> None:
         self.name = "intervals"
@@ -269,22 +230,45 @@ class LittleIntervals(EffectiveOperad):
         return len(x)
 
     def validate(self, x) -> None:
+        """Raise DomainError unless x is a nonempty tuple of Fraction pairs,
+        nonempty intervals inside [0,1] that do not overlap.
+
+        Checks fire in this order: each entry's shape in turn; the position
+        of each entry before the first malformed one; that shape error; the
+        pairs, swept by left end. Each endpoint's p and q are read once and
+        scaled to the lcm D of the denominators read: an inequality in the
+        values and 1 holds exactly when it holds in the scaled values and D
+        (both sides gain D > 0), so 0 <= A < B <= D and B0 <= A1 compare ints.
+        """
         if not isinstance(x, tuple) or not x:
             raise DomainError(f"expected a nonempty tuple of intervals, got {shown(x)}")
-        pairs, shape_error = _well_formed_prefix(x, _interval_shape_error)
-        d, flat = _on_common_denominator([t for pair in pairs for t in pair])
-        scaled = list(zip(flat[::2], flat[1::2]))
-        for pair, (a, b) in zip(pairs, scaled):
-            if not (0 <= a < b <= d):
+        ends, shape_error, d = [], None, 1
+        for pair in x:
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                shape_error = f"bad interval {shown(pair)}"
+                break
+            a, b = pair
+            if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+                shape_error = f"interval endpoints must be Fractions, got {shown(pair)}"
+                break
+            qa, qb = a.denominator, b.denominator
+            d = math.lcm(d, qa, qb)
+            ends.append((a.numerator, qa, b.numerator, qb))
+        scaled = []
+        for pair, (pa, qa, pb, qb) in zip(x, ends):
+            a, b = pa * (d // qa), pb * (d // qb)
+            if not 0 <= a < b <= d:
                 where = "is empty" if 0 <= b <= a <= d else "not inside [0,1]"
                 raise DomainError(f"interval {shown(_interval_tokens((pair,))[0])} {where}")
+            scaled.append((a, b, pair))
         if shape_error is not None:
             raise DomainError(shape_error)
-        by_left = sorted(zip(scaled, pairs))
-        for ((_, b0), pair0), ((a1, _), pair1) in zip(by_left, by_left[1:]):
-            if b0 > a1:
-                token0, token1 = map(shown, _interval_tokens((pair0, pair1)))
-                raise DomainError(f"intervals {token0} and {token1} overlap")
+        if len(scaled) > 1:
+            scaled.sort()
+            for (_, b0, pair0), (a1, _, pair1) in zip(scaled, scaled[1:]):
+                if b0 > a1:
+                    token0, token1 = map(shown, _interval_tokens((pair0, pair1)))
+                    raise DomainError(f"intervals {token0} and {token1} overlap")
 
     def unit(self):
         return self._unit
@@ -354,18 +338,13 @@ Ball = tuple[tuple[Fraction, ...], Fraction]
 
 
 def _ball_tokens(x) -> list[str]:
-    return [f"ball(({','.join(format_fraction(t) for t in c)});{format_fraction(r)})"
-            for c, r in x]
+    return [f"ball(({','.join([f'{t.numerator}/{t.denominator}' for t in c])});"
+            f"{r.numerator}/{r.denominator})" for c, r in x]
 
 
 class LittleDiscs(EffectiveOperad):
     """Labelled round balls inside the unit ball of R^m, with disjoint
-    interiors (touching allowed). Element: tuple of (center, radius).
-
-    `validate` compares exact integers: every centre coordinate and radius
-    is scaled to the lcm D of the element's denominators, and then
-    |C|^2 <= (D - R)^2 and |C0 - C1|^2 >= (R0 + R1)^2 use int comparisons
-    only."""
+    interiors (touching allowed). Element: tuple of (center, radius)."""
 
     def __init__(self, dim: int) -> None:
         if dim < 1:
@@ -377,22 +356,39 @@ class LittleDiscs(EffectiveOperad):
     def arity_of(self, x) -> int:
         return len(x)
 
-    def _shape_error(self, ball) -> str | None:
-        if (isinstance(ball, tuple) and len(ball) == 2
-                and isinstance(ball[0], tuple) and len(ball[0]) == self.dim
-                and all(isinstance(t, Fraction) for t in ball[0])
-                and isinstance(ball[1], Fraction)):
-            return None
-        return f"bad ball {shown(ball)}"
-
     def validate(self, x) -> None:
+        """Raise DomainError unless x is a nonempty tuple of balls (c, r), c
+        a tuple of dim Fractions and r a positive Fraction, inside the unit
+        ball and with no two overlapping.
+
+        Checks fire in this order: each entry's shape in turn; the radius,
+        then the position, of each ball before the first malformed one;
+        that shape error; every pair. Each value's p and q are read once and
+        scaled to the lcm D of the denominators read: a quadratic inequality
+        in the values and 1 holds exactly when it holds in the scaled values
+        and D (both sides gain D^2), so R > 0, |C|^2 <= (D - R)^2 and
+        |C0 - C1|^2 >= (R0 + R1)^2 compare ints.
+        """
         if not isinstance(x, tuple) or not x:
             raise DomainError(f"expected a nonempty tuple of balls, got {shown(x)}")
-        balls, shape_error = _well_formed_prefix(x, self._shape_error)
-        d, flat = _on_common_denominator([t for c, r in balls for t in (*c, r)])
-        scaled = [(flat[k:k + self.dim], flat[k + self.dim])
-                  for k in range(0, len(flat), self.dim + 1)]
-        for ball, (c, r) in zip(balls, scaled):
+        dim, read, shape_error, d = self.dim, [], None, 1
+        for ball in x:
+            # p, q of the centre coordinates and radius that are Fractions,
+            # all dim + 1 of them exactly when the ball is well formed
+            parts = ([(t.numerator, t.denominator) for t in (*ball[0], ball[1])
+                      if isinstance(t, Fraction)]
+                     if isinstance(ball, tuple) and len(ball) == 2
+                     and isinstance(ball[0], tuple) and len(ball[0]) == dim else ())
+            if len(parts) <= dim:
+                shape_error = f"bad ball {shown(ball)}"
+                break
+            for _, q in parts:
+                d = math.lcm(d, q)
+            read.append((parts, ball))
+        scaled = []
+        for parts, ball in read:
+            c = [p * (d // q) for p, q in parts]
+            r = c.pop()
             if r <= 0:
                 raise DomainError(f"radius {shown(format_fraction(ball[1]))} is not positive")
             norm = 0
@@ -400,16 +396,18 @@ class LittleDiscs(EffectiveOperad):
                 norm += t * t
             if norm > (d - r) * (d - r):
                 raise DomainError(f"ball {shown(_ball_tokens((ball,))[0])} leaves the unit ball")
+            scaled.append((c, r, ball))
         if shape_error is not None:
             raise DomainError(shape_error)
-        for (ball0, (c0, r0)), (ball1, (c1, r1)) in itertools.combinations(
-                zip(balls, scaled), 2):
-            gap = 0
-            for s, t in zip(c0, c1):
-                gap += (s - t) * (s - t)
-            if gap < (r0 + r1) * (r0 + r1):
-                token0, token1 = map(shown, _ball_tokens((ball0, ball1)))
-                raise DomainError(f"balls {token0} and {token1} overlap")
+        if len(scaled) > 1:
+            for (c0, r0, ball0), (c1, r1, ball1) in itertools.combinations(scaled, 2):
+                gap, reach = 0, r0 + r1
+                for s, t in zip(c0, c1):
+                    s -= t
+                    gap += s * s
+                if gap < reach * reach:
+                    token0, token1 = map(shown, _ball_tokens((ball0, ball1)))
+                    raise DomainError(f"balls {token0} and {token1} overlap")
 
     def unit(self):
         return self._unit

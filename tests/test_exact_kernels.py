@@ -337,6 +337,56 @@ def test_error_texts_write_elements_as_text(op, x, text):
     assert outcome(oracle, x) == text
 
 
+D1_OK = (Fr(1, 3), Fr(1, 2))
+D2_OK = ((Fr(1, 3), Fr(-1, 5)), Fr(1, 7))
+ONE_PASS_CASES = (
+    # the partial second ball (its first coordinate far outside, its radius
+    # negative) must not be checked as if it were a ball of the prefix
+    (D2, (D2_OK, ((Fr(5), 0), Fr(-1))), "bad ball ((Fraction(5, 1), 0), Fraction(-1, 1))"),
+    (D2, (D2_OK, ((Fr(5), Fr(0), 1), Fr(-1))),
+     "bad ball ((Fraction(5, 1), Fraction(0, 1), 1), Fraction(-1, 1))"),
+    (D2, (((Fr(5), Fr(0)), Fr(1, 2)), ((Fr(0), 0), Fr(1, 2))),
+     "ball 'ball((5/1,0/1);1/2)' leaves the unit ball"),
+    (D3, (((Fr(0), Fr(0), Fr(0)), Fr(1, 4)), ((Fr(1, 2), Fr(0), "0"), Fr(1, 4))),
+     "bad ball ((Fraction(1, 2), Fraction(0, 1), '0'), Fraction(1, 4))"),
+    # an int or bool radius or endpoint is not a Fraction
+    (D2, (D2_OK, ((Fr(0), Fr(0)), 1)), "bad ball ((Fraction(0, 1), Fraction(0, 1)), 1)"),
+    (D2, (((Fr(0), Fr(0)), True),), "bad ball ((Fraction(0, 1), Fraction(0, 1)), True)"),
+    (D1, (D1_OK, (Fr(0), 1)), "interval endpoints must be Fractions, got (Fraction(0, 1), 1)"),
+    (D1, ((False, Fr(1, 4)),),
+     "interval endpoints must be Fractions, got (False, Fraction(1, 4))"),
+    # a centre of the wrong dimension
+    (D2, (D2_OK, ((Fr(0),), Fr(1, 4))), "bad ball ((Fraction(0, 1),), Fraction(1, 4))"),
+    (D3, (((Fr(0), Fr(0)), Fr(1, 4)),), "bad ball ((Fraction(0, 1), Fraction(0, 1)), Fraction(1, 4))"),
+    # one entry of each kind, valid and not
+    (D1, (D1_OK,), None),
+    (D1, ((Fr(0), Fr(1)),), None),
+    (D1, ((Fr(1, 2), Fr(1, 3)),), "interval '[1/2,1/3]' is empty"),
+    (D1, ((Fr(1, 2), Fr(4, 3)),), "interval '[1/2,4/3]' not inside [0,1]"),
+    (D2, (D2_OK,), None),
+    (D2, (((Fr(0), Fr(0)), Fr(1)),), None),
+    (D2, (((Fr(3, 5), Fr(-4, 5)), Fr(1, 2 ** 61 - 1)),),
+     f"ball 'ball((3/5,-4/5);1/{2 ** 61 - 1})' leaves the unit ball"),
+    (D2, (((Fr(0), Fr(0)), Fr(-1, 3)),), "radius '-1/3' is not positive"),
+    (D3, (((Fr(0), Fr(1, 2), Fr(-1, 2)), Fr(1, 4)),), None),
+    (D3, (((Fr(0), Fr(3, 5), Fr(-4, 5)), Fr(1, 4)),),
+     "ball 'ball((0/1,3/5,-4/5);1/4)' leaves the unit ball"),
+    # a shape error on the first entry, before a position error after it
+    (D1, ([Fr(0), Fr(1)], (Fr(1, 2), Fr(1, 3))), "bad interval [Fraction(0, 1), Fraction(1, 1)]"),
+    (D1, ((Fr(0),), D1_OK), "bad interval (Fraction(0, 1),)"),
+    (D2, (None, ((Fr(2), Fr(0)), Fr(1, 2))), "bad ball None"),
+    (D2, (((Fr(0), Fr(0)), Fr(1, 2), Fr(1)), D2_OK),
+     "bad ball ((Fraction(0, 1), Fraction(0, 1)), Fraction(1, 2), Fraction(... (66 characters)"),
+)
+
+
+@pytest.mark.parametrize("op,x,text", ONE_PASS_CASES, ids=[str(t) for _, _, t in ONE_PASS_CASES])
+def test_one_pass_validators_agree_with_fraction_oracle(op, x, text):
+    oracle = oracle_intervals_validate if op is D1 else partial(oracle_discs_validate, op.dim)
+    assert outcome(op.validate, x) == text
+    assert outcome(oracle, x) == text
+
+
 def _coarse_intervals(rng, n):
     """n disjoint intervals with endpoints on grids from DENOMINATORS."""
     ends: set = set()
@@ -387,6 +437,34 @@ def _coordinates(x):
             yield entry[1]
         else:
             yield from entry
+
+
+def _old_text(tokens) -> str:
+    return "<" + " ".join(tokens) + ">"
+
+
+@pytest.mark.parametrize("op", (D1, D2, D3), ids=("d1", "d2", "discs3"))
+def test_token_texts_equal_format_fraction_joins(op):
+    """format_element and canonical_twist write p/q inline; their texts
+    must equal the element's tokens built with format_fraction, as the
+    library built them before, over elements with negative centre
+    coordinates and denominators up to 2^61 - 1."""
+    token = _interval_text if op is D1 else _ball_text
+    draw = _coarse_intervals if op is D1 else partial(_coarse_discs, op)
+    rng = random.Random(f"tokens-{op.name}")
+    elements = [draw(rng, n) for n in range(1, 7) for _ in range(30)]
+    elements += [op.compose(x, rng.randint(1, len(x)), y)
+                 for x, y in zip(elements[::2], elements[1::2])]
+    big = negative = 0
+    for x in elements:
+        op.validate(x)
+        tokens = [token(entry) for entry in x]
+        assert op.format_element(x) == _old_text(tokens)
+        sigma, text = op.canonical_twist(x)
+        assert text == _old_text(sorted(tokens)) == op.format_element(op.restrict(sigma, x))
+        big += any(t.denominator % (2 ** 61 - 1) == 0 for t in _coordinates(x))
+        negative += op is not D1 and any(t < 0 for c, _ in x for t in c)
+    assert big > 10 and (op is D1 or negative > 10)
 
 
 def test_format_fraction_on_ints_and_fractions():
