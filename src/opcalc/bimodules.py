@@ -21,8 +21,9 @@ the sequence of steps.
   applies cap c by `target.right_act`; the root label then acts on the
   pieces' values from the left.
 
-The check suites, the evaluators (`mapping`) and `mu --truncate` load this
-module; the W and B commands do not.
+`check` (through `suites`), `eval-xi`, `eval-psi`, `lift` and `alpha`
+(through `mapping`) and `mu --truncate` load this module; the other W and
+B commands do not.
 """
 
 from __future__ import annotations

@@ -11,24 +11,21 @@ usage or parse errors, 130 when interrupted and 141 when the reader closed
 stdout early, both without a traceback.
 
 A process loads only the modules its command runs. This module imports the
-core: `operads`, `trees`, `wconstruction`, `bconstruction` and
-`serialize`, which is all that `normalize`, `compose`, `mu`, `decompose`
-and `dot` use. The core holds the points, their normal forms, the
-structure maps, the decompositions and the readers and writers; the slow
-oracles (`oracles`), the bimodule classes and the truncated evaluators
-(`bimodules`) and the matching families (`suites`) are outside it. The
-other commands import the rest inside their handlers: `mu --truncate`
-loads `bimodules`, `eval-xi`, `eval-psi` and `lift` load `mapping` (and
-through it `bimodules`), `alpha` loads `mapping` and `swisscheese`, and
-`check` loads `mapping` and `suites` (and through them `bimodules`,
-`oracles` and `sampling`). `Workspace` builds its tag family and the
-product bimodule over it on first use, not when it is created.
+core (`operads`, `trees`, `wconstruction`, `bconstruction`, `serialize`),
+which is all that `normalize`, `compose`, `mu`, `decompose` and `dot` use,
+and imports `json` only where a command reads or writes JSON. The other
+commands import the rest inside their handlers: `mu --truncate` loads
+`bimodules`; `eval-xi`, `eval-psi` and `lift` load the maps and evaluators
+of `mapping` (and through it `bimodules`), and `alpha` those and
+`swisscheese`, none of them a law check; `check` loads `suites`, which
+holds every law check and its report, and through it `mapping`,
+`bimodules`, `oracles` and `sampling`. `Workspace` builds its tag family
+and the product bimodule over it on first use.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -84,23 +81,23 @@ SUITES = {
         m.QxBimodule(ws.family, ws.tag(a.x)), a.samples, a.seed),
     "qx-product-bimodule-axioms": lambda ws, a, b, m, s: s.suite_bimodule_axioms(
         ws.qxprod, a.samples, a.seed),
-    "mu": lambda ws, a, b, m, s: m.check_operad_map(
+    "mu": lambda ws, a, b, m, s: s.check_operad_map(
         m.mu_map(ws.operad(a.operad)), a.samples, a.seed),
-    "mu-prime": lambda ws, a, b, m, s: m.check_bimodule_map(
+    "mu-prime": lambda ws, a, b, m, s: s.check_bimodule_map(
         m.BimoduleMap("mu'", b.BBimodule(ws.operad(a.operad)),
                       b.WSelfBimodule(ws.operad(a.operad)), mu_prime), a.samples, a.seed),
-    "eta": lambda ws, a, b, m, s: m.check_operad_map(
+    "eta": lambda ws, a, b, m, s: s.check_operad_map(
         m.eta_map(ws.d1, ws.d2), a.samples, a.seed),
-    "eta-mu": lambda ws, a, b, m, s: m.check_operad_map(
+    "eta-mu": lambda ws, a, b, m, s: s.check_operad_map(
         m.eta_mu_map(ws.d1, ws.d2), a.samples, a.seed),
-    "path": lambda ws, a, b, m, s: m.check_path(ws.path(a.path), a.samples, a.seed),
-    "xi": lambda ws, a, b, m, s: m.check_bimodule_map(
+    "path": lambda ws, a, b, m, s: s.check_path(ws.path(a.path), a.samples, a.seed),
+    "xi": lambda ws, a, b, m, s: s.check_bimodule_map(
         m.xi_as_map(ws.path(a.path), b.BBimodule(ws.d1),
                     m.QxBimodule(ws.family, ws.space.basepoint)), a.samples, a.seed),
-    "psi-prime": lambda ws, a, b, m, s: m.check_bimodule_map(
+    "psi-prime": lambda ws, a, b, m, s: s.check_bimodule_map(
         m.psi_prime_as_map(ws.hofiber(a.x), b.BBimodule(ws.d1), ws.family),
         a.samples, a.seed),
-    "psi-double-prime": lambda ws, a, b, m, s: m.check_bimodule_map(
+    "psi-double-prime": lambda ws, a, b, m, s: s.check_bimodule_map(
         ws.section_map(a.x), a.samples, a.seed),
     "matching": lambda ws, a, b, m, s: s.suite_matching(ws.space, max_n=4),
 }
@@ -166,10 +163,9 @@ class Workspace:
         """The tagged bimodule map the lift and alpha commands start from.
 
         It is trusted, not checked: psi' of the workspace's own hofiber
-        point is a bimodule map by construction, and the tag is one of
-        three fixed ones, so the law check `psi_double_prime` would run
-        here has the same result in every process. That check is pinned
-        instead by `tests/test_mapping.py::test_workspace_section_maps_pass_the_guard`."""
+        point is a bimodule map by construction, so the guard
+        `suites.psi_double_prime` passes it in every process, as
+        `tests/test_mapping.py::test_workspace_section_maps_pass_the_guard` pins."""
         from .bimodules import BBimodule
         from .mapping import psi_prime_as_map, tagged_map
         f = psi_prime_as_map(self.hofiber(x), BBimodule(self.d1), self.family)
@@ -183,6 +179,7 @@ def read_point(op, kind: str, text: str):
     if text == "-":
         text = sys.stdin.read().strip()
     if text.startswith("{"):
+        import json
         try:
             data = json.loads(text, parse_int=parse_int)
         except RecursionError:
@@ -204,6 +201,7 @@ def qx_payload(ws: Workspace, elem: QXElem):
 
 def emit(args, text: str, payload) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -320,10 +318,8 @@ def cmd_eval_psi(ws: Workspace, args) -> int:
     h = ws.hofiber(args.x)
     point = read_point(ws.d1, "b", args.point)
     if args.truncate is not None:
-        target = QxBimodule(ws.family, h.x)
-        value = eval_truncated_bimodule_map(
-            lambda piece: psi_prime_eval(h, piece)[1],
-            args.truncate, point, target)
+        value = eval_truncated_bimodule_map(lambda piece: psi_prime_eval(h, piece)[1],
+                                            args.truncate, point, QxBimodule(ws.family, h.x))
     else:
         value = psi_prime_eval(h, point)[1]
     emit(args, f"{h.x} ; {ws.d2.format_element(value)}",
@@ -382,23 +378,7 @@ def run_suite(ws: Workspace, args):
 
 def cmd_check(ws: Workspace, args) -> int:
     report = run_suite(ws, args)
-    data = report.to_jsonable()
-    if report.samples == 0:
-        data["flag"] = "no-samples"
-    if args.format == "json":
-        print(json.dumps(data, sort_keys=True))
-    else:
-        status = "ok" if report.ok else "FAIL"
-        flag = " [no-samples]" if report.samples == 0 else ""
-        print(f"{status} {report.name} (samples={report.samples} "
-              f"seed={report.seed}){flag}")
-        for r in report.results:
-            if r.check in report.vacuous:
-                print(f"  vacuous {r.check}")
-            elif r.passed:
-                print(f"  pass {r.check}")
-            else:
-                print(f"  FAIL {r.check}: {r.witness}")
+    emit(args, report.to_text(), report.to_jsonable())
     return 0 if report.ok else 1
 
 
@@ -508,7 +488,7 @@ def main(argv=None) -> int:
         code = HANDLERS[args.command](ws, args)
         sys.stdout.flush()
         return code
-    except (DomainError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # DomainError and json.JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

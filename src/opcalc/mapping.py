@@ -4,22 +4,21 @@ and the explicit evaluation and lifting recipes between them.
 Everything is exact: maps are evaluators between effective operads, paths
 are piecewise descriptions with rational breakpoints evaluated at rational
 times, and the finite pointed set of tags is a plain lookup table. The
-checking helpers never throw on a failed law; they return a report whose
-entries carry a serialized witness for each failure.
+maps and evaluators are all this module holds: their sampled laws and the
+guard `psi_double_prime` live in `suites`, and its samplers import
+`sampling` only when called.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .bconstruction import BPoint, b_map_heights, slice_point
 from .bimodules import Bimodule
 from .operads import EffectiveOperad, LittleDiscs, LittleIntervals, PointedSet, format_fraction
-from .sampling import random_fraction, random_injection
 from .trees import DomainError, InjectiveMap, Record, fold, shown
 from .wconstruction import WOperad, WPoint, mu
 
@@ -277,6 +276,7 @@ class HofiberPoint(Record):
 def _maybe_reparam(rng, path: PathOfMaps) -> PathOfMaps:
     """path, or with probability 1/2 path through a random one-breakpoint
     reparametrization."""
+    from .sampling import random_fraction
     if rng.random() < 0.5:
         mid = random_fraction(rng)
         value = random_fraction(rng)
@@ -328,6 +328,7 @@ def constant_xpath(space: PointedSet, x) -> XPath:
 
 
 def sample_xpath(rng, space: PointedSet, start) -> XPath:
+    from .sampling import random_fraction
     segments = [(Fraction(0), start)]
     t = Fraction(0)
     for _ in range(rng.randint(0, 3)):
@@ -438,145 +439,6 @@ class QXProductBimodule(Bimodule):
 
 
 # ---------------------------------------------------------------------------
-# law checking with reports
-# ---------------------------------------------------------------------------
-
-class CheckResult(Record):
-    check: str
-    passed: bool
-    witness: Optional[str] = None
-
-
-class CheckReport(Record):
-    """One result per law; the laws named in `vacuous` were never evaluated
-    and pass by default."""
-
-    name: str
-    seed: int
-    samples: int
-    results: tuple[CheckResult, ...]
-    vacuous: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "samples": self.samples,
-            "ok": self.ok,
-            "checks": [
-                {"check": r.check, "pass": r.passed,
-                 **({"witness": r.witness} if r.witness is not None else {}),
-                 **({"vacuous": True} if r.check in self.vacuous else {})}
-                for r in self.results
-            ],
-        }
-
-
-class Recorder:
-    """First-failure bookkeeping for a law check: call it once per evaluation
-    of a law, then `report` keeps the first failing witness of each law."""
-
-    def __init__(self) -> None:
-        self.results: dict[str, CheckResult] = {}
-
-    def __call__(self, check: str, passed: bool, witness: str = "") -> None:
-        if check not in self.results:
-            self.results[check] = CheckResult(check, True)
-        if not passed and self.results[check].passed:
-            self.results[check] = CheckResult(check, False, witness)
-
-    def report(self, name: str, seed: int, samples: int,
-               order: Sequence[str]) -> CheckReport:
-        """Every law in `order`, the ones never evaluated marked vacuous."""
-        results = self.results
-        return CheckReport(name, seed, samples,
-                           tuple(results[k] if k in results else CheckResult(k, True)
-                                 for k in order),
-                           tuple(k for k in order if k not in results))
-
-
-def _map_laws(record: Recorder, rng, f: Callable, source: EffectiveOperad,
-              target: EffectiveOperad, witness_prefix: str = ""):
-    """Draw one sample of the composition and restriction laws of f from
-    source to target and record both; return the sample's element x."""
-    n = rng.randint(1, 3)
-    m = rng.randint(1, 3)
-    x = source.sample(rng, n)
-    y = source.sample(rng, m)
-    i = rng.randint(1, n)
-    record("composition",
-           target.eq(f(source.compose(x, i, y)), target.compose(f(x), i, f(y))),
-           f"{witness_prefix}x={source.format_element(x)} i={i} y={source.format_element(y)}")
-    u = random_injection(rng, rng.randint(1, n), n)
-    record("restriction",
-           target.eq(f(source.restrict(u, x)), target.restrict(u, f(x))),
-           f"{witness_prefix}u={u.values} x={source.format_element(x)}")
-    return x
-
-
-def check_operad_map(f: OperadMap, samples: int = 100, seed: int = 0) -> CheckReport:
-    rng = random.Random(seed)
-    source, target = f.source, f.target
-    record = Recorder()
-    record("unit", target.eq(f(source.unit()), target.unit()),
-           "image of the unit is not the unit")
-    for _ in range(samples):
-        _map_laws(record, rng, f, source, target)
-    return record.report(f"operad-map:{f.name}", seed, samples,
-                         ("unit", "composition", "restriction"))
-
-
-def check_path(g: PathOfMaps, samples: int = 100, seed: int = 0) -> CheckReport:
-    rng = random.Random(seed)
-    source, target = g.source, g.target
-    record = Recorder()
-    for _ in range(samples):
-        t = random_fraction(rng, include_ends=True)
-        when = f"t={format_fraction(t)}"
-        record("unit", target.eq(g.at(source.unit(), t), target.unit()), when)
-        x = _map_laws(record, rng, lambda y: g.at(y, t), source, target, when + " ")
-        record("start", target.eq(g.at(x, Fraction(0)), g.start(x)),
-               f"x={source.format_element(x)}")
-        record("end", target.eq(g.at(x, Fraction(1)), g.end(x)),
-               f"x={source.format_element(x)}")
-    return record.report(f"path:{g.name}", seed, samples,
-                         ("unit", "composition", "start", "end", "restriction"))
-
-
-def check_bimodule_map(f: BimoduleMap, samples: int = 60, seed: int = 0) -> CheckReport:
-    rng = random.Random(seed)
-    source, target = f.source, f.target
-    over = source.over
-    record = Recorder()
-    for _ in range(samples):
-        k = rng.randint(1, 3)
-        p = over.sample(rng, k)
-        xs = tuple(source.sample(rng, rng.randint(1, 3)) for _ in range(k))
-        record("left-action",
-               target.eq(f(source.left_act(p, xs)),
-                         target.left_act(p, tuple(f(x) for x in xs))),
-               f"p={over.format_element(p)}")
-        b = source.sample(rng, rng.randint(1, 4))
-        i = rng.randint(1, source.arity_of(b))
-        q = over.sample(rng, rng.randint(1, 3))
-        record("right-action",
-               target.eq(f(source.right_act(b, i, q)),
-                         target.right_act(f(b), i, q)),
-               f"i={i} p={over.format_element(q)}")
-        n = source.arity_of(b)
-        u = random_injection(rng, rng.randint(1, n), n)
-        record("restriction",
-               target.eq(f(source.restrict(u, b)), target.restrict(u, f(b))),
-               f"u={u.values}")
-    return record.report(f"bimodule-map:{f.name}", seed, samples,
-                         ("left-action", "right-action", "restriction"))
-
-
-# ---------------------------------------------------------------------------
 # evaluation of height trees through a path of maps
 # ---------------------------------------------------------------------------
 
@@ -623,7 +485,7 @@ def psi_prime_as_map(h: HofiberPoint, source: Bimodule, family: PointedMapFamily
 def tagged_map(f: BimoduleMap, qxprod: QXProductBimodule) -> BimoduleMap:
     """psi'' of a map into a fixed-tag target: every value carries that tag
     on each of its inputs. No law is checked here, so f must already be a
-    bimodule map; `psi_double_prime` checks one of unknown origin first."""
+    bimodule map; `suites.psi_double_prime` checks one of unknown origin first."""
     x = f.target.x
 
     def fn(b: BPoint) -> QXElem:
@@ -631,23 +493,6 @@ def tagged_map(f: BimoduleMap, qxprod: QXProductBimodule) -> BimoduleMap:
         return QXElem(q, (x,) * qxprod.q_operad.arity_of(q))
 
     return BimoduleMap(f"psi''({f.name})", f.source, qxprod, fn)
-
-
-def psi_double_prime(f: BimoduleMap, qxprod: QXProductBimodule,
-                     samples: int = 40, seed: int = 0) -> BimoduleMap:
-    """Extend a map into a fixed-tag target by tagging every input with
-    that tag. This is the guard for maps of unknown origin: the input must
-    actually be a bimodule map, and on failure the offending law and
-    witness are raised. A map that is one by construction goes straight to
-    `tagged_map`."""
-    if not isinstance(f.target, QxBimodule):
-        raise DomainError("expected a map into a fixed-tag target")
-    report = check_bimodule_map(f, samples=samples, seed=seed)
-    if not report.ok:
-        bad = next(r for r in report.results if not r.passed)
-        raise DomainError(
-            f"not a bimodule map: {bad.check} fails at {bad.witness}")
-    return tagged_map(f, qxprod)
 
 
 # ---------------------------------------------------------------------------

@@ -459,15 +459,21 @@ class LittleDiscs(EffectiveOperad):
         if n < 1:
             raise DomainError("arity must be at least 1")
         # distinct grid points scaled to sit well inside the unit ball;
-        # separation on the grid then dominates the tiny radii
+        # separation on the grid then dominates the tiny radii. The grid
+        # grows past its drawn size only when it has fewer than n points,
+        # and no radius exceeds half its spacing scale / grid.
         scale = Fraction(7, 10) if self.dim <= 2 else Fraction(1, 2)
         grid = rng.randint(3, 6)
+        while (2 * grid + 1) ** self.dim < n:
+            grid += 1
         points: set[tuple[int, ...]] = set()
         while len(points) < n:
             points.add(tuple(rng.randint(-grid, grid) for _ in range(self.dim)))
         radius_pool = (Fraction(1, 100), Fraction(1, 128), Fraction(1, 200))
+        half_spacing = scale / (2 * grid)
         placed = [
-            (tuple(scale * Fraction(t, grid) for t in p), rng.choice(radius_pool))
+            (tuple(scale * Fraction(t, grid) for t in p),
+             min(rng.choice(radius_pool), half_spacing))
             for p in sorted(points)
         ]
         rng.shuffle(placed)

@@ -1,28 +1,30 @@
-"""Randomized law suites packaged as named check reports.
+"""Every sampled law check, its report and both of the report's renderings.
 
-Each suite draws seeded samples, evaluates a fixed list of named checks,
-and returns the same CheckReport the map checks in mapping produce: one
-entry per law, first failing witness kept. A law that no sample reached,
-or every law when there are zero samples, is marked vacuous, and the CLI
-flags it so that silence is not mistaken for evidence.
-
-The power sequences and matching families that `suite_matching` counts
-are defined here too; no other library code uses them.
+Each check draws seeded samples of the laws of operads, W and B
+confluence, bimodules, operad maps, paths of maps or bimodule maps, and
+returns a `CheckReport`: one entry per law, first failing witness kept. A
+law that no sample reached, or every law when there are zero samples, is
+marked vacuous, and both renderings flag it, so that silence is not
+mistaken for evidence. `psi_double_prime` checks a map of unknown origin
+before it tags it. The power sequences and matching families that
+`suite_matching` counts are defined here too; no other code uses them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Hashable, Iterator, Mapping
+from fractions import Fraction
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
 from .bconstruction import b_text, bpoint
 from .bimodules import Bimodule
-from .mapping import CheckReport, Recorder
-from .operads import EffectiveOperad, PointedSet
+from .mapping import BimoduleMap, OperadMap, PathOfMaps, QxBimodule, QXProductBimodule, tagged_map
+from .operads import EffectiveOperad, PointedSet, format_fraction
 from .oracles import b_normalize_random_order, normalize_random_order
 from .sampling import (
     random_b_twists,
+    random_fraction,
     random_injection,
     random_raw_bnode,
     random_raw_wnode,
@@ -30,6 +32,79 @@ from .sampling import (
 )
 from .trees import DomainError, InjectiveMap, Record, block_injection, drop_block
 from .wconstruction import w_text, wpoint
+
+
+class CheckResult(Record):
+    check: str
+    passed: bool
+    witness: Optional[str] = None
+
+
+class CheckReport(Record):
+    """One result per law; the laws named in `vacuous` were never evaluated
+    and pass by default. Both renderings flag a report of zero samples."""
+
+    name: str
+    seed: int
+    samples: int
+    results: tuple[CheckResult, ...]
+    vacuous: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return all(r.passed for r in self.results)
+
+    def to_text(self) -> str:
+        """The report as `opcalc check` prints it: a status line, then one
+        line per law."""
+        flag = " [no-samples]" if self.samples == 0 else ""
+        lines = [f"{'ok' if self.ok else 'FAIL'} {self.name} "
+                 f"(samples={self.samples} seed={self.seed}){flag}"]
+        for r in self.results:
+            if r.check in self.vacuous:
+                lines.append(f"  vacuous {r.check}")
+            elif r.passed:
+                lines.append(f"  pass {r.check}")
+            else:
+                lines.append(f"  FAIL {r.check}: {r.witness}")
+        return "\n".join(lines)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "name": self.name,
+            "seed": self.seed,
+            "samples": self.samples,
+            "ok": self.ok,
+            **({"flag": "no-samples"} if self.samples == 0 else {}),
+            "checks": [
+                {"check": r.check, "pass": r.passed,
+                 **({"witness": r.witness} if r.witness is not None else {}),
+                 **({"vacuous": True} if r.check in self.vacuous else {})}
+                for r in self.results
+            ],
+        }
+
+
+class Recorder:
+    """First-failure bookkeeping for a law check: call it once per evaluation
+    of a law, then `report` keeps the first failing witness of each law."""
+
+    def __init__(self) -> None:
+        self.results: dict[str, CheckResult] = {}
+
+    def __call__(self, check: str, passed: bool, witness: str = "") -> None:
+        kept = self.results.get(check)
+        if kept is None or kept.passed and not passed:
+            self.results[check] = CheckResult(check, passed, None if passed else witness)
+
+    def report(self, name: str, seed: int, samples: int,
+               order: Sequence[str]) -> CheckReport:
+        """Every law in `order`, the ones never evaluated marked vacuous."""
+        results = self.results
+        return CheckReport(name, seed, samples,
+                           tuple(results.get(k, CheckResult(k, True)) for k in order),
+                           tuple(k for k in order if k not in results))
+
 
 # random reduction orders the confluence suites compare per sample
 ORDERS = 10
@@ -215,6 +290,105 @@ def suite_bimodule_axioms(bim: Bimodule, samples: int = 100,
              "right-disjoint", "interchange", "restrict-left",
              "restrict-right", "restrict-functorial")
     return rec.report(f"bimodule-axioms:{bim.name}", seed, samples, order)
+
+# ---------------------------------------------------------------------------
+# operad maps, paths of maps and bimodule maps
+# ---------------------------------------------------------------------------
+
+def _map_laws(record: Recorder, rng, f: Callable, source: EffectiveOperad,
+              target: EffectiveOperad, witness_prefix: str = ""):
+    """Draw one sample of the composition and restriction laws of f from
+    source to target and record both; return the sample's element x."""
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 3)
+    x = source.sample(rng, n)
+    y = source.sample(rng, m)
+    i = rng.randint(1, n)
+    record("composition",
+           target.eq(f(source.compose(x, i, y)), target.compose(f(x), i, f(y))),
+           f"{witness_prefix}x={source.format_element(x)} i={i} y={source.format_element(y)}")
+    u = random_injection(rng, rng.randint(1, n), n)
+    record("restriction",
+           target.eq(f(source.restrict(u, x)), target.restrict(u, f(x))),
+           f"{witness_prefix}u={u.values} x={source.format_element(x)}")
+    return x
+
+
+def check_operad_map(f: OperadMap, samples: int = 100, seed: int = 0) -> CheckReport:
+    rng = random.Random(seed)
+    source, target = f.source, f.target
+    record = Recorder()
+    record("unit", target.eq(f(source.unit()), target.unit()),
+           "image of the unit is not the unit")
+    for _ in range(samples):
+        _map_laws(record, rng, f, source, target)
+    return record.report(f"operad-map:{f.name}", seed, samples,
+                         ("unit", "composition", "restriction"))
+
+
+def check_path(g: PathOfMaps, samples: int = 100, seed: int = 0) -> CheckReport:
+    rng = random.Random(seed)
+    source, target = g.source, g.target
+    record = Recorder()
+    for _ in range(samples):
+        t = random_fraction(rng, include_ends=True)
+        when = f"t={format_fraction(t)}"
+        record("unit", target.eq(g.at(source.unit(), t), target.unit()), when)
+        x = _map_laws(record, rng, lambda y: g.at(y, t), source, target, when + " ")
+        record("start", target.eq(g.at(x, Fraction(0)), g.start(x)),
+               f"x={source.format_element(x)}")
+        record("end", target.eq(g.at(x, Fraction(1)), g.end(x)),
+               f"x={source.format_element(x)}")
+    return record.report(f"path:{g.name}", seed, samples,
+                         ("unit", "composition", "start", "end", "restriction"))
+
+
+def check_bimodule_map(f: BimoduleMap, samples: int = 60, seed: int = 0) -> CheckReport:
+    rng = random.Random(seed)
+    source, target = f.source, f.target
+    over = source.over
+    record = Recorder()
+    for _ in range(samples):
+        k = rng.randint(1, 3)
+        p = over.sample(rng, k)
+        xs = tuple(source.sample(rng, rng.randint(1, 3)) for _ in range(k))
+        record("left-action",
+               target.eq(f(source.left_act(p, xs)),
+                         target.left_act(p, tuple(f(x) for x in xs))),
+               f"p={over.format_element(p)}")
+        b = source.sample(rng, rng.randint(1, 4))
+        i = rng.randint(1, source.arity_of(b))
+        q = over.sample(rng, rng.randint(1, 3))
+        record("right-action",
+               target.eq(f(source.right_act(b, i, q)),
+                         target.right_act(f(b), i, q)),
+               f"i={i} p={over.format_element(q)}")
+        n = source.arity_of(b)
+        u = random_injection(rng, rng.randint(1, n), n)
+        record("restriction",
+               target.eq(f(source.restrict(u, b)), target.restrict(u, f(b))),
+               f"u={u.values}")
+    return record.report(f"bimodule-map:{f.name}", seed, samples,
+                         ("left-action", "right-action", "restriction"))
+
+
+
+
+def psi_double_prime(f: BimoduleMap, qxprod: QXProductBimodule,
+                     samples: int = 40, seed: int = 0) -> BimoduleMap:
+    """Extend a map into a fixed-tag target by tagging every input with
+    that tag. This is the guard for maps of unknown origin: the input must
+    actually be a bimodule map, and on failure the offending law and
+    witness are raised. A map that is one by construction goes straight to
+    `tagged_map`."""
+    if not isinstance(f.target, QxBimodule):
+        raise DomainError("expected a map into a fixed-tag target")
+    report = check_bimodule_map(f, samples=samples, seed=seed)
+    if not report.ok:
+        bad = next(r for r in report.results if not r.passed)
+        raise DomainError(f"not a bimodule map: {bad.check} fails at {bad.witness}")
+    return tagged_map(f, qxprod)
+
 
 # ---------------------------------------------------------------------------
 # power sequences and matching families

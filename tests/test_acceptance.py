@@ -24,15 +24,12 @@ from opcalc.mapping import (
     QXElem,
     QXProductBimodule,
     QxBimodule,
-    check_bimodule_map,
-    check_operad_map,
     delta_family,
     fold_point_through,
     lift_path,
     mu_map,
     psi_prime_as_map,
     psi_prime_eval,
-    psi_double_prime,
     sample_hofiber,
     sample_loop,
     sample_xpath,
@@ -49,6 +46,9 @@ from opcalc.operads import (
 )
 from opcalc.sampling import random_bpoint, random_wpoint
 from opcalc.suites import (
+    check_bimodule_map,
+    check_operad_map,
+    psi_double_prime,
     suite_b_confluence,
     suite_matching,
     suite_operad_axioms,

@@ -1,13 +1,20 @@
 """The CLI loads only the modules its command runs.
 
 `opcalc.cli` imports the core (operads, trees, W, B, serialize); the
-evaluator handlers import `mapping`, `swisscheese` and `suites` inside
-their bodies, `mu --truncate` imports `bimodules`, and `Workspace` builds
-its tag family on first use. A fresh interpreter shows what a command
-leaves out of `sys.modules`: no W/B command, on text or JSON input, loads
-the oracles, the bimodule classes, the suites or the evaluators. The
-in-process tests run every suite and every evaluator command, so that a
-handler missing one of its local imports fails here with a NameError.
+evaluator handlers import `mapping` and `swisscheese` inside their bodies,
+`check` imports `suites`, `mu --truncate` imports `bimodules`, and
+`Workspace` builds its tag family on first use. A fresh interpreter shows
+what a command leaves out of `sys.modules`:
+
+  * no W/B command, on text or JSON input, loads the oracles, the bimodule
+    classes, the law checks or the evaluators;
+  * `json` loads only for a command that reads or writes JSON;
+  * `eval-xi`, `eval-psi`, `lift` and `alpha` load the maps and evaluators
+    of `mapping` but none of the law checks (`suites`), the slow oracles
+    or the samplers, while `check` loads all three.
+
+The in-process tests run every suite and every evaluator command, so that
+a handler missing one of its local imports fails here with a NameError.
 `wconstruction` and `bconstruction` still answer for the random-order
 oracles, which live in `oracles`.
 
@@ -47,8 +54,10 @@ POINTS = {
 
 
 def loaded_after(code: str) -> set:
-    """The modules a fresh interpreter holds after running code."""
-    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    """The modules a fresh interpreter holds after running code, listed
+    before `json` loads to print them."""
+    script = code + ("\nimport sys\nloaded = sorted(sys.modules)"
+                     "\nimport json\nprint(json.dumps(loaded))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -102,6 +111,14 @@ def test_w_b_commands_load_only_the_core(command, kind, fmt):
     assert loaded.isdisjoint(OUTSIDE_THE_CORE), sorted(loaded & set(OUTSIDE_THE_CORE))
 
 
+@pytest.mark.parametrize("command,kind,fmt", W_B_COMMANDS,
+                         ids=["-".join(case) for case in W_B_COMMANDS])
+def test_w_b_commands_load_json_only_for_json(command, kind, fmt):
+    argv = _w_b_command(command, kind, fmt) + ["--format", fmt]
+    loaded = loaded_after(f"from opcalc.cli import main\nassert main({argv!r}) == 0")
+    assert ("json" in loaded) == (fmt == "json")
+
+
 @pytest.mark.parametrize("argv", [
     ["mu", "--kind", "b", "--truncate", "2", B_CUP],
     ["check", "b-bimodule-axioms", "--samples", "1"],
@@ -109,6 +126,12 @@ def test_w_b_commands_load_only_the_core(command, kind, fmt):
 def test_truncation_and_bimodule_suites_load_bimodules(argv):
     loaded = loaded_after(f"from opcalc.cli import main\nassert main({argv!r}) == 0")
     assert "opcalc.bimodules" in loaded
+
+
+def test_mu_truncate_leaves_out_mapping():
+    argv = ["mu", "--kind", "b", "--truncate", "2", B_CUP]
+    loaded = loaded_after(f"from opcalc.cli import main\nassert main({argv!r}) == 0")
+    assert "opcalc.mapping" not in loaded
 
 
 def test_constructions_still_name_the_random_order_oracles():
@@ -167,3 +190,20 @@ def test_every_evaluator_command_runs(capsys, case):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.out.strip()
+
+
+LAW_CHECK_MODULES = ("opcalc.suites", "opcalc.oracles", "opcalc.sampling")
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATOR_COMMANDS))
+def test_evaluator_commands_leave_out_the_law_checks(case):
+    loaded = loaded_after(
+        f"from opcalc.cli import main\nassert main({EVALUATOR_COMMANDS[case]!r}) == 0")
+    assert "opcalc.mapping" in loaded
+    assert loaded.isdisjoint(LAW_CHECK_MODULES), sorted(loaded & set(LAW_CHECK_MODULES))
+
+
+def test_check_loads_the_law_checks():
+    loaded = loaded_after("from opcalc.cli import main\n"
+                          "assert main(['check', 'mu', '--samples', '1']) == 0")
+    assert loaded.issuperset(LAW_CHECK_MODULES)

@@ -13,8 +13,9 @@ bimodule map between bimodules over different operads, the inclusion into
 discs of a dimension other than 2, concatenating paths between different
 operads, a reparametrization with no pairs or with times that do not
 increase, a family missing a tag, a sweep to an unknown tag, a tag path
-starting past 1, an untagged element, a vertex value of the wrong arity
-and `psi_double_prime` of a map into another target. And for those of
+starting past 1, an untagged element and a vertex value of the wrong
+arity; and of the guard `psi_double_prime` in `suites`, a map into another
+target. And for those of
 `swisscheese`: a degenerate disc in `rescale`, the wrong number of loops
 or a tail away from the base map in `path_act_sc`, and `sample_sc1`
 asked for no interval.
@@ -29,11 +30,11 @@ from opcalc.bconstruction import BNode, b_lambda, b_left_act, b_right_act, bpoin
 from opcalc.bimodules import (BBimodule, WSelfBimodule, eval_truncated_bimodule_map,
                               eval_truncated_operad_map)
 from opcalc.mapping import (BimoduleMap, PathOfMaps, PathSegment, PointedMapFamily,
-                            QXProductBimodule, XPath, check_path, concat_paths, constant_path,
-                            delta_family, eta_map, eta_mu_map, fold_point_through, pl_reparam,
-                            psi_double_prime)
+                            QXProductBimodule, XPath, concat_paths, constant_path, delta_family,
+                            eta_map, eta_mu_map, fold_point_through, pl_reparam)
 from opcalc.operads import LittleDiscs, LittleIntervals, PointedSet
 from opcalc.serialize import parse_b_text, parse_w_text, w_from_jsonable
+from opcalc.suites import check_path, psi_double_prime
 from opcalc.swisscheese import parse_sc, path_act_sc, rescale, sample_sc1
 from opcalc.trees import DomainError, InjectiveMap, block_injection, drop_block
 from opcalc.wconstruction import WEdge, WNode, WOperad, mu, w_compose, w_lambda, wpoint

@@ -93,7 +93,7 @@ def test_every_private_function_is_referenced():
 
 
 KEPT_WITHOUT_A_USER = (
-    ("mapping", "psi_double_prime",
+    ("suites", "psi_double_prime",
      "the law guard for maps of unknown origin; the CLI's own maps take `tagged_map`"),
     ("swisscheese", "compose_sc",
      "the Swiss-cheese operad's composition, which the action's compatibility "

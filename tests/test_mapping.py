@@ -17,9 +17,6 @@ from opcalc.mapping import (
     QXProductBimodule,
     QxBimodule,
     XPath,
-    check_bimodule_map,
-    check_operad_map,
-    check_path,
     compose_operad_maps,
     concat_paths,
     constant_path,
@@ -30,7 +27,6 @@ from opcalc.mapping import (
     fold_point_through,
     lift_path,
     pl_reparam,
-    psi_double_prime,
     psi_prime_as_map,
     psi_prime_eval,
     reverse_path,
@@ -42,6 +38,7 @@ from opcalc.mapping import (
 )
 from opcalc.operads import LittleDiscs, LittleIntervals, PointedSet
 from opcalc.sampling import random_bpoint, random_raw_bnode, random_wpoint
+from opcalc.suites import check_bimodule_map, check_operad_map, check_path, psi_double_prime
 from opcalc.trees import DomainError, InjectiveMap
 from opcalc.wconstruction import WOperad, w_corolla, w_unit
 
@@ -578,3 +575,20 @@ def test_reports_serialize_to_json():
     blob = json.loads(json.dumps(bad.to_jsonable()))
     assert blob["ok"] is False
     assert any("witness" in c for c in blob["checks"])
+
+
+def test_reports_render_as_the_cli_prints_them():
+    report = check_operad_map(ETA, samples=10, seed=49)
+    assert report.to_text() == ("ok operad-map:eta (samples=10 seed=49)\n"
+                                "  pass unit\n  pass composition\n  pass restriction")
+    assert "flag" not in report.to_jsonable()
+    # both renderings flag a report of zero samples, whose vacuous laws pass
+    empty = check_operad_map(ETA, samples=0, seed=49)
+    assert empty.to_text() == ("ok operad-map:eta (samples=0 seed=49) [no-samples]\n"
+                               "  pass unit\n  vacuous composition\n  vacuous restriction")
+    assert empty.to_jsonable()["flag"] == "no-samples"
+    bad = check_operad_map(OperadMap("flip", D1, D2, lambda x: ETA(x)[::-1]),
+                           samples=20, seed=50)
+    failed = [line for line in bad.to_text().splitlines() if line.startswith("  FAIL ")]
+    assert failed and all(": " in line for line in failed)
+    assert bad.to_text().startswith("FAIL operad-map:flip ")

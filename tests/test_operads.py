@@ -116,6 +116,19 @@ def test_discs_sampler_and_io():
             assert op.parse_element(op.format_element(x)) == x
 
 
+@pytest.mark.parametrize("dim,seed,n", [(2, 2, 50), (2, 6, 170), (2, 0, 170), (1, 2, 8),
+                                        (1, 6, 8), (1, 0, 200)])
+def test_discs_sampler_grows_a_grid_smaller_than_n(dim, seed, n):
+    # seeds 2 and 6 draw the 7-point-wide grid, which holds 49 points in
+    # dimension 2 and 7 in dimension 1: the sampler once looped forever on
+    # them; at n = 200 the radii shrink to half the grid spacing
+    op = LittleDiscs(dim)
+    x = op.sample(random.Random(seed), n)
+    op.validate(x)
+    assert op.arity_of(x) == n
+    assert op.parse_element(op.format_element(x)) == x
+
+
 # --------------------------------------------------------------------- words
 
 def test_assoc_compose_and_restrict():

@@ -15,8 +15,8 @@ from fractions import Fraction as F
 import pytest
 
 from opcalc.bconstruction import BNode, BPoint, bpoint
-from opcalc.mapping import CheckResult
 from opcalc.operads import LittleIntervals, PointedSet
+from opcalc.suites import CheckResult
 from opcalc.trees import DomainError, InjectiveMap, Record
 from opcalc.wconstruction import WEdge, WNode, WPoint, wpoint
 

@@ -10,11 +10,8 @@ from opcalc.mapping import (
     HofiberPoint,
     QXElem,
     QXProductBimodule,
-    check_bimodule_map,
-    check_path,
     delta_family,
     eta_mu_map,
-    psi_double_prime,
     psi_prime_as_map,
     psi_prime_eval,
     sample_hofiber,
@@ -23,6 +20,7 @@ from opcalc.mapping import (
 )
 from opcalc.operads import LittleDiscs, LittleIntervals, PointedSet
 from opcalc.sampling import random_bpoint
+from opcalc.suites import check_bimodule_map, check_path, psi_double_prime
 from opcalc.swisscheese import (
     _assemble,
     _cuts,
